@@ -146,9 +146,6 @@ struct Scenario {
 
   // Scale knobs (sampled after every older field, same stream-stability
   // contract as the zoo knobs). Runtime scenarios only.
-  /// Arena-backed SoA shard queues instead of pointer-chasing FIFOs
-  /// (RtConfig::arena); outputs must be bit-identical either way.
-  bool rt_arena = false;
   /// Deterministic work stealing (RtConfig::steal); instant fabric only,
   /// so never drawn together with rt_latency.
   bool rt_steal = false;

@@ -54,13 +54,12 @@ Document schema (clb.bench_rt.v1):
                "wire_barrier_rtt_p99_us": .., "wire_kb_per_step": ..},
               ...],
     # with --exp27: the EXP-27 million-processor scaling grid (bench_rt
-    # --scaling-grid: n x workers x queue layout, deterministic). Arena
-    # rows also carry arena_bytes and the arena_over_fifo throughput
-    # ratio against the fifo row of the same point; arena_steal rows add
-    # steal_events / stolen_tasks.
-    "exp27": [{"n": .., "workers": .., "layout": "fifo"|"arena"|
-               "arena_steal", "tasks_per_sec": .., "wall_seconds": ..,
-               "consumed": .., "max_load": ..}, ...]
+    # --scaling-grid: n x workers x {arena, arena_steal}, deterministic).
+    # Every row carries arena_bytes; arena_steal rows add steal_events /
+    # stolen_tasks.
+    "exp27": [{"n": .., "workers": .., "layout": "arena"|"arena_steal",
+               "tasks_per_sec": .., "wall_seconds": ..,
+               "consumed": .., "max_load": .., "arena_bytes": ..}, ...]
   }
 
 The exp24/exp25/exp26/exp27 sections are optional (schema stays
@@ -71,13 +70,6 @@ The >1.5x speedup gate (threshold policy, max vs 1 worker) only arms when
 the host has at least --min-cores-for-gate real cores: worker threads on a
 single-core CI box are concurrency, not parallelism, and a throughput
 assertion there measures the scheduler, not the runtime.
-
-The EXP-27 arena gate is different: the arena-over-fifo ratio compares two
-same-host, same-shape runs that differ only in queue layout, so it is a
-cache-layout measurement, not a parallelism one — it arms regardless of
-core count whenever --exp27 ran (outside --smoke). At the largest grid n,
-the best arena row must beat the fifo baseline by --min-arena-ratio
-(default 1.05x).
 
 --compare OLD.json turns the run into a perf-trajectory gate: each fresh
 run's tasks_per_sec is checked against the matching (model, policy,
@@ -158,14 +150,14 @@ EXP26_FIELDS = [
     "running_max_load",
 ]
 
-# Per-grid-point gauges of the EXP-27 scaling grid (--exp27). Every layout
-# row carries these; arena rows add arena_bytes (+ arena_over_fifo), and
-# arena_steal rows add steal_events / stolen_tasks.
+# Per-grid-point gauges of the EXP-27 scaling grid (--exp27). Every row
+# carries these; arena_steal rows add steal_events / stolen_tasks.
 EXP27_FIELDS = [
     "tasks_per_sec",
     "wall_seconds",
     "consumed",
     "max_load",
+    "arena_bytes",
 ]
 
 # Wire accounting, present only on socket-backed substrates (uds/tcp).
@@ -348,7 +340,7 @@ def assemble(gauges: dict, args: argparse.Namespace) -> dict:
         doc["exp25"] = exp25
     if args.exp27:
         rx = re.compile(
-            r"^exp27\.n(\d+)\.w(\d+)\.(fifo|arena|arena_steal)"
+            r"^exp27\.n(\d+)\.w(\d+)\.(arena|arena_steal)"
             r"\.tasks_per_sec$")
         points = sorted((int(m.group(1)), int(m.group(2)), m.group(3))
                         for name in gauges if (m := rx.match(name)))
@@ -360,12 +352,9 @@ def assemble(gauges: dict, args: argparse.Namespace) -> dict:
             point = {"n": gn, "workers": w, "layout": layout}
             for field in EXP27_FIELDS:
                 point[field] = gauges[prefix + field]
-            for field in ("arena_bytes", "steal_events", "stolen_tasks"):
+            for field in ("steal_events", "stolen_tasks"):
                 if prefix + field in gauges:
                     point[field] = gauges[prefix + field]
-            ratio_key = f"exp27.n{gn}.w{w}.arena_over_fifo"
-            if layout == "arena" and ratio_key in gauges:
-                point["arena_over_fifo"] = gauges[ratio_key]
             exp27.append(point)
         doc["exp27"] = exp27
     return doc
@@ -419,15 +408,11 @@ def validate(doc: dict) -> None:
         if not isinstance(points, list) or not points:
             fail("exp27 present but not a non-empty list")
         for i, point in enumerate(points):
-            if point.get("layout") not in ("fifo", "arena", "arena_steal"):
+            if point.get("layout") not in ("arena", "arena_steal"):
                 fail(f"exp27[{i}].layout missing or unknown")
             for key in ("n", "workers", *EXP27_FIELDS):
                 if not isinstance(point.get(key), (int, float)):
                     fail(f"exp27[{i}].{key} missing or not numeric")
-            if point["layout"] == "arena":
-                for key in ("arena_bytes", "arena_over_fifo"):
-                    if not isinstance(point.get(key), (int, float)):
-                        fail(f"exp27[{i}].{key} missing on an arena row")
             if point["layout"] == "arena_steal":
                 for key in ("steal_events", "stolen_tasks"):
                     if not isinstance(point.get(key), (int, float)):
@@ -463,27 +448,6 @@ def gate(doc: dict, args: argparse.Namespace) -> None:
         if speedup < args.min_speedup:
             fail(f"{key} = {speedup:.2f} < required {args.min_speedup}")
         print(f"perfbench: {key} = {speedup:.2f} (>= {args.min_speedup}) ok")
-
-
-def gate_exp27(doc: dict, args: argparse.Namespace) -> None:
-    """The arena-over-fifo gate: same host, same shape, only the queue
-    layout differs — a cache-layout measurement that needs no parallelism,
-    so (unlike the speedup gate) it arms regardless of core count."""
-    points = doc.get("exp27", [])
-    ratios = {}
-    for p in points:
-        if p["layout"] == "arena":
-            ratios.setdefault(p["n"], []).append(p["arena_over_fifo"])
-    if not ratios:
-        fail("exp27 gate: no arena rows recorded")
-    top_n = max(ratios)
-    best = max(ratios[top_n])
-    if best < args.min_arena_ratio:
-        fail(f"exp27 arena gate: best arena_over_fifo at n={top_n} is "
-             f"{best:.2f}x < required {args.min_arena_ratio}x — the arena "
-             f"layout no longer beats the pointer-FIFO baseline")
-    print(f"perfbench: exp27 arena gate armed — arena_over_fifo at "
-          f"n={top_n} is {best:.2f}x (>= {args.min_arena_ratio}x) ok")
 
 
 def compare(doc: dict, args: argparse.Namespace) -> None:
@@ -578,12 +542,9 @@ def main() -> int:
                          "and record it under 'exp26'")
     ap.add_argument("--exp27", action="store_true",
                     help="also run the EXP-27 million-processor scaling grid "
-                         "(bench_rt --scaling-grid: n x workers x queue "
-                         "layout) and record it under 'exp27'; arms the "
-                         "arena-over-fifo gate outside --smoke")
-    ap.add_argument("--min-arena-ratio", type=float, default=1.05,
-                    help="required arena-over-fifo throughput ratio at the "
-                         "largest exp27 grid n (armed on any core count)")
+                         "(bench_rt --scaling-grid: n x workers x "
+                         "{arena, arena_steal}) and record it under "
+                         "'exp27'")
     ap.add_argument("--bench-transport", default="build/bench/bench_transport",
                     help="path to the bench_transport binary (--exp26)")
     ap.add_argument("--exp26-workers", default="2,4",
@@ -653,8 +614,6 @@ def main() -> int:
     validate(doc)
     if not args.smoke:
         gate(doc, args)
-        if "exp27" in doc:
-            gate_exp27(doc, args)
     if args.compare:
         compare(doc, args)
 
