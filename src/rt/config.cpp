@@ -1,0 +1,103 @@
+#include "rt/config.hpp"
+
+#include <algorithm>
+#include <thread>
+
+#include "util/check.hpp"
+
+namespace clb::rt {
+
+const char* transport_name(Transport t) {
+  switch (t) {
+    case Transport::kInProc: return "inproc";
+    case Transport::kUds: return "uds";
+    case Transport::kTcp: return "tcp";
+  }
+  return "?";
+}
+
+const char* policy_name(RtPolicy p) {
+  switch (p) {
+    case RtPolicy::kNone: return "none";
+    case RtPolicy::kThreshold: return "threshold";
+    case RtPolicy::kAllInAir: return "all-in-air";
+    case RtPolicy::kStaleSq: return "stale-sq";
+    case RtPolicy::kLocalSearch: return "local-search";
+  }
+  return "?";
+}
+
+std::vector<std::string> validate(const RtConfig& cfg) {
+  std::vector<std::string> v;
+  const auto rule = [&](bool ok, const char* what) {
+    if (!ok) v.emplace_back(what);
+  };
+  rule(cfg.n >= 1 && cfg.n <= (1ULL << 31),
+       "processor ids must fit comfortably in 32 bits (1 <= n <= 2^31)");
+  if (cfg.policy == RtPolicy::kThreshold) {
+    rule(cfg.params.n == cfg.n,
+         "phase params must be realised for this n (PhaseParams::from_n)");
+    rule(cfg.game.b >= 1 && cfg.game.b <= 2,
+         "query trees are binary: b must be 1 or 2");
+    rule(cfg.game.a >= 2 && cfg.game.a <= 16 && cfg.game.a < cfg.n,
+         "collision fan-out a out of range");
+    rule(cfg.game.c >= 1, "collision capacity c must be >= 1");
+  }
+  const bool zoo = cfg.policy == RtPolicy::kStaleSq ||
+                   cfg.policy == RtPolicy::kLocalSearch;
+  if (cfg.latency > 0) {
+    rule(cfg.policy == RtPolicy::kThreshold,
+         "the latency fabric runs the threshold protocol only");
+    rule(cfg.game.a <= 8, "latency mode runs the dist protocol: a in [2, 8]");
+    rule(static_cast<std::uint64_t>(cfg.game.c) * (cfg.game.a - cfg.game.b) >=
+             2,
+         "latency mode: round bound needs c(a-b) >= 2");
+    rule(cfg.phase_gap >= 1, "latency mode: phase_gap must be >= 1");
+    rule(!(cfg.link_loss_no_retransmit || cfg.dup_delivery) ||
+             cfg.link.lossy(),
+         "link mutations need a lossy link (link.loss_per_64k > 0)");
+    rule(!zoo, "workload-zoo policies run on the instant fabric only");
+    rule(cfg.crashes.empty(), "crash/recovery runs on the instant fabric only");
+    rule(!cfg.steal.enabled, "work stealing runs on the instant fabric only");
+  } else {
+    rule(!cfg.link.shaped(),
+         "link-model knobs require the latency fabric (latency >= 1)");
+    rule(!cfg.link_loss_no_retransmit && !cfg.dup_delivery,
+         "link mutations require the latency fabric (latency >= 1)");
+  }
+  rule(cfg.policy != RtPolicy::kStaleSq || cfg.stale.staleness >= 1,
+       "stale-sq: staleness must be >= 1");
+  rule(!cfg.stale_read_fresh || cfg.policy == RtPolicy::kStaleSq,
+       "stale_read_fresh mutates the stale-sq policy only");
+  rule(cfg.crashes.empty() || cfg.policy == RtPolicy::kNone || zoo,
+       "a crash schedule requires a liveness-aware policy "
+       "(none, stale-sq or local-search)");
+  rule(!cfg.crash_lose_queue || !cfg.crashes.empty(),
+       "crash_lose_queue needs a crash schedule");
+  rule(!cfg.steal.enabled || cfg.steal.min_victim_load >= 2,
+       "work stealing: min_victim_load must be >= 2");
+  rule(!cfg.steal_duplicate_task || cfg.steal.enabled,
+       "steal_duplicate_task mutates the steal pass only");
+  return v;
+}
+
+void refuse_invalid(const std::vector<std::string>& violations,
+                    const char* who) {
+  if (violations.empty()) return;
+  std::string msg = std::string(who) + " refuses the config: ";
+  for (std::size_t i = 0; i < violations.size(); ++i) {
+    if (i != 0) msg += "; ";
+    msg += violations[i];
+  }
+  CLB_CHECK(false, msg.c_str());
+}
+
+unsigned resolve_workers(const RtConfig& cfg) {
+  const unsigned w = cfg.workers != 0
+                         ? cfg.workers
+                         : std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<unsigned>(
+      std::clamp<std::uint64_t>(w, 1, std::max<std::uint64_t>(cfg.n, 1)));
+}
+
+}  // namespace clb::rt

@@ -24,6 +24,16 @@ struct MessageCounters {
   }
 
   void reset() { *this = MessageCounters{}; }
+
+  MessageCounters& operator+=(const MessageCounters& o) {
+    queries += o.queries;
+    accepts += o.accepts;
+    id_messages += o.id_messages;
+    control += o.control;
+    transfers += o.transfers;
+    tasks_moved += o.tasks_moved;
+    return *this;
+  }
 };
 
 }  // namespace clb::sim

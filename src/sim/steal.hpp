@@ -12,7 +12,9 @@
 // sealed boards and stay bit-identical to the engine for any partition.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace clb::sim {
@@ -33,15 +35,65 @@ struct StealConfig {
   std::uint32_t max_batch = 4;
 };
 
-/// The pure rule. Thieves are the dry alive processors in ascending id
-/// order (capped at max_steals_per_step); victims are the top-loaded alive
-/// processors with load >= min_victim_load (descending load, ascending id on
-/// ties), paired one-to-one by rank. Returned transfers are sorted ascending
-/// by sender with at most one per sender, no sender that is also a receiver
-/// (a dry processor has load 0 and can never qualify as a victim), and
-/// counts <= load[from] / 2 — so engine-side application never clamps and
-/// rt-side send-time pops see exactly the loads the decision assumed,
-/// independent of application order.
+/// One scan's steal candidates, built incrementally in ascending processor
+/// order: the first max_steals_per_step dry processors (thieves) and the
+/// top max_steals_per_step processors with load >= min_victim_load
+/// (victims; descending load, ascending id on ties). The global decision
+/// only ever needs these from each contiguous shard, so a sharded runtime
+/// exchanges O(shards * max_steals_per_step) values per step instead of
+/// n-sized boards, and steal_merge() reproduces steal_decisions exactly.
+class StealCandidates {
+ public:
+  void reset(const StealConfig& cfg) {
+    cap_ = cfg.max_steals_per_step;
+    min_victim_load_ = cfg.min_victim_load;
+    thieves_.clear();
+    victims_.clear();
+  }
+
+  /// Offers alive processor p (dead processors are never offered).
+  void offer(std::uint32_t p, std::uint32_t load, bool dry) {
+    if (dry && thieves_.size() < cap_) thieves_.push_back(p);
+    if (load < min_victim_load_) return;
+    // Ascending p makes "id ascending" the natural tie-break: an equal load
+    // never displaces an earlier candidate.
+    std::size_t i = victims_.size();
+    while (i > 0 && victims_[i - 1].load < load) --i;
+    if (i >= cap_) return;
+    victims_.insert(victims_.begin() + static_cast<std::ptrdiff_t>(i),
+                    Victim{p, load});
+    if (victims_.size() > cap_) victims_.pop_back();
+  }
+
+  /// Appends the exchange blob: [thieves, thief ids..., victim
+  /// (load << 32 | id) ...].
+  void encode(std::vector<std::uint64_t>& out) const;
+
+ private:
+  struct Victim {
+    std::uint32_t id;
+    std::uint32_t load;
+  };
+  std::size_t cap_ = 0;
+  std::uint32_t min_victim_load_ = 0;
+  std::vector<std::uint32_t> thieves_;
+  std::vector<Victim> victims_;
+};
+
+/// Merges the encoded candidates of contiguous shards, in ascending shard
+/// order, into the decision list: thieves are the first max_steals_per_step
+/// dry alive processors, victims the top-loaded ones, paired one-to-one by
+/// rank. Returned transfers are sorted ascending by sender with at most one
+/// per sender, no sender that is also a receiver (a dry processor has load
+/// 0 and can never qualify as a victim), and counts <= load[from] / 2 — so
+/// engine-side application never clamps and rt-side send-time pops see
+/// exactly the loads the decision assumed, independent of application
+/// order.
+[[nodiscard]] std::vector<Transfer> steal_merge(
+    std::span<const std::vector<std::uint64_t>> shard_blobs,
+    const StealConfig& cfg);
+
+/// The pure rule over full boards: one shard's candidates, merged.
 [[nodiscard]] std::vector<Transfer> steal_decisions(
     std::uint64_t n, const std::vector<std::uint32_t>& load,
     const std::vector<std::uint8_t>& dry, const std::vector<std::uint8_t>& alive,

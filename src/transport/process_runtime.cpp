@@ -11,47 +11,55 @@
 
 namespace clb::transport {
 
+namespace {
+
+/// Refuses an invalid config, then resolves the shard count and stamps the
+/// run's clock origin.
+ShardRunConfig checked(ShardRunConfig cfg) {
+  std::vector<std::string> v = rt::validate(cfg);
+  if (cfg.trace != nullptr) {
+    v.emplace_back("a trace sink is a borrowed in-proc pointer");
+  }
+  if (cfg.topology != nullptr) {
+    v.emplace_back("a topology is a borrowed in-proc pointer");
+  }
+  if (cfg.telemetry) {
+    v.emplace_back("per-worker telemetry is an in-proc runtime feature");
+  }
+  cfg.workers = rt::resolve_workers(cfg);
+  if (cfg.workers > 64) {
+    v.emplace_back("shard-process fan-out is capped at 64");
+  }
+  rt::refuse_invalid(v, "transport::ProcessRuntime");
+  cfg.clock_origin_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now().time_since_epoch())
+                            .count();
+  return cfg;
+}
+
+ShardRunConfig from_rt(const rt::RtConfig& cfg, const ModelSpec& model) {
+  CLB_CHECK(cfg.transport != rt::Transport::kInProc,
+            "ProcessRuntime needs a socket transport "
+            "(RtConfig::transport kUds or kTcp)");
+  ShardRunConfig sc;
+  static_cast<rt::RtConfig&>(sc) = cfg;
+  sc.model = model;
+  return sc;
+}
+
+}  // namespace
+
 ProcessRuntime::ProcessRuntime(ShardRunConfig cfg, WireKind wire)
-    : cfg_(std::move(cfg)), wire_(wire) {
-  CLB_CHECK(cfg_.workers >= 1, "transport: need at least one shard process");
-  CLB_CHECK(cfg_.workers <= 64, "transport: shard-process fan-out capped at 64");
-  CLB_CHECK(cfg_.workers <= cfg_.n, "transport: more shards than processors");
-  chunk_ = cfg_.n / cfg_.workers;
-  extra_ = cfg_.n % cfg_.workers;
-  split_ = extra_ * (chunk_ + 1);
+    : cfg_(checked(std::move(cfg))),
+      wire_(wire),
+      part_(cfg_.n, cfg_.workers) {
   spawn();
 }
 
 ProcessRuntime::ProcessRuntime(const rt::RtConfig& cfg, const ModelSpec& model)
-    : ProcessRuntime(
-          [&] {
-            CLB_CHECK(cfg.transport != rt::Transport::kInProc,
-                      "ProcessRuntime needs a socket transport "
-                      "(RtConfig::transport kUds or kTcp)");
-            CLB_CHECK(cfg.latency == 0,
-                      "the cross-process transport runs the instant schedule");
-            CLB_CHECK(cfg.crashes.empty() && cfg.drop_transfer_message == 0,
-                      "rt fault hooks are not carried by this transport");
-            CLB_CHECK(cfg.trace == nullptr && !cfg.telemetry,
-                      "tracing/telemetry are in-proc runtime features");
-            CLB_CHECK(!cfg.steal.enabled,
-                      "work stealing is not carried by this transport yet");
-            ShardRunConfig sc;
-            sc.n = cfg.n;
-            sc.seed = cfg.seed;
-            sc.workers = cfg.workers != 0 ? cfg.workers : 1;
-            sc.deterministic = cfg.deterministic;
-            sc.policy = cfg.policy;
-            sc.params = cfg.params;
-            sc.game = cfg.game;
-            sc.spin_work = cfg.spin_work;
-            sc.track_sojourn = cfg.track_sojourn;
-            sc.time_sojourn = cfg.time_sojourn;
-            sc.model = model;
-            return sc;
-          }(),
-          cfg.transport == rt::Transport::kTcp ? WireKind::kTcp
-                                               : WireKind::kUds) {}
+    : ProcessRuntime(from_rt(cfg, model), cfg.transport == rt::Transport::kTcp
+                                              ? WireKind::kTcp
+                                              : WireKind::kUds) {}
 
 void ProcessRuntime::spawn() {
   const unsigned w = cfg_.workers;
@@ -123,11 +131,6 @@ ProcessRuntime::~ProcessRuntime() {
   }
 }
 
-unsigned ProcessRuntime::owner_of(std::uint64_t p) const {
-  if (p < split_) return static_cast<unsigned>(p / (chunk_ + 1));
-  return static_cast<unsigned>(extra_ + (p - split_) / chunk_);
-}
-
 void ProcessRuntime::run(std::uint64_t steps) {
   if (steps == 0) return;
   CLB_CHECK(!collected_, "transport: run() after collect()");
@@ -170,7 +173,7 @@ void ProcessRuntime::deposit(std::uint32_t p, sim::Task t) {
   Writer w;
   w.u64(p);
   serialize_task(w, rt::RtTask{t, 0});
-  ctl_[owner_of(p)].send_frame(FrameType::kDeposit, w.data());
+  ctl_[part_.owner_of(p)].send_frame(FrameType::kDeposit, w.data());
   log_.push_back(Command{Command::Kind::kDeposit, 0, p, t});
 }
 
@@ -193,29 +196,10 @@ void ProcessRuntime::collect() {
     for (std::uint64_t p = b; p < e; ++p) {
       procs_[p] = std::move(st.procs[p - b]);
     }
-    msg_.queries += st.msg.queries;
-    msg_.accepts += st.msg.accepts;
-    msg_.id_messages += st.msg.id_messages;
-    msg_.control += st.msg.control;
-    msg_.transfers += st.msg.transfers;
-    msg_.tasks_moved += st.msg.tasks_moved;
-    clamped_ += st.clamped;
-    deposited_ += st.deposited;
-    ledger_.insert(ledger_.end(), st.ledger.begin(), st.ledger.end());
-    sojourn_steps_.merge(st.sojourn_steps);
-    sojourn_us_.merge(st.sojourn_us);
+    total_.merge(st);
     wire_stats_.merge(st.wire);
-    if (i == 0) {
-      running_max_ = st.running_max;
-      phases_ = std::move(st.phases);
-    }
   }
-  std::sort(ledger_.begin(), ledger_.end(),
-            [](const rt::LedgerEntry& a, const rt::LedgerEntry& b) {
-              if (a.step != b.step) return a.step < b.step;
-              if (a.from != b.from) return a.from < b.from;
-              return a.to < b.to;
-            });
+  std::sort(total_.ledger.begin(), total_.ledger.end(), rt::ledger_less);
   collected_ = true;
 }
 
@@ -252,47 +236,53 @@ std::uint64_t ProcessRuntime::total_consumed() {
 
 std::uint64_t ProcessRuntime::running_max_load() {
   collect();
-  return running_max_;
+  return total_.running_max;
 }
 
 bool ProcessRuntime::conservation_holds() {
   collect();
-  return total_generated() + deposited_ == total_consumed() + total_load();
+  return total_generated() + total_.deposited ==
+         total_consumed() + total_load() + total_.dropped_tasks;
 }
 
 sim::MessageCounters ProcessRuntime::messages() {
   collect();
-  return msg_;
+  return total_.msg;
 }
 
 std::uint64_t ProcessRuntime::clamped_transfers() {
   collect();
-  return clamped_;
+  return total_.clamped;
 }
 
 std::vector<rt::LedgerEntry> ProcessRuntime::ledger() {
   collect();
-  return ledger_;
+  return total_.ledger;
 }
 
 const std::vector<rt::RtPhaseSummary>& ProcessRuntime::phases() {
   collect();
-  return phases_;
+  return total_.phases;
 }
 
 stats::IntHistogram ProcessRuntime::sojourn_steps() {
   collect();
-  return sojourn_steps_;
+  return total_.sojourn_steps;
 }
 
 stats::IntHistogram ProcessRuntime::sojourn_us() {
   collect();
-  return sojourn_us_;
+  return total_.sojourn_us;
 }
 
 std::uint64_t ProcessRuntime::deposited() {
   collect();
-  return deposited_;
+  return total_.deposited;
+}
+
+const rt::ShardOutputs& ProcessRuntime::outputs() {
+  collect();
+  return total_;
 }
 
 const obs::WireStats& ProcessRuntime::wire_stats() {

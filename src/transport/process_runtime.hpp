@@ -43,14 +43,16 @@ struct Command {
 
 class ProcessRuntime {
  public:
-  /// Forks cfg.workers shard processes over `wire`. cfg.index is ignored
-  /// (stamped per child). Blocks until every child acked its config.
+  /// Forks rt::resolve_workers(cfg) shard processes over `wire`, each
+  /// running the rt::ShardKernel. cfg.index is ignored (stamped per child)
+  /// and cfg.transport is not consulted. Refuses, naming every broken rule,
+  /// a config rt::validate() rejects or one that needs what cannot cross a
+  /// process boundary: the borrowed trace/topology pointers and telemetry.
+  /// Blocks until every child acked its config.
   ProcessRuntime(ShardRunConfig cfg, WireKind wire);
 
-  /// Convenience seam from the rt vocabulary: maps RtConfig::transport to
-  /// the wire kind (must not be kInProc) and checks that every rt feature
-  /// this transport does not carry (latency fabric, crash schedules, drop
-  /// injection, zoo policies, telemetry, tracing) is off.
+  /// The seam from the rt vocabulary: maps RtConfig::transport to the wire
+  /// kind (must not be kInProc); otherwise as above.
   ProcessRuntime(const rt::RtConfig& cfg, const ModelSpec& model);
 
   ~ProcessRuntime();
@@ -91,6 +93,9 @@ class ProcessRuntime {
   [[nodiscard]] stats::IntHistogram sojourn_steps();
   [[nodiscard]] stats::IntHistogram sojourn_us();
   [[nodiscard]] std::uint64_t deposited();
+  /// Every shard's outputs merged (steal, crash, fabric and mutation
+  /// counters included), for the shadow cross-check and tests.
+  [[nodiscard]] const rt::ShardOutputs& outputs();
   /// Wire accounting merged over every child's links (bytes, frames,
   /// barrier count, barrier RTT histogram).
   [[nodiscard]] const obs::WireStats& wire_stats();
@@ -104,13 +109,12 @@ class ProcessRuntime {
 
  private:
   void spawn();
-  [[nodiscard]] unsigned owner_of(std::uint64_t p) const;
 
   ShardRunConfig cfg_;
   WireKind wire_ = WireKind::kUds;
+  rt::Partition part_;
   std::vector<Endpoint> ctl_;   // coordinator end of each child's control link
   std::vector<pid_t> pids_;
-  std::uint64_t chunk_ = 1, extra_ = 0, split_ = 0;
   std::uint64_t step_base_ = 0;
   double wall_seconds_ = 0;
   std::vector<Command> log_;
@@ -118,13 +122,7 @@ class ProcessRuntime {
   // Merged state (valid once collected_).
   bool collected_ = false;
   std::vector<rt::RtProcessor> procs_;
-  sim::MessageCounters msg_;
-  std::uint64_t clamped_ = 0;
-  std::uint64_t deposited_ = 0;
-  std::vector<rt::LedgerEntry> ledger_;
-  stats::IntHistogram sojourn_steps_, sojourn_us_;
-  std::uint64_t running_max_ = 0;
-  std::vector<rt::RtPhaseSummary> phases_;
+  rt::ShardOutputs total_;  // ledger sorted canonically
   obs::WireStats wire_stats_;
 };
 

@@ -37,17 +37,19 @@ ShadowReport shadow_check(ProcessRuntime& pr) {
             "the shadow cross-check requires a deterministic run");
   pr.collect();
 
-  rt::RtConfig rc;
-  rc.n = cfg.n;
-  rc.seed = cfg.seed;
-  rc.workers = cfg.workers;
-  rc.deterministic = true;
-  rc.policy = cfg.policy;
-  rc.params = cfg.params;
-  rc.game = cfg.game;
+  // The shadow plays the honest protocol: every fault hook off, so a
+  // mutated transport run diverges from it.
+  rt::RtConfig rc = cfg;
+  rc.transport = rt::Transport::kInProc;
   rc.spin_work = 0;  // spin is wall-clock padding; identical outcomes
-  rc.track_sojourn = cfg.track_sojourn;
   rc.time_sojourn = false;  // wall-clock sojourn can never be bit-compared
+  rc.drop_transfer_message = 0;
+  rc.delay_skew_message = 0;
+  rc.link_loss_no_retransmit = false;
+  rc.dup_delivery = false;
+  rc.crash_lose_queue = false;
+  rc.stale_read_fresh = false;
+  rc.steal_duplicate_task = false;
 
   const auto model = cfg.model.make(cfg.n);
   rt::Runtime shadow(rc, model.get());
@@ -74,6 +76,16 @@ ShadowReport shadow_check(ProcessRuntime& pr) {
   check_eq(rep, "messages.control", tm.control, sm.control);
   check_eq(rep, "messages.transfers", tm.transfers, sm.transfers);
   check_eq(rep, "messages.tasks_moved", tm.tasks_moved, sm.tasks_moved);
+  const rt::ShardOutputs& to = pr.outputs();
+  check_eq(rep, "steal_events", to.steal_events, shadow.steal_events());
+  check_eq(rep, "stolen_tasks", to.stolen_tasks, shadow.stolen_tasks());
+  check_eq(rep, "rehomed_tasks", to.rehomed_tasks, shadow.rehomed_tasks());
+  check_eq(rep, "rehomed_events", to.rehomed_events, shadow.rehomed_events());
+  check_eq(rep, "fabric_sent", to.fab_sent, shadow.fabric_sent());
+  check_eq(rep, "fabric_in_flight", to.fab_sent - to.fab_delivered,
+           shadow.fabric_in_flight());
+  check_eq(rep, "fabric_retransmits", to.retransmits,
+           shadow.fabric_retransmits());
 
   // Transfer ledger: entry-by-entry in the canonical (step, from, to) order.
   const std::vector<rt::LedgerEntry> tl = pr.ledger();
@@ -112,6 +124,7 @@ ShadowReport shadow_check(ProcessRuntime& pr) {
       check_eq(rep, at + "levels_used", tp[i].levels_used, sp[i].levels_used);
       check_eq(rep, at + "collision_rounds", tp[i].collision_rounds,
                sp[i].collision_rounds);
+      check_eq(rep, at + "forced", tp[i].forced, sp[i].forced);
       if (check_eq(rep, at + "heavy_procs.size", tp[i].heavy_procs.size(),
                    sp[i].heavy_procs.size())) {
         for (std::size_t k = 0; k < tp[i].heavy_procs.size(); ++k) {

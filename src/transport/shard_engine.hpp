@@ -1,62 +1,40 @@
 // The per-process shard engine: one worker process's half of the
-// cross-process runtime. Owns a contiguous processor shard, runs the exact
-// instant-fabric protocol schedule of rt::Runtime (generate/consume, then
-// for the threshold policy the classification / collision-round / query-tree
-// / staged-transfer supersteps), but every cross-shard interaction crosses a
-// real socket:
+// cross-process runtime. It runs the same rt::ShardKernel an rt::Runtime
+// worker thread runs (rt/kernel.hpp); all it adds is the rt::Comm that
+// carries the kernel's messages and reductions across real sockets:
 //
-//   * protocol messages accumulate into one per-peer batch and are flushed
-//     as a single kBatch frame at every barrier entry (per-link FIFO order
-//     means a drain that has consumed k batches from a peer has seen every
-//     message that peer sent before its k-th barrier — the superstep
-//     quiescence PhaseBarrier provided in one address space);
-//   * every barrier is an explicit control-plane exchange with the
-//     coordinator: kBarrier carries this worker's reduction blob (a u64
-//     vector), kRelease returns all workers' blobs — replacing the padded
-//     Slot arrays (loads, classification counts, active requests, staged
-//     counts) AND the leader scan: the scan lists ride the blobs and every
-//     worker runs the same merge, so the global child numbering needs no
-//     leader-owned memory.
+//   * messages to another shard accumulate into one per-peer batch, flushed
+//     as a single kBatch frame at every exchange (per-link FIFO order means
+//     a drain that has consumed k batches from a peer has seen every
+//     message that peer sent before its k-th exchange — exactly the Comm
+//     contract);
+//   * every exchange is an explicit control-plane round trip with the
+//     coordinator: kBarrier carries this shard's reduction blob, kRelease
+//     returns all shards' blobs.
 //
-// The schedule's determinism contract is unchanged: canonical-key sorts,
-// count-based collision acceptance and prefix-scan transfer numbering make
-// the run bit-identical to rt::Runtime (and therefore sim::Engine) for any
-// shard count — which is precisely what lets the in-memory shadow convict a
-// corrupted frame (see transport/shadow.hpp).
+// Plus the control loop: the kConfig handshake, kRun/kDeposit/kCollect and
+// kShutdown (serve), and shipping the end-of-run state (collect).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
-#include "collision/collision.hpp"
-#include "core/params.hpp"
 #include "obs/wire.hpp"
-#include "rt/runtime.hpp"
-#include "sim/counters.hpp"
-#include "stats/histogram.hpp"
+#include "rt/comm.hpp"
+#include "rt/config.hpp"
+#include "rt/kernel.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/wire.hpp"
 
 namespace clb::transport {
 
-/// Everything a shard worker needs to run, distributed by the coordinator
-/// in the kConfig handshake frame. Mirrors the supported subset of
-/// rt::RtConfig plus the worker's own identity.
-struct ShardRunConfig {
-  std::uint64_t n = 1024;
-  std::uint64_t seed = 1;
-  std::uint32_t workers = 1;
+/// The wire form of the run configuration, distributed by the coordinator
+/// in the kConfig handshake frame: every rt::RtConfig field that can cross
+/// a process boundary (the borrowed trace/topology pointers and the
+/// telemetry knobs cannot), plus the worker's own identity.
+struct ShardRunConfig : rt::RtConfig {
   std::uint32_t index = 0;  ///< this worker's shard index
-  bool deterministic = true;
-  rt::RtPolicy policy = rt::RtPolicy::kThreshold;
-  core::PhaseParams params{};
-  collision::CollisionConfig game{};
-  std::uint32_t spin_work = 0;
-  bool track_sojourn = false;
-  bool time_sojourn = false;
   /// Test-only fault injection: corrupt the k-th kTransfer message this
   /// worker serialises to a remote shard (1-based; 0 = off) by flipping the
   /// first payload task's birth_step low bit BEFORE the frame is signed —
@@ -65,6 +43,11 @@ struct ShardRunConfig {
   /// convict it. The frame-corrupt mutation.
   std::uint64_t corrupt_transfer_frame = 0;
   ModelSpec model{};
+  /// The coordinator's steady_clock reading at construction, in ns since
+  /// the clock's epoch. Every shard stamps time_sojourn against it: the
+  /// clock (CLOCK_MONOTONIC) is shared across fork, so a task's birth and
+  /// consume stamps are comparable on any shard.
+  std::int64_t clock_origin_ns = 0;
 
   void serialize(Writer& w) const;
   [[nodiscard]] static ShardRunConfig deserialize(Reader& r);
@@ -72,18 +55,10 @@ struct ShardRunConfig {
 
 /// A worker's end-of-run state, shipped to the coordinator on kCollect.
 /// Histograms travel as sparse (value, count) pairs.
-struct ShardState {
+struct ShardState : rt::ShardOutputs {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
   std::vector<rt::RtProcessor> procs;  ///< [begin, end), protocol flags zeroed
-  sim::MessageCounters msg;
-  std::uint64_t clamped = 0;
-  std::uint64_t deposited = 0;
-  std::vector<rt::LedgerEntry> ledger;
-  stats::IntHistogram sojourn_steps;
-  stats::IntHistogram sojourn_us;
-  std::uint64_t running_max = 0;               ///< worker 0 only
-  std::vector<rt::RtPhaseSummary> phases;      ///< worker 0 only
   obs::WireStats wire;
 
   void serialize(Writer& w) const;
@@ -97,8 +72,44 @@ struct ShardState {
 /// normally — the caller _exit()s after it does.
 void shard_worker_main(Endpoint control, std::vector<Endpoint> peers);
 
-/// The engine itself. Exposed (rather than buried in shard_worker_main) so
-/// unit tests can drive a single-worker instance in-process.
+/// rt::Comm over sockets: per-peer kBatch frames on the data links, the
+/// kBarrier/kRelease allgather on the control link.
+class SocketComm final : public rt::Comm {
+ public:
+  SocketComm(const ShardRunConfig& cfg, const rt::Partition& part,
+             Endpoint& control, std::vector<Endpoint> peers,
+             obs::WireStats& wire);
+
+  void drain(std::vector<rt::Msg>& out) override;
+  Blobs exchange(std::span<const std::uint64_t> blob) override;
+  /// Adds every link's byte/frame counters into `s`.
+  void account_into(obs::WireStats& s) const;
+
+ protected:
+  void post(unsigned dest_shard, rt::Msg&& m) override;
+
+ private:
+  struct PeerChannel {
+    Endpoint ep;
+    Writer batch;  // messages accumulated this superstep
+    std::uint32_t batch_count = 0;
+    std::uint64_t batches_consumed = 0;
+  };
+
+  Endpoint& control_;
+  std::vector<PeerChannel> peers_;
+  obs::WireStats& wire_;
+  const std::uint64_t corrupt_transfer_frame_;
+  const bool data_plane_;          // policy kNone without steal/crash sends none
+  std::uint64_t data_rounds_ = 0;  // flushing exchanges passed so far
+  std::uint64_t remote_transfers_ = 0;  // kTransfer messages serialised
+  std::vector<rt::Msg> self_open_, self_sealed_;  // own-shard messages
+  std::vector<std::vector<std::uint64_t>> blobs_;
+};
+
+/// The engine itself: the shard's processors, its kernel, and the control
+/// loop. Exposed (rather than buried in shard_worker_main) so unit tests
+/// can drive a single-worker instance in-process.
 class ShardEngine {
  public:
   ShardEngine(ShardRunConfig cfg, Endpoint control,
@@ -109,104 +120,18 @@ class ShardEngine {
   void serve();
 
  private:
-  struct Node {
-    std::uint64_t slot = 0;
-    std::uint32_t proc = 0;
-    std::uint32_t root = 0;
-    std::uint32_t targets[16] = {};
-    std::uint32_t accepted_mask = 0;
-    std::uint32_t accept_count = 0;
-    std::uint32_t round_replies = 0;
-    bool active = false;
-    std::uint8_t pending_children = 0;
-    std::uint8_t status_nonapp = 0;
-    std::vector<std::uint32_t> accepted;
-  };
-
-  struct ScanEntry {
-    std::uint64_t g = 0;
-    std::uint64_t base = 0;
-    std::uint32_t root = 0;
-    std::uint32_t count = 0;
-    std::uint32_t child[2] = {};
-  };
-
-  struct Staged {
-    std::uint32_t from = 0;
-    std::uint32_t to = 0;
-  };
-
-  struct PeerChannel {
-    Endpoint ep;
-    Writer batch;                      // messages accumulated this superstep
-    std::uint32_t batch_count = 0;
-    std::uint64_t batches_consumed = 0;
-  };
-
-  void run(std::uint64_t steps);
-  void step_once(std::uint64_t step);
-  void run_phase(std::uint64_t step);
-  std::uint64_t run_level(std::uint64_t step, std::uint64_t phase_index,
-                          std::uint32_t level, std::uint64_t node_count);
-  void send(std::uint32_t dest_proc, Msg&& m);
-  void send_transfer(std::uint64_t step, std::uint32_t root,
-                     std::uint32_t partner, std::uint64_t count);
-  void apply_staged_transfers(std::uint64_t step, std::uint64_t base,
-                              std::uint64_t total);
-  void apply_transfer(const Msg& m);
-  void drain(std::vector<Msg>& out);
-  /// Barrier + allgather: flushes peer batches (threshold policy), sends
-  /// kBarrier with `blob`, blocks on kRelease, returns all workers' blobs
-  /// in worker order.
-  std::vector<std::vector<std::uint64_t>> allgather(
-      const std::vector<std::uint64_t>& blob);
   void collect_state();
-  [[nodiscard]] unsigned owner_of(std::uint64_t p) const;
-  [[nodiscard]] rt::RtProcessor& proc(std::uint64_t p);
-  [[nodiscard]] std::uint32_t now_us() const;
 
   ShardRunConfig cfg_;
   std::unique_ptr<sim::LoadModel> model_;
   Endpoint control_;
-  std::vector<PeerChannel> peers_;
-  std::vector<rt::RtProcessor> procs_;  // own shard only, index p - begin_
-  std::uint64_t begin_ = 0, end_ = 0;
-  std::uint64_t chunk_ = 1, extra_ = 0, split_ = 0;
-  bool flush_data_ = false;       // threshold policy keeps a data plane
-  std::uint64_t data_rounds_ = 0; // flushing barriers passed so far
-
-  // Lockstep protocol state (the exact Worker fields of rt::Runtime).
-  std::uint64_t step_base_ = 0;
-  std::uint64_t phase_epoch_ = 0, level_epoch_ = 0, round_epoch_ = 0;
-  std::uint64_t phase_count_ = 0;
-  std::uint64_t sys_load_ = 0;
-  std::uint64_t ph_requests_ = 0;
-  std::uint32_t ph_levels_ = 0, ph_rounds_ = 0;
-  std::vector<Node> nodes_, next_nodes_;
-  std::vector<std::uint32_t> heavy_local_;
-  std::vector<ScanEntry> scan_;
-  std::vector<Staged> staged_;
-  std::uint64_t transfer_seen_ = 0;
-  std::vector<Msg> self_pending_;
-  std::vector<Msg> batch_;
-  std::uint64_t phase_matched_ = 0;  // folded into the end-of-step blob
-
-  // Worker-0 aggregates for the phase summary.
-  std::vector<std::uint32_t> phase_heavy_all_;
-  std::uint64_t phase_light_total_ = 0;
-  std::vector<rt::RtPhaseSummary> phases_;
-  std::uint64_t running_max_ = 0;
-
-  // Outputs.
-  sim::MessageCounters msg_;
-  std::uint64_t clamped_ = 0;
-  std::uint64_t deposited_ = 0;
-  std::vector<rt::LedgerEntry> ledger_;
-  stats::IntHistogram sojourn_steps_, sojourn_us_;
+  rt::Partition part_;
+  rt::TaskArena arena_;
+  std::vector<rt::RtProcessor> procs_;  // own shard only, index p - begin
   obs::WireStats wire_;
-  std::uint64_t corrupt_countdown_seen_ = 0;  // kTransfer frames serialised
-
-  std::chrono::steady_clock::time_point start_tp_;
+  SocketComm comm_;
+  rt::ShardKernel kernel_;
+  std::uint64_t step_base_ = 0;
 };
 
 }  // namespace clb::transport

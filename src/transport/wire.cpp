@@ -67,6 +67,9 @@ void serialize_msg(Writer& w, const Msg& m) {
   w.u32(m.a);
   w.u32(m.b);
   w.u32(m.c);
+  w.u32(m.from);
+  w.u32(m.to);
+  w.u64(m.due);
   w.seq_key(m.seq);
   w.u32(static_cast<std::uint32_t>(m.payload.size()));
   for (const rt::RtTask& t : m.payload) serialize_task(w, t);
@@ -79,6 +82,9 @@ Msg deserialize_msg(Reader& r) {
   m.a = r.u32();
   m.b = r.u32();
   m.c = r.u32();
+  m.from = r.u32();
+  m.to = r.u32();
+  m.due = r.u64();
   m.seq = r.seq_key();
   const std::uint32_t count = r.u32();
   m.payload.reserve(count);

@@ -1,8 +1,7 @@
 // Payload serialisation for the cross-process transport: a bounds-checked
-// little-endian Writer/Reader pair (on top of net::wire), the subset of
-// rt::RtConfig a shard worker needs, a serialisable load-model spec (the
-// coordinator distributes the spec, each process constructs its own
-// identical model), and the protocol-message / final-state encodings.
+// little-endian Writer/Reader pair (on top of net::wire), a serialisable
+// load-model spec (the coordinator distributes the spec, each process
+// constructs its own identical model), and the protocol-message encoding.
 #pragma once
 
 #include <bit>
@@ -14,7 +13,7 @@
 #include "collision/collision.hpp"
 #include "models/burst.hpp"
 #include "net/wire.hpp"
-#include "rt/mailbox.hpp"
+#include "rt/message.hpp"
 #include "sim/model.hpp"
 #include "util/check.hpp"
 
@@ -106,19 +105,8 @@ struct ModelSpec {
   [[nodiscard]] static ModelSpec deserialize(Reader& r);
 };
 
-/// One protocol message on the wire — the value-type twin of rt::Message
-/// (no intrusive link; the fabric SeqKey rides along so the codec is
-/// complete for latency-fabric vocabularies even though the instant-mode
-/// protocol leaves it zero).
-struct Msg {
-  rt::MsgKind kind = rt::MsgKind::kQuery;
-  std::uint64_t key = 0;
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  std::uint32_t c = 0;
-  net::SeqKey seq{};
-  std::vector<rt::RtTask> payload;
-};
+/// One protocol message on the wire: the kernel's own value type.
+using Msg = rt::Msg;
 
 void serialize_msg(Writer& w, const Msg& m);
 [[nodiscard]] Msg deserialize_msg(Reader& r);
