@@ -2,7 +2,7 @@
 // cost?
 //
 // The same deterministic lockstep protocol runs on three substrates: the
-// in-proc rt::Runtime (threads + mailboxes), transport::ProcessRuntime over
+// in-proc rt::Runtime (threads), transport::ProcessRuntime over
 // Unix-domain sockets, and optionally over loopback TCP — same seeds, same
 // spike schedule, bit-identical outputs (the harness proves it before
 // measuring: a shadow-fabric cross-check convicts any divergence and aborts

@@ -2,7 +2,7 @@
 // paper's introduction motivates (load generated "in place", correlated,
 // with related tasks that should stay together) — now served by the real
 // concurrent runtime: worker threads own server shards, exchange the
-// protocol's messages through lock-free mailboxes, and burn actual CPU per
+// protocol's messages through lock-free outboxes, and burn actual CPU per
 // request (--spin), so the printed sojourn is wall-clock microseconds, not
 // simulator steps.
 //
@@ -121,6 +121,6 @@ int main(int argc, char** argv) {
   clb::util::print_note(
       "threshold pulls the p99 sojourn toward the unbalanced p50 for a few "
       "percent of remote messages; all-in-air flattens harder but ships "
-      "every task across a mailbox. docs/runtime.md explains the machinery.");
+      "every task across a shard. docs/runtime.md explains the machinery.");
   return 0;
 }

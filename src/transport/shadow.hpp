@@ -1,10 +1,12 @@
 // The shadow-fabric cross-check: every deterministic cross-process run is
-// re-executed on the in-memory rt::Runtime (same config, same worker count,
-// same command log of run()/deposit() calls) and the two outcomes are
-// compared field by field — transfer ledger, message counters, phase log
-// (heavy lists included), per-queue TASK IDENTITY (birth step, origin,
-// weight — not just counts), clamp counter, running max load and the
-// step-counted sojourn histogram.
+// re-executed on the in-memory rt::Runtime (same config with every test-only
+// fault hook cleared, same worker count, same command log of run()/deposit()
+// calls) and the two outcomes are compared field by field — transfer
+// ledger, message counters, steal/re-home/fabric counters, phase log (heavy
+// lists included), per-queue TASK IDENTITY (birth step, origin, weight —
+// not just counts), clamp counter, running max load and the step-counted
+// sojourn histogram. Both run the same rt::ShardKernel, so any difference is
+// the substrate's doing, or a fault hook's.
 //
 // This is the conviction layer the wire CRC cannot provide: a frame whose
 // payload was corrupted BEFORE signing carries a valid CRC and keeps every
