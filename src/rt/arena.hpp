@@ -15,6 +15,14 @@
 // Both keep the FIFO contract: push_back at the tail, pop_front at the head,
 // transfers extracted from the back.
 //
+// The header is 32 bytes, because the runtime holds one per processor and
+// its sweeps are bandwidth-bound on that array. One block pointer replaces
+// four lane pointers (lane k of a ring with capacity cap starts at
+// block + k*cap). head/tail/mask are u32: the counters run free and wrap
+// modulo 2^32, which every power-of-two capacity up to 2^31 divides, so
+// size = tail - head and slot = (head + i) & mask are exact across the wrap;
+// grow() refuses a ring past 2^31 tasks.
+//
 // Threading: a queue (and its arena) is owned by the shard's worker; the
 // main thread's deposit() runs between runs, at a quiescent point.
 #pragma once
@@ -22,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "rt/message.hpp"
@@ -73,35 +82,59 @@ class TaskArena {
 
 /// FIFO task queue over an SoA ring (see file header). head_/tail_ are
 /// free-running counters masked on access, exactly like sim::FifoQueue, so
-/// FIFO semantics match the simulator by construction. Move-only: the lanes
-/// are views into arena (or owned) storage.
+/// FIFO semantics match the simulator by construction. Move-only: the block
+/// is arena storage (bound) or a heap block this queue owns (unbound).
 class TaskQueue {
  public:
+  /// The largest ring the u32 counters index exactly (see file header).
+  static constexpr std::uint64_t kMaxCapacity = std::uint64_t{1} << 31;
+
   TaskQueue() = default;
   explicit TaskQueue(TaskArena* arena) : arena_(arena) {}
+  ~TaskQueue() { release(); }
 
-  TaskQueue(TaskQueue&&) = default;
-  TaskQueue& operator=(TaskQueue&&) = default;
+  TaskQueue(TaskQueue&& o) noexcept { *this = std::move(o); }
+  TaskQueue& operator=(TaskQueue&& o) noexcept {
+    if (this != &o) {
+      release();
+      arena_ = o.arena_;
+      block_ = o.block_;
+      mask_ = o.mask_;
+      head_ = o.head_;
+      tail_ = o.tail_;
+      owns_block_ = o.owns_block_;
+      o.forget();
+    }
+    return *this;
+  }
   TaskQueue(const TaskQueue&) = delete;
   TaskQueue& operator=(const TaskQueue&) = delete;
+
+  /// The ring size grow() moves to from `cap` slots (0: no ring yet).
+  [[nodiscard]] static std::uint64_t grown_capacity(std::uint64_t cap) {
+    CLB_CHECK(cap < kMaxCapacity, "TaskQueue capacity exceeds 2^31 tasks");
+    return cap ? cap * 2 : 8;
+  }
 
   [[nodiscard]] std::uint64_t size() const { return tail_ - head_; }
   [[nodiscard]] bool empty() const { return tail_ == head_; }
 
   void push_back(const RtTask& t) {
-    if (tail_ - head_ == mask_ + 1 || birth_step_ == nullptr) grow();
-    const std::uint64_t i = tail_ & mask_;
-    birth_step_[i] = t.task.birth_step;
-    origin_[i] = t.task.origin;
-    weight_[i] = t.task.weight;
-    birth_us_[i] = t.birth_us;
+    if (block_ == nullptr || tail_ - head_ == mask_ + 1) grow();
+    const std::uint64_t cap = std::uint64_t{mask_} + 1;
+    const std::uint32_t i = tail_ & mask_;
+    block_[i] = t.task.birth_step;
+    block_[cap + i] = t.task.origin;
+    block_[2 * cap + i] = t.task.weight;
+    block_[3 * cap + i] = t.birth_us;
     ++tail_;
   }
 
   [[nodiscard]] RtTask operator[](std::uint64_t i) const {
-    const std::uint64_t j = (head_ + i) & mask_;
-    return RtTask{sim::Task{birth_step_[j], origin_[j], weight_[j]},
-                  birth_us_[j]};
+    const std::uint64_t cap = std::uint64_t{mask_} + 1;
+    const std::uint32_t j = (head_ + static_cast<std::uint32_t>(i)) & mask_;
+    return RtTask{sim::Task{block_[j], block_[cap + j], block_[2 * cap + j]},
+                  block_[3 * cap + j]};
   }
 
   [[nodiscard]] RtTask front() const { return (*this)[0]; }
@@ -118,7 +151,7 @@ class TaskQueue {
     for (std::uint64_t i = size() - count; i < size(); ++i) {
       out.push_back((*this)[i]);
     }
-    tail_ -= count;
+    tail_ -= static_cast<std::uint32_t>(count);
   }
 
   void clear() { head_ = tail_ = 0; }
@@ -147,48 +180,48 @@ class TaskQueue {
  private:
   void grow() {
     // One block for all four lanes keeps a queue's SoA arrays on adjacent
-    // cache lines.
-    const std::uint64_t cap = mask_ ? (mask_ + 1) * 2 : 8;
-    const std::size_t bytes = cap * 4 * sizeof(std::uint32_t);
-    std::unique_ptr<std::uint32_t[]> owned;
-    std::uint32_t* block;
-    if (arena_ != nullptr) {
-      block = reinterpret_cast<std::uint32_t*>(arena_->allocate(bytes));
-    } else {
-      owned = std::make_unique<std::uint32_t[]>(cap * 4);
-      block = owned.get();
+    // cache lines: lane k of a ring of capacity cap starts at block + k*cap.
+    const std::uint64_t old_cap = block_ ? std::uint64_t{mask_} + 1 : 0;
+    const std::uint64_t cap = grown_capacity(old_cap);
+    std::uint32_t* nb =
+        arena_ != nullptr
+            ? reinterpret_cast<std::uint32_t*>(
+                  arena_->allocate(cap * 4 * sizeof(std::uint32_t)))
+            : new std::uint32_t[cap * 4];
+    const std::uint32_t sz = tail_ - head_;
+    for (std::uint32_t i = 0; i < sz; ++i) {
+      const std::uint32_t j = (head_ + i) & mask_;
+      for (std::uint64_t k = 0; k < 4; ++k) {
+        nb[k * cap + i] = block_[k * old_cap + j];
+      }
     }
-    std::uint32_t* nb = block;
-    std::uint32_t* no = block + cap;
-    std::uint32_t* nw = block + 2 * cap;
-    std::uint32_t* nu = block + 3 * cap;
-    const std::uint64_t sz = tail_ - head_;
-    for (std::uint64_t i = 0; i < sz; ++i) {
-      const std::uint64_t j = (head_ + i) & mask_;
-      nb[i] = birth_step_[j];
-      no[i] = origin_[j];
-      nw[i] = weight_[j];
-      nu[i] = birth_us_[j];
-    }
-    birth_step_ = nb;
-    origin_ = no;
-    weight_ = nw;
-    birth_us_ = nu;
+    release();
+    block_ = nb;
+    owns_block_ = arena_ == nullptr;
     head_ = 0;
     tail_ = sz;
-    mask_ = cap - 1;
-    if (arena_ == nullptr) owned_ = std::move(owned);
+    mask_ = static_cast<std::uint32_t>(cap - 1);
+  }
+
+  /// Frees an owned block; arena blocks die with their arena.
+  void release() {
+    if (owns_block_) delete[] block_;
+    block_ = nullptr;
+    owns_block_ = false;
+  }
+  /// Leaves a moved-from queue empty (still bound to its arena).
+  void forget() {
+    block_ = nullptr;
+    owns_block_ = false;
+    mask_ = head_ = tail_ = 0;
   }
 
   TaskArena* arena_ = nullptr;
-  std::uint32_t* birth_step_ = nullptr;
-  std::uint32_t* origin_ = nullptr;
-  std::uint32_t* weight_ = nullptr;
-  std::uint32_t* birth_us_ = nullptr;
-  std::uint64_t mask_ = 0;
-  std::uint64_t head_ = 0;
-  std::uint64_t tail_ = 0;
-  std::unique_ptr<std::uint32_t[]> owned_;  // unbound queues only
+  std::uint32_t* block_ = nullptr;  // four lanes of mask_ + 1 words each
+  std::uint32_t mask_ = 0;
+  std::uint32_t head_ = 0;
+  std::uint32_t tail_ = 0;
+  bool owns_block_ = false;  // unbound queues only
 };
 
 }  // namespace clb::rt

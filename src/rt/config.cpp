@@ -1,6 +1,7 @@
 #include "rt/config.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <thread>
 
 #include "util/check.hpp"
@@ -25,6 +26,15 @@ const char* policy_name(RtPolicy p) {
     case RtPolicy::kLocalSearch: return "local-search";
   }
   return "?";
+}
+
+void check_processor(std::uint64_t p, std::uint64_t n, const char* who) {
+  if (p < n) return;
+  char msg[160];
+  std::snprintf(msg, sizeof msg, "%s: processor %llu out of range (n = %llu)",
+                who, static_cast<unsigned long long>(p),
+                static_cast<unsigned long long>(n));
+  CLB_CHECK(p < n, msg);
 }
 
 std::vector<std::string> validate(const RtConfig& cfg) {

@@ -211,7 +211,10 @@ struct RtPhaseSummary {
 
 /// Per-processor state. Owned exclusively by the shard's kernel while a
 /// run() is in flight; the main thread may inspect between runs (the
-/// command barrier orders the accesses).
+/// command barrier orders the accesses). Kept to the queue and the public
+/// counters (80 bytes): the generate/consume sweep walks this array every
+/// step. The threshold protocol's per-phase stamps live in the kernel
+/// (ShardKernel::Stamps), allocated for kThreshold only.
 struct RtProcessor {
   RtProcessor() = default;
   /// Binds the queue to its shard's arena (see rt/arena.hpp).
@@ -224,18 +227,10 @@ struct RtProcessor {
   std::uint64_t tasks_sent = 0;
   std::uint64_t tasks_received = 0;
   std::uint64_t balance_initiations = 0;
-  // Protocol flags, stamped with lockstep epochs so phases need no clears.
-  std::uint64_t light_epoch = 0;     ///< light at phase start
-  std::uint64_t assigned_epoch = 0;  ///< reserved by an id message
-  std::uint64_t matched_epoch = 0;   ///< (roots) matched this phase
-  std::uint32_t matched_partner = 0;
-  std::uint64_t accept_epoch = 0;    ///< collision: accepted_total validity
-  std::uint32_t accepted_total = 0;
-  std::uint64_t incoming_epoch = 0;  ///< collision: incoming validity
-  std::uint32_t incoming = 0;
-  std::uint64_t decide_epoch = 0;    ///< collision: round decision validity
-  bool accepts_round = false;
 };
+
+/// Aborts naming `who`, p and n unless processor p exists (p < n).
+void check_processor(std::uint64_t p, std::uint64_t n, const char* who);
 
 /// Every rule `cfg` breaks, one line each; empty when the config is valid.
 /// Substrate-independent: each constructor appends what its own substrate

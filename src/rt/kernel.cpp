@@ -96,6 +96,7 @@ ShardKernel::ShardKernel(const RtConfig& cfg, sim::LoadModel* model,
   if (!cfg_.crashes.empty()) {
     liveness_ = core::LivenessSchedule(cfg_.n, cfg_.crashes);
   }
+  if (cfg_.policy == RtPolicy::kThreshold) stamps_.resize(end_ - begin_);
   if (cfg_.policy == RtPolicy::kStaleSq ||
       cfg_.policy == RtPolicy::kLocalSearch) {
     board_.resize(cfg_.n, 0);
@@ -652,7 +653,7 @@ std::uint64_t ShardKernel::classify() {
       heavy_local_.push_back(static_cast<std::uint32_t>(p));
       ++pr.balance_initiations;
     } else if (load <= pp.light_threshold) {
-      pr.light_epoch = phase_epoch_;
+      stamps(p).light_epoch = phase_epoch_;
       ++light_count;
     }
   }
@@ -709,7 +710,7 @@ void ShardKernel::run_phase(std::uint64_t step) {
   }
 
   for (const std::uint32_t h : heavy_local_) {
-    if (proc(h).matched_epoch == phase_epoch_) ++phase_matched_;
+    if (stamps(h).matched_epoch == phase_epoch_) ++phase_matched_;
   }
   // Published on the end-of-step exchange.
 }
@@ -735,7 +736,6 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
     node.active = true;
     node.pending_children = 0;
     node.status_nonapp = 0;
-    node.accepted.clear();
   }
   const auto node_at = [&](std::uint64_t slot) -> Node& {
     auto it = std::lower_bound(
@@ -775,7 +775,7 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
     // accepted query.
     for (const Msg& m : batch_) {
       CLB_DCHECK(m.kind == MsgKind::kQuery, "unexpected message in R2");
-      RtProcessor& t = proc(m.a);
+      Stamps& t = stamps(m.a);
       if (t.incoming_epoch != round_epoch_) {
         t.incoming_epoch = round_epoch_;
         t.incoming = 0;
@@ -783,7 +783,7 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
       ++t.incoming;
     }
     for (const Msg& m : batch_) {
-      RtProcessor& t = proc(m.a);
+      Stamps& t = stamps(m.a);
       if (t.decide_epoch != round_epoch_) {
         t.decide_epoch = round_epoch_;
         const std::uint32_t prior =
@@ -820,8 +820,7 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
         for (std::uint32_t j = 0; j < game.a; ++j) {
           if (node.round_replies & (1u << j)) {
             node.accepted_mask |= 1u << j;
-            ++node.accept_count;
-            node.accepted.push_back(node.targets[j]);
+            node.accepted[node.accept_count++] = node.targets[j];
           }
         }
         node.round_replies = 0;
@@ -839,7 +838,7 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
   // ---- children announcement (first two accepts become tree children) ----
   for (Node& node : nodes_) {
     const auto k = static_cast<std::uint8_t>(
-        std::min<std::size_t>(node.accepted.size(), 2));
+        std::min<std::uint32_t>(node.accept_count, 2));
     node.pending_children = k;
     for (std::uint8_t s = 0; s < k; ++s) {
       Msg m;
@@ -861,7 +860,7 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
   if (cfg_.deterministic) std::sort(batch_.begin(), batch_.end(), key_less);
   for (const Msg& m : batch_) {
     CLB_DCHECK(m.kind == MsgKind::kChild, "unexpected message in L2");
-    RtProcessor& qp = proc(m.a);
+    Stamps& qp = stamps(m.a);
     const bool applicative = qp.light_epoch == phase_epoch_ &&
                              qp.assigned_epoch != phase_epoch_;
     if (applicative) {
@@ -889,10 +888,9 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
   if (cfg_.deterministic) std::sort(batch_.begin(), batch_.end(), key_less);
   for (const Msg& m : batch_) {
     if (m.kind == MsgKind::kId) {
-      RtProcessor& root = proc(m.a);
+      Stamps& root = stamps(m.a);
       if (root.matched_epoch != phase_epoch_) {
         root.matched_epoch = phase_epoch_;
-        root.matched_partner = m.b;
         // Staged; shipped below under the canonical (step, source) numbering.
         staged_.push_back(Staged{m.a, m.b});
       }
@@ -1161,10 +1159,9 @@ void ShardKernel::lat_process_due(std::uint64_t step) {
           break;
         }
         case MsgKind::kId: {
-          RtProcessor& root = proc(recipient);
+          Stamps& root = stamps(recipient);
           if (root.matched_epoch != phase_epoch_) {
             root.matched_epoch = phase_epoch_;
-            root.matched_partner = m.from;
             // Ship the block: the command matures delay(root, partner)
             // steps from now at this same owner, which then pops the tasks.
             Msg cmd;
@@ -1193,7 +1190,7 @@ void ShardKernel::lat_process_due(std::uint64_t step) {
       // Collision rule: answer all queries of this step iff they fit within
       // the remaining per-phase capacity c; otherwise answer none (the
       // requesters time out and retry).
-      RtProcessor& tp = proc(recipient);
+      Stamps& tp = stamps(recipient);
       const std::uint32_t already =
           tp.accept_epoch == phase_epoch_ ? tp.accepted_total : 0;
       const std::size_t count = query_batch_.size();
@@ -1281,7 +1278,7 @@ void ShardKernel::run_lat_protocol(std::uint64_t step) {
 
   std::uint64_t matched_local = 0;
   for (const std::uint32_t h : heavy_local_) {
-    if (proc(h).matched_epoch == phase_epoch_) ++matched_local;
+    if (stamps(h).matched_epoch == phase_epoch_) ++matched_local;
   }
   const std::uint64_t a_blob[5] = {lat_active_.size(), out_.fab_sent,
                                    out_.fab_delivered, staged_.size(),

@@ -127,7 +127,23 @@ class ShardKernel {
     bool active = false;
     std::uint8_t pending_children = 0;
     std::uint8_t status_nonapp = 0;
-    std::vector<std::uint32_t> accepted;  // acceptance order (round, then j)
+    std::uint32_t accepted[16] = {};  // [0, accept_count): round, then j
+  };
+
+  /// The threshold protocol's per-processor flags, stamped with lockstep
+  /// epochs so phases need no clears. Held in stamps_, not RtProcessor, so
+  /// the policies that never read them do not carry them through every
+  /// generate/consume sweep.
+  struct Stamps {
+    std::uint64_t light_epoch = 0;     ///< light at phase start
+    std::uint64_t assigned_epoch = 0;  ///< reserved by an id message
+    std::uint64_t matched_epoch = 0;   ///< (roots) matched this phase
+    std::uint64_t accept_epoch = 0;    ///< collision: accepted_total validity
+    std::uint64_t incoming_epoch = 0;  ///< collision: incoming validity
+    std::uint64_t decide_epoch = 0;    ///< collision: round decision validity
+    std::uint32_t accepted_total = 0;
+    std::uint32_t incoming = 0;
+    bool accepts_round = false;
   };
 
   /// A forwarding parent's contribution to the next level; the replicated
@@ -160,6 +176,9 @@ class ShardKernel {
 
   [[nodiscard]] RtProcessor& proc(std::uint64_t p) {
     return procs_[p - begin_];
+  }
+  [[nodiscard]] Stamps& stamps(std::uint64_t p) {
+    return stamps_[p - begin_];
   }
   [[nodiscard]] bool owns(std::uint64_t p) const {
     return p >= begin_ && p < end_;
@@ -224,6 +243,7 @@ class ShardKernel {
   std::uint32_t ph_levels_ = 0, ph_rounds_ = 0;
   std::uint64_t phase_matched_ = 0;
   std::uint64_t transfer_seen_ = 0;  // replicated global transfer count
+  std::vector<Stamps> stamps_;  // own shard, index p - begin_; kThreshold only
 
   // Scratch.
   std::vector<Msg> batch_;

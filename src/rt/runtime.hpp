@@ -57,9 +57,10 @@ class Runtime {
   }
   [[nodiscard]] std::uint64_t step() const { return step_base_; }
   [[nodiscard]] std::uint64_t load(std::uint64_t p) const {
-    return procs_[p].queue.size();
+    return processor(p).queue.size();
   }
   [[nodiscard]] const RtProcessor& processor(std::uint64_t p) const {
+    check_processor(p, cfg_.n, "Runtime::processor");
     return procs_[p];
   }
   [[nodiscard]] std::uint64_t total_load() const;

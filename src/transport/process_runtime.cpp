@@ -204,13 +204,13 @@ void ProcessRuntime::collect() {
 }
 
 const rt::RtProcessor& ProcessRuntime::processor(std::uint64_t p) {
+  rt::check_processor(p, cfg_.n, "ProcessRuntime::processor");
   collect();
   return procs_[p];
 }
 
 std::uint64_t ProcessRuntime::load(std::uint64_t p) {
-  collect();
-  return procs_[p].queue.size();
+  return processor(p).queue.size();
 }
 
 std::uint64_t ProcessRuntime::total_load() {

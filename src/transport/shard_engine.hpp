@@ -58,7 +58,7 @@ struct ShardRunConfig : rt::RtConfig {
 struct ShardState : rt::ShardOutputs {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
-  std::vector<rt::RtProcessor> procs;  ///< [begin, end), protocol flags zeroed
+  std::vector<rt::RtProcessor> procs;  ///< [begin, end): queues and counters
   obs::WireStats wire;
 
   void serialize(Writer& w) const;

@@ -234,6 +234,37 @@ TEST(SubstrateConfigDeathTest, BothConstructorsNameEveryViolation) {
   EXPECT_DEATH(ProcessRuntime(cfg, ModelSpec::single(0.45, 0.1)), all_three);
 }
 
+// Inspecting a processor that does not exist aborts on both substrates,
+// naming the processor and n, instead of reading past the array.
+TEST(SubstrateInspectionDeathTest, ProcessorOutOfRangeNamesPAndN) {
+  rt::RtConfig cfg;
+  cfg.n = 64;
+  cfg.workers = 2;
+  cfg.policy = rt::RtPolicy::kNone;
+  models::SingleModel model(0.45, 0.1);
+  rt::Runtime r(cfg, &model);
+  EXPECT_EQ(r.load(63), 0u);
+  EXPECT_DEATH((void)r.load(64),
+               "Runtime::processor: processor 64 out of range \\(n = 64\\)");
+  EXPECT_DEATH((void)r.processor(1000), "processor 1000 out of range");
+}
+
+TEST(SubstrateInspectionDeathTest, ProcessRuntimeProcessorOutOfRange) {
+  rt::RtConfig cfg;
+  cfg.n = 64;
+  cfg.workers = 2;
+  cfg.policy = rt::RtPolicy::kNone;
+  cfg.transport = rt::Transport::kUds;
+  ProcessRuntime pr(cfg, ModelSpec::single(0.45, 0.1));
+  pr.run(4);
+  EXPECT_EQ(pr.load(63), pr.processor(63).queue.size());
+  // The check precedes any wire traffic, so the forked death-test child
+  // aborts without touching the shard sockets it shares with this process.
+  EXPECT_DEATH((void)pr.load(64),
+               "ProcessRuntime::processor: processor 64 out of range "
+               "\\(n = 64\\)");
+}
+
 // The wire form carries every RtConfig field the kernel reads, the clock
 // origin included, and the shard state every output the kernel books.
 TEST(PayloadCodecLifted, ConfigAndStateCarryEveryKernelField) {
