@@ -37,6 +37,44 @@ void check_processor(std::uint64_t p, std::uint64_t n, const char* who) {
   CLB_CHECK(p < n, msg);
 }
 
+namespace {
+
+/// The fault-injection rules: the ordinal fits the kind (sim/mutation.hpp),
+/// and the config carries what the kind injects into (mailbox-drop needs
+/// nothing beyond transfers).
+void validate_mutation(const RtConfig& cfg, std::vector<std::string>& v) {
+  using K = sim::MutationKind;
+  const sim::MutationInfo& m = sim::mutation_info(cfg.mutation);
+  const std::string name = std::string("mutation ") + m.name;
+  if (m.site == sim::MutationSite::kEngine) {
+    v.push_back(name + " injects through sim::Engine, not the runtime");
+    return;
+  }
+  if (m.ordinal != (cfg.mutation_ordinal != 0)) {
+    v.push_back(name + (m.ordinal ? ": mutation_ordinal must be >= 1"
+                                  : ": mutation_ordinal must be 0"));
+  }
+  const bool lossy = cfg.latency >= 1 && cfg.link.lossy();
+  const char* lossy_link = "a lossy latency link (link.loss_per_64k > 0)";
+  const struct { K kind; bool ok; const char* needs; } sites[] = {
+      {K::kDelaySkew, cfg.latency >= 1, "the latency fabric (latency >= 1)"},
+      {K::kFrameCorrupt, cfg.transport != Transport::kInProc,
+       "a socket transport (kUds or kTcp)"},
+      {K::kLinkLossNoRetransmit, lossy, lossy_link},
+      {K::kDupDelivery, lossy, lossy_link},
+      {K::kCrashLoseQueue, !cfg.crashes.empty(), "a crash schedule"},
+      {K::kStaleFreeLunch, cfg.policy == RtPolicy::kStaleSq, "policy stale-sq"},
+      {K::kStealDuplicateTask, cfg.steal.enabled, "steal.enabled"},
+  };
+  for (const auto& site : sites) {
+    if (site.kind == cfg.mutation && !site.ok) {
+      v.push_back(name + " needs " + site.needs);
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<std::string> validate(const RtConfig& cfg) {
   std::vector<std::string> v;
   const auto rule = [&](bool ok, const char* what) {
@@ -63,31 +101,21 @@ std::vector<std::string> validate(const RtConfig& cfg) {
              2,
          "latency mode: round bound needs c(a-b) >= 2");
     rule(cfg.phase_gap >= 1, "latency mode: phase_gap must be >= 1");
-    rule(!(cfg.link_loss_no_retransmit || cfg.dup_delivery) ||
-             cfg.link.lossy(),
-         "link mutations need a lossy link (link.loss_per_64k > 0)");
     rule(!zoo, "workload-zoo policies run on the instant fabric only");
     rule(cfg.crashes.empty(), "crash/recovery runs on the instant fabric only");
     rule(!cfg.steal.enabled, "work stealing runs on the instant fabric only");
   } else {
     rule(!cfg.link.shaped(),
          "link-model knobs require the latency fabric (latency >= 1)");
-    rule(!cfg.link_loss_no_retransmit && !cfg.dup_delivery,
-         "link mutations require the latency fabric (latency >= 1)");
   }
   rule(cfg.policy != RtPolicy::kStaleSq || cfg.stale.staleness >= 1,
        "stale-sq: staleness must be >= 1");
-  rule(!cfg.stale_read_fresh || cfg.policy == RtPolicy::kStaleSq,
-       "stale_read_fresh mutates the stale-sq policy only");
   rule(cfg.crashes.empty() || cfg.policy == RtPolicy::kNone || zoo,
        "a crash schedule requires a liveness-aware policy "
        "(none, stale-sq or local-search)");
-  rule(!cfg.crash_lose_queue || !cfg.crashes.empty(),
-       "crash_lose_queue needs a crash schedule");
   rule(!cfg.steal.enabled || cfg.steal.min_victim_load >= 2,
        "work stealing: min_victim_load must be >= 2");
-  rule(!cfg.steal_duplicate_task || cfg.steal.enabled,
-       "steal_duplicate_task mutates the steal pass only");
+  validate_mutation(cfg, v);
   return v;
 }
 

@@ -18,6 +18,7 @@
 #include "net/topology.hpp"
 #include "obs/trace.hpp"
 #include "rt/arena.hpp"
+#include "sim/mutation.hpp"
 #include "sim/steal.hpp"
 
 namespace clb::rt {
@@ -69,15 +70,6 @@ struct RtConfig {
   /// Optional trace sink (borrowed); emits kPhaseBegin/kPhaseEnd/kTransfer.
   /// In-proc only: a pointer cannot cross a process boundary.
   obs::TraceSink* trace = nullptr;
-  /// Test-only fault injection: silently drop the k-th kTransfer message
-  /// (1-based; 0 = off). The sender's side-effects (pop, counters, ledger)
-  /// stay — exactly the "broken mailbox" a conservation oracle must convict.
-  /// The ordinal counts transfers in canonical (step, source processor)
-  /// order — transfers are staged per superstep and numbered by a prefix
-  /// scan over the worker shards — so the chosen victim is identical for
-  /// every worker count (see dropped_log()). Free-running mode keeps the
-  /// same numbering; only WHICH partner a root matched may differ there.
-  std::uint64_t drop_transfer_message = 0;
   /// Message latency in steps (0 = the idealised instant fabric).
   /// With latency >= 1 the runtime executes the dist:: protocol over
   /// per-worker delay queues: a message sent in superstep t is only
@@ -100,24 +92,6 @@ struct RtConfig {
   /// Failsafe phase duration; 0 derives the dist:: bound from depth, the
   /// Lemma 1 round budget and the latency.
   std::uint64_t max_phase_steps = 0;
-  /// Test-only fault injection (latency mode): deliver the k-th fabric
-  /// message (1-based; 0 = off) one superstep EARLY — a fabric that
-  /// violates the delivery-time contract. No-op when the victim's delay is
-  /// already 1. The ordinal counts each shard's own sends, so pin
-  /// workers = 1 for a replayable victim (the fuzzer's delay-skew scenarios
-  /// do).
-  std::uint64_t delay_skew_message = 0;
-  /// Test-only fault injection (latency mode, lossy link): when the link
-  /// model would lose a transfer payload's first attempt, drop the message
-  /// outright instead of retransmitting — tasks vanish from the system
-  /// without a dropped_tasks booking, exactly what the conservation oracle
-  /// must convict (the link-loss-no-retransmit mutation).
-  bool link_loss_no_retransmit = false;
-  /// Test-only fault injection (latency mode, lossy link): materialise the
-  /// suppressed ack-loss duplicate of every transfer command instead of
-  /// counting it — the transfer applies twice, diverging the ledger and the
-  /// queues from the dist shadow (the dup-delivery mutation).
-  bool dup_delivery = false;
   /// Stale shortest-queue knobs (policy == kStaleSq). Instant fabric only.
   baselines::StaleSqConfig stale{};
   /// Local-search knobs (policy == kLocalSearch). Instant fabric only.
@@ -131,32 +105,40 @@ struct RtConfig {
   /// the instant fabric; the schedule is configuration, not randomness, so
   /// lockstep bit-identity against sim::Engine survives the crash.
   std::vector<core::CrashEvent> crashes;
-  /// Test-only fault injection: a crashed processor's queue is *cleared*
-  /// instead of re-homed, with no booking anywhere — the orphaned tasks
-  /// vanish from every account, exactly what the conservation oracle must
-  /// convict (the crash-lose-queue mutation).
-  bool crash_lose_queue = false;
-  /// Test-only fault injection (policy kStaleSq): the decision rule secretly
-  /// reads the *fresh* load board instead of the stale broadcast snapshot —
-  /// a baseline quietly enjoying information it should not have. Counters
-  /// stay self-consistent; only the engine lockstep shadow (which plays the
-  /// honest rule) can convict it (the stale-free-lunch mutation).
-  bool stale_read_fresh = false;
   /// Deterministic work stealing (see sim/steal.hpp): when a processor's
   /// consume budget outlives its queue inside a step, it steals a batch
   /// from the most-loaded processor via the pure shared decision rule. Each
   /// shard exchanges only its first max_steals_per_step thieves and top
   /// victims, and every shard merges them into the same decision list — the
-  /// same worker-count-invariant ordinal discipline as
-  /// drop_transfer_message. Instant fabric only; off by default so all
-  /// lockstep tiers that predate it are untouched.
+  /// same worker-count-invariant ordinal discipline as the mailbox-drop
+  /// mutation. Instant fabric only; off by default so all lockstep tiers
+  /// that predate it are untouched.
   sim::StealConfig steal{};
-  /// Test-only fault injection (steal.enabled): the steal *clones* one task
-  /// of every stolen batch instead of moving it — the task runs on the
-  /// thief while a copy stays on the victim, breaking conservation exactly
-  /// the way a buggy steal would (the steal-duplicate-task mutation; the
-  /// conservation/ledger oracle must convict it).
-  bool steal_duplicate_task = false;
+  /// Test-only fault injection: one deliberately broken behaviour (see
+  /// sim/mutation.hpp), off by default. `mutation_ordinal` picks the victim
+  /// of the ordinal kinds (k >= 1) and is 0 for the rest:
+  ///   mailbox-drop   drop the k-th kTransfer in canonical (step, source)
+  ///                  order — prefix-scanned across shards, so the victim is
+  ///                  the same at every worker count (see dropped_log()).
+  ///                  The sender's books (pop, counters, ledger) stay.
+  ///   delay-skew     deliver the shard's k-th fabric send one superstep
+  ///                  early (latency >= 1; no-op when its delay is 1).
+  ///   frame-corrupt  flip a bit in the shard's k-th remote kTransfer frame
+  ///                  before signing (socket transports only).
+  ///   link-loss-no-retransmit  a lost first attempt of a transfer payload
+  ///                  is dropped, not retransmitted (lossy latency link).
+  ///   dup-delivery   the ack-loss duplicate of a transfer command is
+  ///                  filed instead of suppressed (lossy latency link).
+  ///   crash-lose-queue  a crashed queue is cleared, not re-homed.
+  ///   stale-free-lunch  kStaleSq decides on the fresh board, not the
+  ///                  stale snapshot.
+  ///   steal-duplicate-task  a steal clones the newest task of its batch
+  ///                  back onto the victim.
+  /// Each run-changing firing bumps the mutation_applied() witness. The
+  /// engine-only kinds (drop-task, dup-task, reorder, phantom-msg) are
+  /// refused: they inject through sim::Engine.
+  sim::MutationKind mutation = sim::MutationKind::kNone;
+  std::uint64_t mutation_ordinal = 0;
   /// Per-worker hot-path telemetry (obs::WorkerTelemetry): superstep and
   /// barrier timing, mailbox traffic, drain batch sizes. Observation only —
   /// deterministic outputs are bit-identical on or off. Ignored (forced

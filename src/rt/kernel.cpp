@@ -59,18 +59,14 @@ void ShardOutputs::merge(const ShardOutputs& o) {
   phases.insert(phases.end(), o.phases.begin(), o.phases.end());
   steal_events += o.steal_events;
   stolen_tasks += o.stolen_tasks;
-  steal_dups += o.steal_dups;
   rehomed_tasks += o.rehomed_tasks;
   rehomed_events += o.rehomed_events;
-  crash_lost_tasks += o.crash_lost_tasks;
-  stale_cheat_divergence += o.stale_cheat_divergence;
   fab_sent += o.fab_sent;
   fab_delivered += o.fab_delivered;
-  fab_lost += o.fab_lost;
-  dup_applied += o.dup_applied;
   retransmits += o.retransmits;
   dup_suppressed += o.dup_suppressed;
   queued_delay += o.queued_delay;
+  mutation_applied += o.mutation_applied;
 }
 
 ShardKernel::ShardKernel(const RtConfig& cfg, sim::LoadModel* model,
@@ -306,10 +302,10 @@ void ShardKernel::process_crashes(std::uint64_t step) {
     const std::uint32_t c = crashed[k];
     if (!owns(c)) continue;
     RtProcessor& src = proc(c);
-    if (cfg_.crash_lose_queue) {
+    if (cfg_.mutation == sim::MutationKind::kCrashLoseQueue) {
       // Mutation: the orphaned queue vanishes, booked nowhere — the
       // conservation oracle's job to notice.
-      out_.crash_lost_tasks += src.queue.size();
+      if (!src.queue.empty()) ++out_.mutation_applied;
       src.queue.clear();
       continue;
     }
@@ -459,19 +455,21 @@ void ShardKernel::send_transfer(std::uint64_t step, std::uint32_t root,
   out_.ledger.push_back(entry);
   CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kTransfer, step, root, partner,
                   count);
-  if (ordinal != 0 && ordinal == cfg_.drop_transfer_message) {
+  if (cfg_.mutation == sim::MutationKind::kMailboxDrop &&
+      ordinal == cfg_.mutation_ordinal) {
     // The broken mailbox: the sender's books all say the transfer
     // happened, the receiver never sees it.
     out_.dropped_tasks += count;
     out_.dropped.push_back(entry);
+    ++out_.mutation_applied;
     return;
   }
-  if (cfg_.link_loss_no_retransmit && lat_policy_ &&
-      links_.mutation_lose_first_attempt(root, partner)) {
+  if (cfg_.mutation == sim::MutationKind::kLinkLossNoRetransmit &&
+      lat_policy_ && links_.mutation_lose_first_attempt(root, partner)) {
     // The lossy wire without retransmit: the payload evaporates mid-flight
     // and NOTHING books the loss — the tasks are gone from every account,
     // which is exactly what the conservation oracle must convict.
-    ++out_.fab_lost;
+    ++out_.mutation_applied;
     return;
   }
   comm_.send(partner, std::move(m));
@@ -482,8 +480,8 @@ void ShardKernel::apply_staged_transfers(std::uint64_t step,
                                          std::uint64_t total) {
   // Canonical order: ascending source processor. Shards are contiguous, so
   // base + local index is the transfer's global (step, source) ordinal —
-  // the same protocol event at every shard count (the drop_transfer_message
-  // victim selection relies on this).
+  // the same protocol event at every shard count (the mailbox-drop victim
+  // selection relies on this).
   std::sort(staged_.begin(), staged_.end(),
             [](const Staged& a, const Staged& b) { return a.from < b.from; });
   std::uint64_t k = 0;
@@ -502,7 +500,7 @@ void ShardKernel::apply_staged_transfers(std::uint64_t step,
 void ShardKernel::run_steal(std::uint64_t step) {
   // Exchange only the candidates; every shard merges them into the same
   // decision list, and with it the canonical transfer numbering (the same
-  // ordinal stream drop_transfer_message victims are chosen from).
+  // ordinal stream mailbox-drop victims are chosen from).
   blob_.clear();
   steal_.encode(blob_);
   const std::vector<sim::Transfer> ds =
@@ -513,14 +511,17 @@ void ShardKernel::run_steal(std::uint64_t step) {
     if (owns(d.to)) ++proc(d.to).balance_initiations;
     if (!owns(d.from)) continue;
     RtProcessor& src = proc(d.from);
-    // Mutation (steal_duplicate_task): remember the newest task about to
+    // Mutation (steal-duplicate-task): remember the newest task about to
     // ship and clone it back onto the victim — the steal that copies
     // instead of moving. Conservation breaks by one task per steal.
-    const RtTask dup = src.queue[src.queue.size() - 1];
+    std::optional<RtTask> dup;
+    if (cfg_.mutation == sim::MutationKind::kStealDuplicateTask) {
+      dup = src.queue[src.queue.size() - 1];
+    }
     send_transfer(step, d.from, d.to, transfer_seen_ + i + 1, d.count);
-    if (cfg_.steal_duplicate_task) {
-      src.queue.push_back(dup);
-      ++out_.steal_dups;
+    if (dup) {
+      src.queue.push_back(*dup);
+      ++out_.mutation_applied;
     }
     ++out_.steal_events;
     out_.stolen_tasks += d.count;
@@ -602,20 +603,16 @@ void ShardKernel::run_zoo(std::uint64_t step) {
   // numbering derived from it — is identical everywhere.
   std::vector<sim::Transfer> ds;
   if (stale) {
-    ds = baselines::stale_sq_decisions(
-        cfg_.n, board_, cfg_.stale_read_fresh ? board_ : stale_board_,
-        alive_board_, cfg_.stale);
-    if (cfg_.stale_read_fresh && index_ == 0) {
-      // Mutation probe: count the steps on which the free lunch actually
-      // changed the decisions (the fuzzer's mutation_applied witness).
-      const std::vector<sim::Transfer> honest = baselines::stale_sq_decisions(
-          cfg_.n, board_, stale_board_, alive_board_, cfg_.stale);
-      bool same = honest.size() == ds.size();
-      for (std::size_t i = 0; same && i < ds.size(); ++i) {
-        same = honest[i].from == ds[i].from && honest[i].to == ds[i].to &&
-               honest[i].count == ds[i].count;
-      }
-      if (!same) ++out_.stale_cheat_divergence;
+    const bool cheat = cfg_.mutation == sim::MutationKind::kStaleFreeLunch;
+    ds = baselines::stale_sq_decisions(cfg_.n, board_,
+                                       cheat ? board_ : stale_board_,
+                                       alive_board_, cfg_.stale);
+    // Mutation witness: count the steps on which the free lunch actually
+    // changed the decisions.
+    if (cheat && index_ == 0 &&
+        ds != baselines::stale_sq_decisions(cfg_.n, board_, stale_board_,
+                                            alive_board_, cfg_.stale)) {
+      ++out_.mutation_applied;
     }
   } else {
     std::vector<std::uint32_t> probed;
@@ -1036,16 +1033,18 @@ void ShardKernel::lat_send(std::uint64_t step, Msg&& m) {
   const net::SendPlan plan =
       links_.plan(m.from, m.to, step, lat_policy_->delay(m.from, m.to));
   std::uint64_t due = plan.due;
-  if (cfg_.delay_skew_message != 0 &&
-      ++skew_ordinal_ == cfg_.delay_skew_message && due > step + 1) {
+  if (cfg_.mutation == sim::MutationKind::kDelaySkew &&
+      ++skew_ordinal_ == cfg_.mutation_ordinal && due > step + 1) {
     --due;  // the skewed fabric: one message matures a superstep early
+    ++out_.mutation_applied;
   }
   m.due = due;
   ++out_.fab_sent;
   // Transfer commands are staged (and popped) at the source's owner; every
   // other kind goes to its protocol recipient.
   const std::uint32_t route = m.kind == MsgKind::kTransferCmd ? m.from : m.to;
-  if (plan.dup && cfg_.dup_delivery && m.kind == MsgKind::kTransferCmd) {
+  if (plan.dup && cfg_.mutation == sim::MutationKind::kDupDelivery &&
+      m.kind == MsgKind::kTransferCmd) {
     // The dup-delivery mutation: materialise the ack-loss duplicate the
     // clean fabric suppresses. The clone matures one rto later, stages the
     // same transfer a second time, and the ledger diverges from the shadow.
@@ -1056,7 +1055,7 @@ void ShardKernel::lat_send(std::uint64_t step, Msg&& m) {
     d.seq = m.seq;
     d.due = plan.dup_due;
     ++out_.fab_sent;  // the clone matures too; drain detection stays exact
-    ++out_.dup_applied;
+    ++out_.mutation_applied;
     comm_.send(route, std::move(d));
   }
   comm_.send(route, std::move(m));

@@ -57,7 +57,7 @@ struct ShardOutputs {
   std::uint64_t clamped = 0;
   std::uint64_t deposited = 0;
   std::vector<LedgerEntry> ledger;
-  std::vector<LedgerEntry> dropped;  // drop_transfer_message victims
+  std::vector<LedgerEntry> dropped;  // mailbox-drop victims
   std::uint64_t dropped_tasks = 0;
   stats::IntHistogram sojourn_steps;
   stats::IntHistogram sojourn_us;
@@ -65,18 +65,15 @@ struct ShardOutputs {
   std::vector<RtPhaseSummary> phases;
   std::uint64_t steal_events = 0;  // own-victim steal batches shipped
   std::uint64_t stolen_tasks = 0;  // tasks those batches carried
-  std::uint64_t steal_dups = 0;    // steal_duplicate_task clones left behind
   std::uint64_t rehomed_tasks = 0;
   std::uint64_t rehomed_events = 0;
-  std::uint64_t crash_lost_tasks = 0;
-  std::uint64_t stale_cheat_divergence = 0;
   std::uint64_t fab_sent = 0;       // latency: messages put on the fabric
   std::uint64_t fab_delivered = 0;  // ... matured or discarded
-  std::uint64_t fab_lost = 0;       // link_loss_no_retransmit victims
-  std::uint64_t dup_applied = 0;    // dup_delivery clones materialised
   std::uint64_t retransmits = 0;    // link model (latency mode)
   std::uint64_t dup_suppressed = 0;
   std::uint64_t queued_delay = 0;
+  /// RtConfig::mutation firings that changed the run (the witness).
+  std::uint64_t mutation_applied = 0;
 
   void merge(const ShardOutputs& o);
 };
@@ -278,7 +275,7 @@ class ShardKernel {
   std::uint64_t lat_phase_start_ = 0;
   std::uint64_t lat_next_phase_ = 0;
   std::uint64_t lat_failed_ = 0;
-  std::uint64_t skew_ordinal_ = 0;  // delay_skew_message: own sends so far
+  std::uint64_t skew_ordinal_ = 0;  // delay-skew: own sends so far
   net::SendStage seq_stage_ = net::SendStage::kDeliver;
   std::uint64_t seq_major_ = 0;
   std::uint32_t seq_minor_ = 0;

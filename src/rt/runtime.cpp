@@ -175,12 +175,6 @@ std::vector<LedgerEntry> Runtime::ledger() const {
   return all;
 }
 
-std::uint64_t Runtime::dropped_messages() const {
-  std::uint64_t s = 0;
-  for (const auto& w : workers_) s += w->kernel.outputs().dropped.size();
-  return s;
-}
-
 std::uint64_t Runtime::dropped_tasks() const {
   return sum(&ShardOutputs::dropped_tasks);
 }
@@ -239,24 +233,12 @@ std::uint64_t Runtime::fabric_queued_delay() const {
   return sum(&ShardOutputs::queued_delay);
 }
 
-std::uint64_t Runtime::link_lost_messages() const {
-  return sum(&ShardOutputs::fab_lost);
-}
-
-std::uint64_t Runtime::dup_delivered() const {
-  return sum(&ShardOutputs::dup_applied);
-}
-
 std::uint64_t Runtime::steal_events() const {
   return sum(&ShardOutputs::steal_events);
 }
 
 std::uint64_t Runtime::stolen_tasks() const {
   return sum(&ShardOutputs::stolen_tasks);
-}
-
-std::uint64_t Runtime::steal_dup_tasks() const {
-  return sum(&ShardOutputs::steal_dups);
 }
 
 std::uint64_t Runtime::arena_bytes_used() const {

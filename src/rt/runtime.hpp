@@ -98,8 +98,15 @@ class Runtime {
   [[nodiscard]] std::uint64_t remote_pushes() const;
   [[nodiscard]] std::uint64_t self_pushes() const;
 
-  /// Fault-injection bookkeeping (drop_transfer_message).
-  [[nodiscard]] std::uint64_t dropped_messages() const;
+  /// Fault-injection witness: RtConfig::mutation firings that changed the
+  /// run (a dropped transfer, a moved delivery step, a lost first attempt,
+  /// a filed duplicate, a cleared non-empty queue, a divergent stale-sq
+  /// step, a cloned steal task). 0 when no mutation is set.
+  [[nodiscard]] std::uint64_t mutation_applied() const {
+    return sum(&ShardOutputs::mutation_applied);
+  }
+  /// Tasks the mailbox-drop mutation destroyed, booked so that
+  /// conservation_holds() still balances.
   [[nodiscard]] std::uint64_t dropped_tasks() const;
   /// The dropped victims themselves, sorted like ledger() — in
   /// deterministic mode the victim identity is worker-count-invariant.
@@ -113,11 +120,6 @@ class Runtime {
   [[nodiscard]] std::uint64_t fabric_retransmits() const;
   [[nodiscard]] std::uint64_t fabric_dup_suppressed() const;
   [[nodiscard]] std::uint64_t fabric_queued_delay() const;
-  /// Mutation bookkeeping: messages destroyed by link_loss_no_retransmit
-  /// and duplicates applied by dup_delivery (the fuzzer's mutation_applied
-  /// probes).
-  [[nodiscard]] std::uint64_t link_lost_messages() const;
-  [[nodiscard]] std::uint64_t dup_delivered() const;
 
   // ---- telemetry (RtConfig::telemetry; all readable between runs) ----
   /// True when telemetry was requested AND compiled in.
@@ -153,15 +155,6 @@ class Runtime {
   [[nodiscard]] std::uint64_t rehomed_events() const {
     return sum(&ShardOutputs::rehomed_events);
   }
-  /// Mutation bookkeeping: tasks destroyed by crash_lose_queue and steps on
-  /// which stale_read_fresh changed the decision list (the fuzzer's
-  /// mutation_applied probes).
-  [[nodiscard]] std::uint64_t crash_lost_tasks() const {
-    return sum(&ShardOutputs::crash_lost_tasks);
-  }
-  [[nodiscard]] std::uint64_t stale_cheat_divergence() const {
-    return sum(&ShardOutputs::stale_cheat_divergence);
-  }
 
   // ---- work stealing (RtConfig::steal) ---------------------------------
   /// Thief/victim pairs executed and tasks moved by the steal pass (steals
@@ -169,9 +162,6 @@ class Runtime {
   /// messages().transfers and tasks_moved — same attribution as the engine).
   [[nodiscard]] std::uint64_t steal_events() const;
   [[nodiscard]] std::uint64_t stolen_tasks() const;
-  /// Mutation bookkeeping: tasks cloned by steal_duplicate_task (the
-  /// fuzzer's mutation_applied probe).
-  [[nodiscard]] std::uint64_t steal_dup_tasks() const;
 
   // ---- queue storage ---------------------------------------------------
   /// Bytes bump-allocated across all per-worker queue arenas.

@@ -64,6 +64,8 @@ struct Transfer {
   std::uint32_t from = 0;
   std::uint32_t to = 0;
   std::uint32_t count = 0;
+
+  friend bool operator==(const Transfer&, const Transfer&) = default;
 };
 
 /// One applied steal (EngineConfig::steal), stamped with its step so

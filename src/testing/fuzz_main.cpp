@@ -6,13 +6,26 @@
 // harness into self-test mode: it PASSES iff the oracle catches the
 // deliberately broken behaviour.
 #include <cstdint>
+#include <cstdio>
+#include <string>
 
+#include "sim/mutation.hpp"
 #include "testing/fuzzer.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
   using clb::testing::FuzzOptions;
   using clb::testing::kNoOverride;
+  using clb::sim::MutationSite;
+
+  // Every kind this harness can inject, from the enum's own name table;
+  // frame-corrupt lives in the socket transport, which only the
+  // shard-process tests drive.
+  std::string kinds;
+  for (const clb::sim::MutationInfo& m : clb::sim::mutations()) {
+    if (m.site == MutationSite::kTransport) continue;
+    kinds += (kinds.empty() ? "" : "|") + std::string(m.name);
+  }
 
   clb::util::Cli cli(
       "clb_fuzz: randomized scenario fuzzer with a full-state invariant "
@@ -26,11 +39,8 @@ int main(int argc, char** argv) {
   const auto* steps = cli.flag_u64("steps", kNoOverride, "override run length");
   const auto* max_faults =
       cli.flag_u64("max-faults", kNoOverride, "cap fault events");
-  const auto* mutate = cli.flag_str(
-      "mutate", "none",
-      "inject a broken behaviour: drop-task|dup-task|reorder|phantom-msg|"
-      "mailbox-drop|delay-skew|link-loss-no-retransmit|dup-delivery|"
-      "crash-lose-queue|stale-free-lunch");
+  const auto* mutate =
+      cli.flag_str("mutate", "none", "inject a broken behaviour: " + kinds);
   const auto* expect_failure = cli.flag_bool(
       "expect-failure", false,
       "succeed iff the oracle catches at least one scenario (self-test)");
@@ -47,6 +57,13 @@ int main(int argc, char** argv) {
       cli.flag_bool("no-shrink", false, "report failures without shrinking");
   const auto* verbose = cli.flag_bool("verbose", false, "per-scenario lines");
   cli.parse(argc, argv);
+  const auto kind = clb::sim::mutation_from_string(*mutate);
+  if (!kind ||
+      clb::sim::mutation_info(*kind).site == MutationSite::kTransport) {
+    std::fprintf(stderr, "clb_fuzz: cannot inject --mutate=%s (one of: %s)\n",
+                 mutate->c_str(), kinds.c_str());
+    return 2;
+  }
 
   FuzzOptions opt;
   opt.scenario_seed = *seed;
@@ -55,7 +72,7 @@ int main(int argc, char** argv) {
   opt.n = *n;
   opt.steps = *steps;
   opt.max_faults = *max_faults;
-  opt.mutate = clb::testing::mutation_from_string(*mutate);
+  opt.mutate = *kind;
   opt.expect_failure = *expect_failure;
   opt.runtime_only = *runtime_only;
   opt.workload_zoo = *workload_zoo;

@@ -7,7 +7,7 @@ namespace clb::testing {
 Scenario materialize(const FuzzOptions& opt, std::uint64_t index) {
   Scenario s = Scenario::sample(opt.scenario_seed, index);
 
-  if (opt.mutate != MutationKind::kNone) {
+  if (opt.mutate != sim::MutationKind::kNone) {
     s.mutation = opt.mutate;
     // Mutations are engine-state faults; collision games have none. A
     // scenario sampled as collision-only carries protocol constants from
@@ -17,17 +17,17 @@ Scenario materialize(const FuzzOptions& opt, std::uint64_t index) {
     if (s.a < 4) s.a = 5;
     if (s.b > 2) s.b = 2;
     if (s.c > 2) s.c = 2;
-    if (opt.mutate == MutationKind::kMailboxDrop ||
-        opt.mutate == MutationKind::kDelaySkew ||
-        opt.mutate == MutationKind::kLinkLossNoRetransmit ||
-        opt.mutate == MutationKind::kDupDelivery) {
+    if (opt.mutate == sim::MutationKind::kMailboxDrop ||
+        opt.mutate == sim::MutationKind::kDelaySkew ||
+        opt.mutate == sim::MutationKind::kLinkLossNoRetransmit ||
+        opt.mutate == sim::MutationKind::kDupDelivery) {
       // These faults live in rt::Runtime; conviction needs the threshold
       // policy, whose rt runs are cross-validated task-by-task against the
       // simulator (mailbox-drop) / the dist shadow (the latency-fabric
       // mutations).
       s.balancer = BalancerKind::kThreshold;
       clamp_to_runtime(s);
-      if (opt.mutate == MutationKind::kDelaySkew) {
+      if (opt.mutate == sim::MutationKind::kDelaySkew) {
         // The skewed fabric only exists in latency mode; a delay of 1 step
         // cannot be shortened, and the victim ordinal counts sends in
         // arrival order, so a single worker keeps the run replayable.
@@ -37,8 +37,8 @@ Scenario materialize(const FuzzOptions& opt, std::uint64_t index) {
         s.threads = 1;
         s.threads_replay = 1;
       }
-      if (opt.mutate == MutationKind::kLinkLossNoRetransmit ||
-          opt.mutate == MutationKind::kDupDelivery) {
+      if (opt.mutate == sim::MutationKind::kLinkLossNoRetransmit ||
+          opt.mutate == sim::MutationKind::kDupDelivery) {
         // Link mutations need a lossy latency fabric: loss draws gate both
         // the dropped first attempt and the ack-loss duplicate. 50% loss
         // makes either fire within a handful of transfers; a single worker
@@ -49,7 +49,7 @@ Scenario materialize(const FuzzOptions& opt, std::uint64_t index) {
         s.threads = 1;
         s.threads_replay = 1;
       }
-    } else if (opt.mutate == MutationKind::kCrashLoseQueue) {
+    } else if (opt.mutate == sim::MutationKind::kCrashLoseQueue) {
       // The vanished queue lives in rt::Runtime's crash handler; an
       // unbalanced run keeps conviction pure (count conservation alone must
       // notice the lost tasks). Force a mid-run crash with a fresh spike on
@@ -63,7 +63,7 @@ Scenario materialize(const FuzzOptions& opt, std::uint64_t index) {
       s.crashes.clear();
       s.crashes.push_back(core::CrashEvent{crash_step, victim, 8});
       s.faults.push_back(FaultEvent{crash_step - 1, victim, 32});
-    } else if (opt.mutate == MutationKind::kStaleFreeLunch) {
+    } else if (opt.mutate == sim::MutationKind::kStaleFreeLunch) {
       // The cheat lives in the rt stale-SQ policy; the honest engine-side
       // StaleShortestQueue shadow convicts it via queue identity / ledger
       // divergence (totals agree — transfers conserve load either way).
@@ -77,7 +77,7 @@ Scenario materialize(const FuzzOptions& opt, std::uint64_t index) {
       s.crashes.clear();
       s.faults.push_back(FaultEvent{1, static_cast<std::uint32_t>(index % s.n),
                                     64});
-    } else if (opt.mutate == MutationKind::kStealDuplicateTask) {
+    } else if (opt.mutate == sim::MutationKind::kStealDuplicateTask) {
       // The clone lives in rt::Runtime's steal path; an unbalanced run keeps
       // conviction pure (count conservation and queue identity against the
       // engine shadow both notice the extra copies). A spike on one
@@ -95,14 +95,14 @@ Scenario materialize(const FuzzOptions& opt, std::uint64_t index) {
       // which the runtime path never calls.
       s.runtime = false;
     }
-    if (opt.mutate == MutationKind::kReorder &&
+    if (opt.mutate == sim::MutationKind::kReorder &&
         s.balancer == BalancerKind::kAllInAir) {
       // AllInAir reshuffles queues wholesale, so the oracle runs in multiset
       // mode and cannot see ordering — give reorder a scheduled-transfer
       // balancer it can be convicted under.
       s.balancer = BalancerKind::kThreshold;
     }
-    if (opt.mutate == MutationKind::kPhantomMessage) {
+    if (opt.mutate == sim::MutationKind::kPhantomMessage) {
       // Only the threshold balancer's per-phase attribution can notice a
       // message smuggled in outside every phase window; atomic execution
       // guarantees no phase is left open at end of run.
@@ -195,10 +195,10 @@ Scenario materialize(const FuzzOptions& opt, std::uint64_t index) {
       if (ev.step < s.steps) crashes_kept.push_back(ev);
     }
     s.crashes = std::move(crashes_kept);
-    if (opt.mutate == MutationKind::kCrashLoseQueue && s.crashes.empty()) {
+    if (opt.mutate == sim::MutationKind::kCrashLoseQueue && s.crashes.empty()) {
       // Shrinking the horizon must not disarm the mutation: re-pin the
       // doomed crash (and the spike that fills its queue) inside the new
-      // range instead of leaving crash_lose_queue armed with no schedule.
+      // range instead of leaving crash-lose-queue armed with no schedule.
       const std::uint64_t crash_step = s.steps > 2 ? s.steps / 2 : 1;
       const std::uint32_t victim = static_cast<std::uint32_t>(index % s.n);
       s.crashes.push_back(core::CrashEvent{crash_step, victim, 8});
@@ -265,7 +265,7 @@ int run_fuzz(const FuzzOptions& opt) {
 
   const auto run_one = [&](std::uint64_t index) {
     const Scenario s = materialize(opt, index);
-    if (s.mutation != MutationKind::kNone) ++mutations_armed;
+    if (s.mutation != sim::MutationKind::kNone) ++mutations_armed;
     const OracleReport r = check_scenario(s);
     ++checked;
     if (opt.verbose) {

@@ -32,7 +32,7 @@ struct FuzzOptions {
   std::uint64_t n = kNoOverride;
   std::uint64_t steps = kNoOverride;
   std::uint64_t max_faults = kNoOverride;
-  MutationKind mutate = MutationKind::kNone;
+  sim::MutationKind mutate = sim::MutationKind::kNone;
   bool expect_failure = false;
   bool shrink = true;
   bool verbose = false;

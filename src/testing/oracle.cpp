@@ -84,13 +84,13 @@ void apply_faults(const Scenario& s, sim::Engine& engine, std::uint64_t step,
 /// trying from mutation_step onwards until the machine state lets the
 /// mutation bite (e.g. drop needs a non-empty queue), then disarms.
 void arm_mutation(const Scenario& s, CaptureBalancer& cap, bool* applied) {
-  if (s.mutation == MutationKind::kNone) return;
+  if (sim::mutation_info(s.mutation).site != sim::MutationSite::kEngine) {
+    return;  // runtime faults go through run_rt_scenario (rt_oracle.cpp)
+  }
   cap.set_post_capture_hook([&s, applied](sim::Engine& e) {
     if (*applied || e.step() < s.mutation_step) return;
     switch (s.mutation) {
-      case MutationKind::kNone:
-        break;
-      case MutationKind::kDropTask:
+      case sim::MutationKind::kDropTask:
         for (std::uint64_t p = 0; p < e.n(); ++p) {
           if (e.load(p) > 0) {
             e.steal_newest_for_test(static_cast<std::uint32_t>(p));
@@ -99,7 +99,7 @@ void arm_mutation(const Scenario& s, CaptureBalancer& cap, bool* applied) {
           }
         }
         break;
-      case MutationKind::kDupTask:
+      case sim::MutationKind::kDupTask:
         for (std::uint64_t p = 0; p < e.n(); ++p) {
           if (e.load(p) > 0) {
             // Deliver the newest task a second time; deposit() books it, so
@@ -111,7 +111,7 @@ void arm_mutation(const Scenario& s, CaptureBalancer& cap, bool* applied) {
           }
         }
         break;
-      case MutationKind::kReorder:
+      case sim::MutationKind::kReorder:
         for (std::uint64_t p = 0; p < e.n(); ++p) {
           const auto& q = e.processor(p).queue;
           if (q.size() < 2) continue;
@@ -124,18 +124,13 @@ void arm_mutation(const Scenario& s, CaptureBalancer& cap, bool* applied) {
           return;
         }
         break;
-      case MutationKind::kPhantomMessage:
+      case sim::MutationKind::kPhantomMessage:
         // Lands between this phase's finalisation and the next begin, so it
         // escapes every per-phase attribution window.
         e.mutable_messages().control += 1;
         *applied = true;
         break;
-      case MutationKind::kMailboxDrop:
-      case MutationKind::kCrashLoseQueue:
-      case MutationKind::kStaleFreeLunch:
-        // Runtime-only faults; the fuzzer routes them through
-        // run_rt_scenario (rt_oracle.cpp), so the engine hook never sees
-        // them.
+      default:  // not an engine kind: never armed (see above)
         break;
     }
   });
@@ -340,7 +335,7 @@ OracleReport run_engine_scenario(const Scenario& s) {
 
   // Determinism: an unmutated scenario must replay bit-identically under a
   // different thread-pool size.
-  if (s.mutation == MutationKind::kNone &&
+  if (s.mutation == sim::MutationKind::kNone &&
       fingerprint(engine) != replay_fingerprint(s, s.threads_replay)) {
     return OracleReport::failure(
         s.steps, fmt("nondeterminism: replay with %u threads diverged from "

@@ -74,54 +74,24 @@ RtRun build_rt(const Scenario& s, unsigned workers) {
       cfg.link.jitter = s.link_jitter;
       cfg.link.bandwidth = s.link_bandwidth;
       cfg.link.loss_per_64k = s.link_loss;
-      if (s.mutation == MutationKind::kDelaySkew) {
-        // Deliver the very first fabric message a superstep early; the
-        // dist-shadow lockstep below is what must notice.
-        cfg.delay_skew_message = 1;
-      }
-      if (s.mutation == MutationKind::kLinkLossNoRetransmit) {
-        // Drop a transfer payload's lost first attempt outright instead of
-        // retransmitting; the conservation oracle must notice the tasks
-        // leaving the system.
-        cfg.link_loss_no_retransmit = true;
-      }
-      if (s.mutation == MutationKind::kDupDelivery) {
-        // Replay a transfer command whose ack draw was lost; the dup stages
-        // the same transfer twice, and the ledger / identity sweep against
-        // the clean dist shadow must notice.
-        cfg.dup_delivery = true;
-      }
     }
   }
   cfg.stale = baselines::StaleSqConfig{s.stale_staleness, s.stale_gap};
   cfg.ls = baselines::LocalSearchConfig{s.ls_min_load};
   cfg.crashes = s.crashes;
-  if (s.rt_steal || s.mutation == MutationKind::kStealDuplicateTask) {
-    cfg.steal.enabled = true;
-  }
-  if (s.mutation == MutationKind::kStealDuplicateTask) {
-    // Stolen batches clone instead of move; conservation convicts (the
-    // extra copies are booked nowhere) and the engine shadow's queues
-    // diverge task-by-task.
-    cfg.steal_duplicate_task = true;
-  }
-  if (s.mutation == MutationKind::kMailboxDrop) {
-    // Drop the very first transfer the runtime sends; later ordinals risk
-    // never firing on lightly loaded scenarios.
-    cfg.drop_transfer_message = 1;
-  }
-  if (s.mutation == MutationKind::kCrashLoseQueue && !cfg.crashes.empty()) {
-    // Crashed queues vanish instead of re-homing; runtime conservation
-    // convicts it (the lost tasks are booked nowhere). Guarded on a
-    // non-empty schedule: a crash-free scenario has nothing to lose, and
-    // arming the flag without crashes trips the runtime's config check.
-    cfg.crash_lose_queue = true;
-  }
-  if (s.mutation == MutationKind::kStaleFreeLunch) {
-    // Stale-SQ decisions secretly read fresh loads; the honest engine
-    // shadow's queues and ledger diverge (totals alone cannot convict —
-    // transfers conserve load either way).
-    cfg.stale_read_fresh = true;
+  cfg.steal.enabled =
+      s.rt_steal || s.mutation == sim::MutationKind::kStealDuplicateTask;
+  // The runtime fault as one {kind, ordinal} pair; ordinal kinds hit the
+  // first event (later ordinals risk never firing on lightly loaded
+  // scenarios). Engine kinds inject through sim::Engine and stay off here,
+  // as does crash-lose-queue on a crash-free scenario: it has nothing to
+  // lose, and the runtime's config check refuses it without a schedule.
+  const sim::MutationInfo& m = sim::mutation_info(s.mutation);
+  if (m.site == sim::MutationSite::kRuntime &&
+      (s.mutation != sim::MutationKind::kCrashLoseQueue ||
+       !cfg.crashes.empty())) {
+    cfg.mutation = s.mutation;
+    cfg.mutation_ordinal = m.ordinal ? 1 : 0;
   }
   r.run = std::make_unique<rt::Runtime>(cfg, r.model.get());
   return r;
@@ -226,7 +196,7 @@ OracleReport run_against_engine(const Scenario& s) {
                        .liveness = shadow.liveness.get()};
   // The shadow steals with the same pure rule (the mutation, if any, only
   // ever reaches the rt side).
-  if (s.rt_steal || s.mutation == MutationKind::kStealDuplicateTask) {
+  if (s.rt_steal || s.mutation == sim::MutationKind::kStealDuplicateTask) {
     ec.steal.enabled = true;
   }
   sim::Engine eng(ec, shadow.model.get(), &cap);
@@ -397,78 +367,19 @@ OracleReport run_rt_scenario(const Scenario& in) {
   OracleReport r = policy_of(s) == rt::RtPolicy::kAllInAir
                        ? run_air(s)
                        : run_against_engine(s);
-  if (s.mutation == MutationKind::kMailboxDrop) {
-    // Report whether the fault actually fired — a scenario that never sends
-    // a transfer cannot convict anything, and the harness counts such runs
-    // separately. Deterministic mode makes the single-threaded replay land
-    // on the same transfer schedule as the checked run, so its drop counter
-    // answers the question; a second run is cheap at fuzz sizes.
+  if (sim::mutation_info(s.mutation).site == sim::MutationSite::kRuntime) {
+    // Report whether the fault actually fired — a scenario that never
+    // offers its hook a victim (no transfer, no lost attempt, no non-empty
+    // crashed queue, ...) cannot convict anything, and the harness counts
+    // such runs separately. Deterministic mode makes the single-threaded
+    // replay fire exactly where the checked run did, so its witness answers
+    // the question; a second run is cheap at fuzz sizes.
     RtRun probe = build_rt(s, 1);
     for (std::uint64_t step = 0; step < s.steps; ++step) {
       apply_rt_faults(s, *probe.run, step);
       probe.run->run(1);
     }
-    r.mutation_applied = probe.run->dropped_messages() > 0;
-  }
-  if (s.mutation == MutationKind::kDelaySkew) {
-    // The skew rewrites the first fabric send's delivery step, so it fired
-    // iff the fabric carried any message at all (latency >= 2 guarantees
-    // the rewrite is not a no-op).
-    RtRun probe = build_rt(s, 1);
-    for (std::uint64_t step = 0; step < s.steps; ++step) {
-      apply_rt_faults(s, *probe.run, step);
-      probe.run->run(1);
-    }
-    r.mutation_applied = probe.run->fabric_sent() > 0;
-  }
-  if (s.mutation == MutationKind::kLinkLossNoRetransmit) {
-    // Fired iff a transfer payload's first attempt actually drew a loss —
-    // the runtime counts each unreplayed drop.
-    RtRun probe = build_rt(s, 1);
-    for (std::uint64_t step = 0; step < s.steps; ++step) {
-      apply_rt_faults(s, *probe.run, step);
-      probe.run->run(1);
-    }
-    r.mutation_applied = probe.run->link_lost_messages() > 0;
-  }
-  if (s.mutation == MutationKind::kDupDelivery) {
-    // Fired iff some transfer command's ack draw was lost and the clone was
-    // actually filed.
-    RtRun probe = build_rt(s, 1);
-    for (std::uint64_t step = 0; step < s.steps; ++step) {
-      apply_rt_faults(s, *probe.run, step);
-      probe.run->run(1);
-    }
-    r.mutation_applied = probe.run->dup_delivered() > 0;
-  }
-  if (s.mutation == MutationKind::kCrashLoseQueue) {
-    // Fired iff some crashed queue actually held tasks when it vanished.
-    RtRun probe = build_rt(s, 1);
-    for (std::uint64_t step = 0; step < s.steps; ++step) {
-      apply_rt_faults(s, *probe.run, step);
-      probe.run->run(1);
-    }
-    r.mutation_applied = probe.run->crash_lost_tasks() > 0;
-  }
-  if (s.mutation == MutationKind::kStaleFreeLunch) {
-    // Fired iff a cheating decision ever differed from the honest stale
-    // rule (the runtime counts divergent transfer lists per step).
-    RtRun probe = build_rt(s, 1);
-    for (std::uint64_t step = 0; step < s.steps; ++step) {
-      apply_rt_faults(s, *probe.run, step);
-      probe.run->run(1);
-    }
-    r.mutation_applied = probe.run->stale_cheat_divergence() > 0;
-  }
-  if (s.mutation == MutationKind::kStealDuplicateTask) {
-    // Fired iff a steal batch actually shipped — each one clones its newest
-    // task back onto the victim, and the runtime counts the clones.
-    RtRun probe = build_rt(s, 1);
-    for (std::uint64_t step = 0; step < s.steps; ++step) {
-      apply_rt_faults(s, *probe.run, step);
-      probe.run->run(1);
-    }
-    r.mutation_applied = probe.run->steal_dup_tasks() > 0;
+    r.mutation_applied = probe.run->mutation_applied() > 0;
   }
   return r;
 }

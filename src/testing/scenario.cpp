@@ -73,41 +73,6 @@ const char* to_string(BalancerKind b) {
   return "?";
 }
 
-const char* to_string(MutationKind m) {
-  switch (m) {
-    case MutationKind::kNone: return "none";
-    case MutationKind::kDropTask: return "drop-task";
-    case MutationKind::kDupTask: return "dup-task";
-    case MutationKind::kReorder: return "reorder";
-    case MutationKind::kPhantomMessage: return "phantom-msg";
-    case MutationKind::kMailboxDrop: return "mailbox-drop";
-    case MutationKind::kDelaySkew: return "delay-skew";
-    case MutationKind::kLinkLossNoRetransmit: return "link-loss-no-retransmit";
-    case MutationKind::kDupDelivery: return "dup-delivery";
-    case MutationKind::kCrashLoseQueue: return "crash-lose-queue";
-    case MutationKind::kStaleFreeLunch: return "stale-free-lunch";
-    case MutationKind::kStealDuplicateTask: return "steal-duplicate-task";
-  }
-  return "?";
-}
-
-MutationKind mutation_from_string(const std::string& name) {
-  if (name == "drop-task") return MutationKind::kDropTask;
-  if (name == "dup-task") return MutationKind::kDupTask;
-  if (name == "reorder") return MutationKind::kReorder;
-  if (name == "phantom-msg") return MutationKind::kPhantomMessage;
-  if (name == "mailbox-drop") return MutationKind::kMailboxDrop;
-  if (name == "delay-skew") return MutationKind::kDelaySkew;
-  if (name == "link-loss-no-retransmit") {
-    return MutationKind::kLinkLossNoRetransmit;
-  }
-  if (name == "dup-delivery") return MutationKind::kDupDelivery;
-  if (name == "crash-lose-queue") return MutationKind::kCrashLoseQueue;
-  if (name == "stale-free-lunch") return MutationKind::kStaleFreeLunch;
-  if (name == "steal-duplicate-task") return MutationKind::kStealDuplicateTask;
-  return MutationKind::kNone;
-}
-
 void clamp_to_runtime(Scenario& s) {
   s.runtime = true;
   s.collision_only = false;
@@ -345,7 +310,7 @@ std::string Scenario::describe() const {
       static_cast<unsigned long long>(steps), to_string(model),
       to_string(balancer), threads, threads_replay, faults.size(),
       spread_execution ? " spread" : "", streaming_transfers ? " stream" : "",
-      lat.c_str(), to_string(mutation));
+      lat.c_str(), sim::to_string(mutation));
   return buf;
 }
 
@@ -358,7 +323,7 @@ std::string Scenario::repro_command() const {
                 static_cast<unsigned long long>(index),
                 static_cast<unsigned long long>(n),
                 static_cast<unsigned long long>(steps), faults.size(),
-                to_string(mutation));
+                sim::to_string(mutation));
   return buf;
 }
 

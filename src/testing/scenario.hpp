@@ -23,6 +23,7 @@
 #include "core/liveness.hpp"
 #include "sim/balancer.hpp"
 #include "sim/model.hpp"
+#include "sim/mutation.hpp"
 
 namespace clb::testing {
 
@@ -52,24 +53,6 @@ enum class BalancerKind {
   kAllInAir,  // immediate-mode redistribution: oracle runs in multiset mode
   kStaleSq,       // workload zoo: stale shortest-queue baseline
   kLocalSearch,   // workload zoo: randomized pairwise local search
-};
-
-/// Deliberately broken behaviours, injected through the engine's test hooks
-/// with *consistent-looking accounting* — count-based checks stay green and
-/// only the identity/order-tracking oracle can object.
-enum class MutationKind {
-  kNone,
-  kDropTask,        // lose one queued task in flight
-  kDupTask,         // deliver one task twice
-  kReorder,         // swap two tasks in one FIFO queue
-  kPhantomMessage,  // bump a protocol counter outside any phase window
-  kMailboxDrop,     // rt runtime: silently drop one transfer message
-  kDelaySkew,       // rt latency fabric: deliver one message a step early
-  kLinkLossNoRetransmit,  // lossy link: drop a first attempt, never resend
-  kDupDelivery,           // lossy link: replay a transfer cmd on ack loss
-  kCrashLoseQueue,        // rt runtime: a crashed queue vanishes un-rehomed
-  kStaleFreeLunch,        // rt stale-sq: decisions secretly read fresh loads
-  kStealDuplicateTask,    // rt stealing: a stolen batch clones, not moves
 };
 
 /// A load spike deposited onto one processor before `step` executes.
@@ -132,7 +115,7 @@ struct Scenario {
 
   std::vector<FaultEvent> faults;
 
-  MutationKind mutation = MutationKind::kNone;
+  sim::MutationKind mutation = sim::MutationKind::kNone;
   std::uint64_t mutation_step = 0;  // applied at first opportunity >= this
 
   // Workload-zoo knobs (sampled after every older field, so pre-existing
@@ -164,9 +147,6 @@ struct Scenario {
 
 const char* to_string(ModelKind m);
 const char* to_string(BalancerKind b);
-const char* to_string(MutationKind m);
-/// Inverse of to_string(MutationKind); returns kNone for unknown names.
-MutationKind mutation_from_string(const std::string& name);
 
 /// Forces `s` into rt::Runtime's envelope: a parallel-safe model, a policy
 /// the runtime implements (none / threshold / all-in-air), protocol

@@ -13,9 +13,11 @@ namespace clb::transport {
 
 namespace {
 
-/// Refuses an invalid config, then resolves the shard count and stamps the
-/// run's clock origin.
-ShardRunConfig checked(ShardRunConfig cfg) {
+/// Records the socket transport `wire` in the config, refuses an invalid
+/// config, then resolves the shard count and stamps the run's clock origin.
+ShardRunConfig checked(ShardRunConfig cfg, WireKind wire) {
+  cfg.transport =
+      wire == WireKind::kTcp ? rt::Transport::kTcp : rt::Transport::kUds;
   std::vector<std::string> v = rt::validate(cfg);
   if (cfg.trace != nullptr) {
     v.emplace_back("a trace sink is a borrowed in-proc pointer");
@@ -50,7 +52,7 @@ ShardRunConfig from_rt(const rt::RtConfig& cfg, const ModelSpec& model) {
 }  // namespace
 
 ProcessRuntime::ProcessRuntime(ShardRunConfig cfg, WireKind wire)
-    : cfg_(checked(std::move(cfg))),
+    : cfg_(checked(std::move(cfg), wire)),
       wire_(wire),
       part_(cfg_.n, cfg_.workers) {
   spawn();

@@ -43,13 +43,8 @@ ShadowReport shadow_check(ProcessRuntime& pr) {
   rc.transport = rt::Transport::kInProc;
   rc.spin_work = 0;  // spin is wall-clock padding; identical outcomes
   rc.time_sojourn = false;  // wall-clock sojourn can never be bit-compared
-  rc.drop_transfer_message = 0;
-  rc.delay_skew_message = 0;
-  rc.link_loss_no_retransmit = false;
-  rc.dup_delivery = false;
-  rc.crash_lose_queue = false;
-  rc.stale_read_fresh = false;
-  rc.steal_duplicate_task = false;
+  rc.mutation = sim::MutationKind::kNone;
+  rc.mutation_ordinal = 0;
 
   const auto model = cfg.model.make(cfg.n);
   rt::Runtime shadow(rc, model.get());

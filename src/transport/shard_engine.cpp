@@ -63,13 +63,10 @@ constexpr std::uint64_t rt::ShardOutputs::*kScalars[] = {
     &rt::ShardOutputs::clamped,          &rt::ShardOutputs::deposited,
     &rt::ShardOutputs::dropped_tasks,    &rt::ShardOutputs::running_max,
     &rt::ShardOutputs::steal_events,     &rt::ShardOutputs::stolen_tasks,
-    &rt::ShardOutputs::steal_dups,       &rt::ShardOutputs::rehomed_tasks,
-    &rt::ShardOutputs::rehomed_events,   &rt::ShardOutputs::crash_lost_tasks,
-    &rt::ShardOutputs::stale_cheat_divergence,
+    &rt::ShardOutputs::rehomed_tasks,    &rt::ShardOutputs::rehomed_events,
     &rt::ShardOutputs::fab_sent,         &rt::ShardOutputs::fab_delivered,
-    &rt::ShardOutputs::fab_lost,         &rt::ShardOutputs::dup_applied,
     &rt::ShardOutputs::retransmits,      &rt::ShardOutputs::dup_suppressed,
-    &rt::ShardOutputs::queued_delay,
+    &rt::ShardOutputs::queued_delay,     &rt::ShardOutputs::mutation_applied,
 };
 
 std::vector<rt::RtProcessor> shard_processors(const ShardRunConfig& cfg,
@@ -99,12 +96,13 @@ void ShardRunConfig::serialize(Writer& w) const {
   w.u32(index);
   w.u8(deterministic ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(policy));
+  w.u8(static_cast<std::uint8_t>(mutation));
+  w.u64(mutation_ordinal);
   serialize_params(w, params);
   serialize_game(w, game);
   w.u32(spin_work);
   w.u8(track_sojourn ? 1 : 0);
   w.u8(time_sojourn ? 1 : 0);
-  w.u64(drop_transfer_message);
   w.u32(latency);
   for (const std::uint32_t v : {link.jitter, link.bandwidth, link.loss_per_64k,
                                 link.rto, link.max_attempts}) {
@@ -112,9 +110,6 @@ void ShardRunConfig::serialize(Writer& w) const {
   }
   w.u64(phase_gap);
   w.u64(max_phase_steps);
-  w.u64(delay_skew_message);
-  w.u8(link_loss_no_retransmit ? 1 : 0);
-  w.u8(dup_delivery ? 1 : 0);
   w.u64(stale.staleness);
   w.u32(stale.gap);
   w.u32(ls.min_load);
@@ -124,14 +119,10 @@ void ShardRunConfig::serialize(Writer& w) const {
     w.u32(ev.proc);
     w.u64(ev.down_steps);
   }
-  w.u8(crash_lose_queue ? 1 : 0);
-  w.u8(stale_read_fresh ? 1 : 0);
   w.u8(steal.enabled ? 1 : 0);
   w.u32(steal.min_victim_load);
   w.u32(steal.max_steals_per_step);
   w.u32(steal.max_batch);
-  w.u8(steal_duplicate_task ? 1 : 0);
-  w.u64(corrupt_transfer_frame);
   w.u64(static_cast<std::uint64_t>(clock_origin_ns));
   model.serialize(w);
 }
@@ -144,12 +135,17 @@ ShardRunConfig ShardRunConfig::deserialize(Reader& r) {
   c.index = r.u32();
   c.deterministic = r.u8() != 0;
   c.policy = static_cast<rt::RtPolicy>(r.u8());
+  CLB_CHECK(c.policy <= rt::RtPolicy::kLocalSearch,
+            "unknown rt policy on the wire");
+  c.mutation = static_cast<sim::MutationKind>(r.u8());
+  CLB_CHECK(c.mutation <= sim::MutationKind::kFrameCorrupt,
+            "unknown mutation kind on the wire");
+  c.mutation_ordinal = r.u64();
   c.params = deserialize_params(r);
   c.game = deserialize_game(r);
   c.spin_work = r.u32();
   c.track_sojourn = r.u8() != 0;
   c.time_sojourn = r.u8() != 0;
-  c.drop_transfer_message = r.u64();
   c.latency = r.u32();
   for (std::uint32_t* v : {&c.link.jitter, &c.link.bandwidth,
                            &c.link.loss_per_64k, &c.link.rto,
@@ -158,9 +154,6 @@ ShardRunConfig ShardRunConfig::deserialize(Reader& r) {
   }
   c.phase_gap = r.u64();
   c.max_phase_steps = r.u64();
-  c.delay_skew_message = r.u64();
-  c.link_loss_no_retransmit = r.u8() != 0;
-  c.dup_delivery = r.u8() != 0;
   c.stale.staleness = r.u64();
   c.stale.gap = r.u32();
   c.ls.min_load = r.u32();
@@ -170,14 +163,10 @@ ShardRunConfig ShardRunConfig::deserialize(Reader& r) {
     ev.proc = r.u32();
     ev.down_steps = r.u64();
   }
-  c.crash_lose_queue = r.u8() != 0;
-  c.stale_read_fresh = r.u8() != 0;
   c.steal.enabled = r.u8() != 0;
   c.steal.min_victim_load = r.u32();
   c.steal.max_steals_per_step = r.u32();
   c.steal.max_batch = r.u32();
-  c.steal_duplicate_task = r.u8() != 0;
-  c.corrupt_transfer_frame = r.u64();
   c.clock_origin_ns = static_cast<std::int64_t>(r.u64());
   c.model = ModelSpec::deserialize(r);
   return c;
@@ -292,7 +281,9 @@ SocketComm::SocketComm(const ShardRunConfig& cfg, const rt::Partition& part,
     : rt::Comm(part, cfg.index),
       control_(control),
       wire_(wire),
-      corrupt_transfer_frame_(cfg.corrupt_transfer_frame),
+      corrupt_ordinal_(cfg.mutation == sim::MutationKind::kFrameCorrupt
+                           ? cfg.mutation_ordinal
+                           : 0),
       data_plane_(cfg.policy != rt::RtPolicy::kNone || cfg.steal.enabled ||
                   !cfg.crashes.empty()),
       blobs_(part.shards()) {
@@ -312,11 +303,12 @@ void SocketComm::post(unsigned dest_shard, rt::Msg&& m) {
     return;
   }
   if (m.kind == rt::MsgKind::kTransfer &&
-      ++remote_transfers_ == corrupt_transfer_frame_ && !m.payload.empty()) {
+      ++remote_transfers_ == corrupt_ordinal_ && !m.payload.empty()) {
     // The frame-corrupt mutation: flipped BEFORE the frame is signed, so
     // the CRC vouches for the corrupted bytes and every counter stays
     // self-consistent. Only the shadow fabric can tell.
     m.payload[0].task.birth_step ^= 1u;
+    ++corrupted_;
   }
   PeerChannel& ch = peers_[dest_shard];
   serialize_msg(ch.batch, m);
@@ -461,6 +453,7 @@ void ShardEngine::collect_state() {
   kernel_.sync_outputs();
   ShardState st;
   static_cast<rt::ShardOutputs&>(st) = kernel_.outputs();
+  st.mutation_applied += comm_.mutation_applied();
   std::tie(st.begin, st.end) = part_.range(cfg_.index);
   // Lent to the serialiser and returned below: moving a vector keeps its
   // buffer, so the kernel's view of the shard stays valid.

@@ -35,13 +35,6 @@ namespace clb::transport {
 /// telemetry knobs cannot), plus the worker's own identity.
 struct ShardRunConfig : rt::RtConfig {
   std::uint32_t index = 0;  ///< this worker's shard index
-  /// Test-only fault injection: corrupt the k-th kTransfer message this
-  /// worker serialises to a remote shard (1-based; 0 = off) by flipping the
-  /// first payload task's birth_step low bit BEFORE the frame is signed —
-  /// the CRC accepts it, all counters stay consistent, and only the
-  /// shadow-fabric cross-check (queue identity / sojourn histogram) can
-  /// convict it. The frame-corrupt mutation.
-  std::uint64_t corrupt_transfer_frame = 0;
   ModelSpec model{};
   /// The coordinator's steady_clock reading at construction, in ns since
   /// the clock's epoch. Every shard stamps time_sojourn against it: the
@@ -84,6 +77,9 @@ class SocketComm final : public rt::Comm {
   Blobs exchange(std::span<const std::uint64_t> blob) override;
   /// Adds every link's byte/frame counters into `s`.
   void account_into(obs::WireStats& s) const;
+  /// Frames the frame-corrupt mutation forged (folded into the collected
+  /// ShardState's mutation_applied witness).
+  [[nodiscard]] std::uint64_t mutation_applied() const { return corrupted_; }
 
  protected:
   void post(unsigned dest_shard, rt::Msg&& m) override;
@@ -99,7 +95,14 @@ class SocketComm final : public rt::Comm {
   Endpoint& control_;
   std::vector<PeerChannel> peers_;
   obs::WireStats& wire_;
-  const std::uint64_t corrupt_transfer_frame_;
+  /// The frame-corrupt mutation (RtConfig::mutation): corrupt the k-th
+  /// kTransfer this shard serialises to a remote shard by flipping the
+  /// first payload task's birth_step low bit BEFORE the frame is signed —
+  /// the CRC accepts it, all counters stay consistent, and only the shadow
+  /// cross-check (queue identity / sojourn histogram) can convict it.
+  /// 0 = off.
+  const std::uint64_t corrupt_ordinal_;
+  std::uint64_t corrupted_ = 0;
   const bool data_plane_;          // policy kNone without steal/crash sends none
   std::uint64_t data_rounds_ = 0;  // flushing exchanges passed so far
   std::uint64_t remote_transfers_ = 0;  // kTransfer messages serialised

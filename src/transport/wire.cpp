@@ -78,6 +78,7 @@ void serialize_msg(Writer& w, const Msg& m) {
 Msg deserialize_msg(Reader& r) {
   Msg m;
   m.kind = static_cast<rt::MsgKind>(r.u8());
+  CLB_CHECK(m.kind <= rt::MsgKind::kRehome, "unknown message kind on the wire");
   m.key = r.u64();
   m.a = r.u32();
   m.b = r.u32();

@@ -12,7 +12,7 @@
 //   * the dist phase-duration ∝ latency result reproduced on real threads;
 //   * the delay-skew fault (one message delivered a superstep early) is
 //     convicted by exactly this cross-check;
-//   * drop_transfer_message picks its victim by canonical (step, source)
+//   * the mailbox-drop mutation picks its victim by canonical (step, source)
 //     order — the same victim at every worker count.
 #include <gtest/gtest.h>
 
@@ -165,22 +165,8 @@ RunRecord run_dist(const Lockstep& su) {
   return r;
 }
 
-RunRecord run_rt(const Lockstep& su, unsigned workers,
-                 std::uint64_t skew_message = 0) {
-  auto model = make_model();
-  rt::RtConfig cfg;
-  cfg.n = su.n;
-  cfg.seed = su.seed;
-  cfg.workers = workers;
-  cfg.deterministic = true;
-  cfg.policy = rt::RtPolicy::kThreshold;
-  cfg.params = su.params;
-  cfg.latency = su.latency;
-  cfg.topology = su.topology;
-  cfg.link = su.link;
-  cfg.delay_skew_message = skew_message;
-  rt::Runtime run(cfg, model.get());
-
+/// Runs `su` on the runtime, depositing the spikes between run() calls.
+void drive(rt::Runtime& run, const Lockstep& su) {
   const std::vector<Spike> spikes = spikes_for(su.seed, su.n);
   std::uint64_t done = 0;
   for (const Spike& sp : spikes) {
@@ -194,6 +180,28 @@ RunRecord run_rt(const Lockstep& su, unsigned workers,
     }
   }
   run.run(su.steps - done);
+}
+
+RunRecord run_rt(const Lockstep& su, unsigned workers,
+                 std::uint64_t skew_message = 0) {
+  auto model = make_model();
+  rt::RtConfig cfg;
+  cfg.n = su.n;
+  cfg.seed = su.seed;
+  cfg.workers = workers;
+  cfg.deterministic = true;
+  cfg.policy = rt::RtPolicy::kThreshold;
+  cfg.params = su.params;
+  cfg.latency = su.latency;
+  cfg.topology = su.topology;
+  cfg.link = su.link;
+  if (skew_message != 0) {
+    cfg.mutation = sim::MutationKind::kDelaySkew;
+    cfg.mutation_ordinal = skew_message;
+  }
+  rt::Runtime run(cfg, model.get());
+
+  drive(run, su);
 
   RunRecord r;
   for (std::uint64_t p = 0; p < su.n; ++p) {
@@ -505,7 +513,7 @@ TEST(RtLatencySkew, EarlyDeliveryDivergesFromDist) {
       << "a fabric delivering early should not survive the cross-check";
 }
 
-// drop_transfer_message in latency mode: the victim is the k-th transfer in
+// The mailbox-drop mutation in latency mode: the victim is the k-th transfer in
 // canonical (step, source) order, so every worker count convicts the same
 // message — and it is exactly the k-th entry of the clean run's ledger.
 TEST(RtLatencyDrop, VictimIsWorkerCountInvariant) {
@@ -526,22 +534,11 @@ TEST(RtLatencyDrop, VictimIsWorkerCountInvariant) {
     cfg.policy = rt::RtPolicy::kThreshold;
     cfg.params = su.params;
     cfg.latency = su.latency;
-    cfg.drop_transfer_message = 3;
+    cfg.mutation = sim::MutationKind::kMailboxDrop;
+    cfg.mutation_ordinal = 3;
     rt::Runtime run(cfg, model.get());
-    const std::vector<Spike> spikes = spikes_for(su.seed, su.n);
-    std::uint64_t done = 0;
-    for (const Spike& sp : spikes) {
-      if (sp.step > done) {
-        run.run(sp.step - done);
-        done = sp.step;
-      }
-      for (std::uint32_t i = 0; i < sp.tasks; ++i) {
-        run.deposit(sp.proc, sim::Task{static_cast<std::uint32_t>(sp.step),
-                                       sp.proc, 1});
-      }
-    }
-    run.run(su.steps - done);
-    EXPECT_EQ(run.dropped_messages(), 1u) << "workers=" << workers;
+    drive(run, su);
+    EXPECT_EQ(run.mutation_applied(), 1u) << "workers=" << workers;
     // Count-based conservation books the dropped tasks and stays green —
     // only the fuzzer's identity oracle convicts the drop (by design).
     EXPECT_TRUE(run.conservation_holds()) << "workers=" << workers;

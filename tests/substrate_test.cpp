@@ -152,7 +152,7 @@ TEST(TransportEquivalenceTcp, LatencyLossyMatchesShadow) {
   EXPECT_TRUE(c.rep.ok) << c.rep.divergence;
 }
 
-// The drop_transfer_message hook over sockets: the sender books the
+// The mailbox-drop mutation over sockets: the sender books the
 // transfer, the receiver never sees it, conservation still balances (the
 // drop is booked) — and the honest shadow convicts the run.
 TEST(TransportEquivalenceHooks, DroppedTransferConvictedByShadow) {
@@ -161,9 +161,11 @@ TEST(TransportEquivalenceHooks, DroppedTransferConvictedByShadow) {
     rt::RtConfig cfg = lifted_config(Lifted::kSteal, shards,
                                      rt::Transport::kUds);
     cfg.steal.enabled = false;
-    cfg.drop_transfer_message = 1;
+    cfg.mutation = sim::MutationKind::kMailboxDrop;
+    cfg.mutation_ordinal = 1;
     const Checked c = run_and_check(cfg, 64);
     EXPECT_GT(c.pr->outputs().dropped_tasks, 0u);
+    EXPECT_EQ(c.pr->outputs().mutation_applied, 1u);
     EXPECT_TRUE(c.pr->conservation_holds());
     EXPECT_FALSE(c.rep.ok) << "a dropped transfer must not survive the shadow";
   }
@@ -220,18 +222,48 @@ TEST(SubstrateConfigDeathTest, BothConstructorsNameEveryViolation) {
   rt::RtConfig cfg;
   cfg.n = 64;
   cfg.policy = rt::RtPolicy::kNone;
-  cfg.latency = 2;                  // the latency fabric needs kThreshold
-  cfg.stale_read_fresh = true;      // mutates kStaleSq only
-  cfg.steal_duplicate_task = true;  // mutates the steal pass only
+  cfg.latency = 2;         // the latency fabric needs kThreshold
+  cfg.steal.enabled = true;  // stealing needs the instant fabric
+  cfg.mutation = sim::MutationKind::kStaleFreeLunch;  // needs kStaleSq
   EXPECT_TRUE(rt::validate(cfg).size() == 3u);
   const char* all_three =
       "latency fabric runs the threshold protocol only.*"
-      "stale_read_fresh mutates the stale-sq policy only.*"
-      "steal_duplicate_task mutates the steal pass only";
+      "work stealing runs on the instant fabric only.*"
+      "mutation stale-free-lunch needs policy stale-sq";
   models::SingleModel model(0.45, 0.1);
   EXPECT_DEATH(rt::Runtime(cfg, &model), all_three);
   cfg.transport = rt::Transport::kUds;
   EXPECT_DEATH(ProcessRuntime(cfg, ModelSpec::single(0.45, 0.1)), all_three);
+}
+
+// The fault-injection rules: an engine-only kind, an ordinal that does not
+// fit its kind, and a transport kind on the in-proc substrate are each
+// refused by name.
+TEST(SubstrateConfigDeathTest, MutationRefusalsNameTheRule) {
+  rt::RtConfig cfg =
+      lifted_config(Lifted::kLatencyLossy, 2, rt::Transport::kInProc);
+  const struct {
+    sim::MutationKind kind;
+    std::uint64_t ordinal;
+    std::string rule;
+  } cases[] = {
+      {sim::MutationKind::kReorder, 0,
+       "mutation reorder injects through sim::Engine, not the runtime"},
+      {sim::MutationKind::kMailboxDrop, 0,
+       "mutation mailbox-drop: mutation_ordinal must be >= 1"},
+      {sim::MutationKind::kDupDelivery, 3,
+       "mutation dup-delivery: mutation_ordinal must be 0"},
+      {sim::MutationKind::kFrameCorrupt, 1,
+       "mutation frame-corrupt needs a socket transport (kUds or kTcp)"},
+  };
+  for (const auto& c : cases) {
+    cfg.mutation = c.kind;
+    cfg.mutation_ordinal = c.ordinal;
+    EXPECT_EQ(rt::validate(cfg), std::vector<std::string>{c.rule});
+  }
+  models::SingleModel model(0.45, 0.1);
+  EXPECT_DEATH(rt::Runtime(cfg, &model),
+               "rt::Runtime refuses the config: mutation frame-corrupt");
 }
 
 // Inspecting a processor that does not exist aborts on both substrates,
@@ -271,22 +303,17 @@ TEST(PayloadCodecLifted, ConfigAndStateCarryEveryKernelField) {
   ShardRunConfig c;
   static_cast<rt::RtConfig&>(c) =
       lifted_config(Lifted::kLatencyLossy, 3, rt::Transport::kUds);
-  c.drop_transfer_message = 5;
+  c.mutation = sim::MutationKind::kDupDelivery;
+  c.mutation_ordinal = 5;
   c.link.bandwidth = 2;
   c.link.rto = 3;
   c.link.max_attempts = 6;
   c.phase_gap = 2;
   c.max_phase_steps = 40;
-  c.delay_skew_message = 4;
-  c.link_loss_no_retransmit = true;
-  c.dup_delivery = true;
   c.stale = {7, 3};
   c.ls.min_load = 5;
   c.crashes = {core::CrashEvent{9, 63, 8}};
-  c.crash_lose_queue = true;
-  c.stale_read_fresh = true;
   c.steal = {true, 6, 3, 2};
-  c.steal_duplicate_task = true;
   c.clock_origin_ns = 123456789012345;
   Writer w;
   c.serialize(w);
@@ -294,7 +321,8 @@ TEST(PayloadCodecLifted, ConfigAndStateCarryEveryKernelField) {
   const ShardRunConfig back = ShardRunConfig::deserialize(r);
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(back.latency, 2u);
-  EXPECT_EQ(back.drop_transfer_message, 5u);
+  EXPECT_EQ(back.mutation, sim::MutationKind::kDupDelivery);
+  EXPECT_EQ(back.mutation_ordinal, 5u);
   EXPECT_EQ(back.link.jitter, 2u);
   EXPECT_EQ(back.link.bandwidth, 2u);
   EXPECT_EQ(back.link.loss_per_64k, 8192u);
@@ -302,20 +330,14 @@ TEST(PayloadCodecLifted, ConfigAndStateCarryEveryKernelField) {
   EXPECT_EQ(back.link.max_attempts, 6u);
   EXPECT_EQ(back.phase_gap, 2u);
   EXPECT_EQ(back.max_phase_steps, 40u);
-  EXPECT_EQ(back.delay_skew_message, 4u);
-  EXPECT_TRUE(back.link_loss_no_retransmit);
-  EXPECT_TRUE(back.dup_delivery);
   EXPECT_EQ(back.stale.staleness, 7u);
   EXPECT_EQ(back.stale.gap, 3u);
   EXPECT_EQ(back.ls.min_load, 5u);
   EXPECT_EQ(back.crashes, c.crashes);
-  EXPECT_TRUE(back.crash_lose_queue);
-  EXPECT_TRUE(back.stale_read_fresh);
   EXPECT_TRUE(back.steal.enabled);
   EXPECT_EQ(back.steal.min_victim_load, 6u);
   EXPECT_EQ(back.steal.max_steals_per_step, 3u);
   EXPECT_EQ(back.steal.max_batch, 2u);
-  EXPECT_TRUE(back.steal_duplicate_task);
   EXPECT_EQ(back.clock_origin_ns, c.clock_origin_ns);
 
   ShardState s;
@@ -323,10 +345,9 @@ TEST(PayloadCodecLifted, ConfigAndStateCarryEveryKernelField) {
   s.dropped_tasks = 4;
   std::uint64_t v = 10;
   for (std::uint64_t* f :
-       {&s.steal_events, &s.stolen_tasks, &s.steal_dups, &s.rehomed_tasks,
-        &s.rehomed_events, &s.crash_lost_tasks, &s.stale_cheat_divergence,
-        &s.fab_sent, &s.fab_delivered, &s.fab_lost, &s.dup_applied,
-        &s.retransmits, &s.dup_suppressed, &s.queued_delay}) {
+       {&s.steal_events, &s.stolen_tasks, &s.rehomed_tasks, &s.rehomed_events,
+        &s.fab_sent, &s.fab_delivered, &s.retransmits, &s.dup_suppressed,
+        &s.queued_delay, &s.mutation_applied}) {
     *f = v++;
   }
   Writer ws;
@@ -339,10 +360,9 @@ TEST(PayloadCodecLifted, ConfigAndStateCarryEveryKernelField) {
   EXPECT_EQ(sb.dropped_tasks, 4u);
   v = 10;
   for (const std::uint64_t f :
-       {sb.steal_events, sb.stolen_tasks, sb.steal_dups, sb.rehomed_tasks,
-        sb.rehomed_events, sb.crash_lost_tasks, sb.stale_cheat_divergence,
-        sb.fab_sent, sb.fab_delivered, sb.fab_lost, sb.dup_applied,
-        sb.retransmits, sb.dup_suppressed, sb.queued_delay}) {
+       {sb.steal_events, sb.stolen_tasks, sb.rehomed_tasks, sb.rehomed_events,
+        sb.fab_sent, sb.fab_delivered, sb.retransmits, sb.dup_suppressed,
+        sb.queued_delay, sb.mutation_applied}) {
     EXPECT_EQ(f, v++);
   }
 }

@@ -3,6 +3,7 @@
 // mutation conviction), shrinking, and repro-command round-trips.
 #include <gtest/gtest.h>
 
+#include "sim/mutation.hpp"
 #include "testing/fuzzer.hpp"
 #include "testing/oracle.hpp"
 #include "testing/scenario.hpp"
@@ -13,7 +14,7 @@ namespace {
 // so everything here goes through an explicit alias instead.
 namespace fuzz = clb::testing;
 using fuzz::FuzzOptions;
-using fuzz::MutationKind;
+using clb::sim::MutationKind;
 using fuzz::Scenario;
 
 TEST(Scenario, SamplingIsDeterministic) {
@@ -79,11 +80,15 @@ TEST(Oracle, CleanScenariosPass) {
   }
 }
 
+// Every kind the fuzzer injects (engine hooks and runtime config alike) is
+// convicted, and each conviction comes with the kind's own witness.
 TEST(Oracle, ConvictsEveryMutationKind) {
-  const MutationKind kinds[] = {
-      MutationKind::kDropTask, MutationKind::kDupTask,
-      MutationKind::kReorder, MutationKind::kPhantomMessage};
-  for (const MutationKind kind : kinds) {
+  for (const clb::sim::MutationInfo& m : clb::sim::mutations()) {
+    if (m.site != clb::sim::MutationSite::kEngine &&
+        m.site != clb::sim::MutationSite::kRuntime) {
+      continue;
+    }
+    const MutationKind kind = m.kind;
     FuzzOptions opt;
     opt.scenario_seed = 1;
     opt.mutate = kind;
@@ -93,12 +98,22 @@ TEST(Oracle, ConvictsEveryMutationKind) {
       const auto report = fuzz::check_scenario(s);
       convicted = !report.ok;
       if (!report.ok) {
-        EXPECT_TRUE(report.mutation_applied);
+        EXPECT_TRUE(report.mutation_applied) << m.name << " index " << i;
       }
     }
-    EXPECT_TRUE(convicted)
-        << "mutation " << fuzz::to_string(kind) << " never caught";
+    EXPECT_TRUE(convicted) << "mutation " << m.name << " never caught";
   }
+}
+
+// The name table covers every kind: each name parses back to its kind, and
+// a name no kind carries parses to nothing (clb_fuzz exits 2 on it).
+TEST(Mutation, NamesRoundTripForEveryKind) {
+  const int last = static_cast<int>(MutationKind::kFrameCorrupt);
+  for (int i = 0; i <= last; ++i) {
+    const auto k = static_cast<MutationKind>(i);
+    EXPECT_EQ(clb::sim::mutation_from_string(clb::sim::to_string(k)), k) << i;
+  }
+  EXPECT_FALSE(clb::sim::mutation_from_string("typo").has_value());
 }
 
 TEST(Oracle, ShrinkProducesSmallerStillFailingScenario) {

@@ -219,15 +219,17 @@ TEST(TransportSeam, RtConfigConstructor) {
 TEST(TransportMutation, FrameCorruptConvictedByShadowOnly) {
   const std::uint64_t n = 192;
   ShardRunConfig cfg = make_cfg(n, 1, 2, WhichModel::kSingle);
-  cfg.corrupt_transfer_frame = 1;
+  cfg.mutation = sim::MutationKind::kFrameCorrupt;
+  cfg.mutation_ordinal = 1;
   cfg.track_sojourn = true;  // convicts even if the corrupted task was consumed
   ProcessRuntime pr(cfg, WireKind::kUds);
   drive(pr, 48, 1, n);
 
   // The transport itself is oblivious: the run completes, conservation holds
   // (the task still exists, just with a forged birth identity), counters are
-  // plausible.
+  // plausible. The witness counts the one forged frame.
   EXPECT_TRUE(pr.conservation_holds());
+  EXPECT_EQ(pr.outputs().mutation_applied, 1u);
 
   const ShadowReport rep = shadow_check(pr);
   EXPECT_FALSE(rep.ok)

@@ -5,6 +5,7 @@
 // transport_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -249,7 +250,8 @@ TEST(PayloadCodec, ShardRunConfigRoundTrip) {
   c.game.max_rounds = 9;
   c.spin_work = 5;
   c.track_sojourn = true;
-  c.corrupt_transfer_frame = 7;
+  c.mutation = sim::MutationKind::kFrameCorrupt;
+  c.mutation_ordinal = 7;
   models::BurstConfig bc;
   bc.period = 16;
   bc.burst_rate = 6;
@@ -272,10 +274,45 @@ TEST(PayloadCodec, ShardRunConfigRoundTrip) {
   EXPECT_EQ(back.game.max_rounds, c.game.max_rounds);
   EXPECT_EQ(back.spin_work, c.spin_work);
   EXPECT_EQ(back.track_sojourn, c.track_sojourn);
-  EXPECT_EQ(back.corrupt_transfer_frame, c.corrupt_transfer_frame);
+  EXPECT_EQ(back.mutation, c.mutation);
+  EXPECT_EQ(back.mutation_ordinal, c.mutation_ordinal);
   EXPECT_EQ(back.model.kind, ModelSpec::Kind::kBurst);
   EXPECT_EQ(back.model.burst.period, 16u);
   EXPECT_EQ(back.model.burst.burst_rate, 6u);
+}
+
+// Enums arriving on the wire are range-checked like ModelSpec::kind: the
+// one byte where two encodings differ (a message kind, an rt policy, a
+// mutation kind) patched to 0xFF makes decoding abort.
+TEST(PayloadCodecDeathTest, OutOfRangeEnumsRefused) {
+  const auto patched = [](const Writer& a, const Writer& b) {
+    std::vector<std::uint8_t> out = a.data();
+    *std::mismatch(out.begin(), out.end(), b.data().begin()).first = 0xFF;
+    return out;
+  };
+  Msg m, query;
+  m.kind = rt::MsgKind::kAccept;
+  Writer wm, wq;
+  serialize_msg(wm, m);
+  serialize_msg(wq, query);
+  const std::vector<std::uint8_t> bad_msg = patched(wm, wq);
+  Reader rm(bad_msg);
+  EXPECT_DEATH((void)deserialize_msg(rm), "unknown message kind on the wire");
+
+  ShardRunConfig c, policy, mutation;
+  policy.policy = rt::RtPolicy::kNone;
+  mutation.mutation = sim::MutationKind::kMailboxDrop;
+  Writer wc, wp, wmu;
+  c.serialize(wc);
+  policy.serialize(wp);
+  mutation.serialize(wmu);
+  const std::vector<std::uint8_t> bad_policy = patched(wc, wp);
+  const std::vector<std::uint8_t> bad_mutation = patched(wc, wmu);
+  Reader rp(bad_policy), rmu(bad_mutation);
+  EXPECT_DEATH((void)ShardRunConfig::deserialize(rp),
+               "unknown rt policy on the wire");
+  EXPECT_DEATH((void)ShardRunConfig::deserialize(rmu),
+               "unknown mutation kind on the wire");
 }
 
 TEST(PayloadCodec, ShardStateRoundTrip) {
