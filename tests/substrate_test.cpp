@@ -237,30 +237,55 @@ TEST(SubstrateConfigDeathTest, BothConstructorsNameEveryViolation) {
 }
 
 // The fault-injection rules: an engine-only kind, an ordinal that does not
-// fit its kind, and a transport kind on the in-proc substrate are each
-// refused by name.
+// fit its kind, and every row of validate()'s site table (a kind armed on a
+// config that lacks what it injects into) are each refused by name. The
+// lossy-latency config has no stealing, crashes or stale-sq; the stealing
+// config runs the instant fabric. frame-corrupt on the in-proc transport is
+// refused by rt::Runtime as well.
 TEST(SubstrateConfigDeathTest, MutationRefusalsNameTheRule) {
-  rt::RtConfig cfg =
+  const rt::RtConfig lossy =
       lifted_config(Lifted::kLatencyLossy, 2, rt::Transport::kInProc);
+  const rt::RtConfig steal =
+      lifted_config(Lifted::kSteal, 2, rt::Transport::kInProc);
   const struct {
+    const rt::RtConfig* base;
     sim::MutationKind kind;
     std::uint64_t ordinal;
     std::string rule;
   } cases[] = {
-      {sim::MutationKind::kReorder, 0,
+      {&lossy, sim::MutationKind::kReorder, 0,
        "mutation reorder injects through sim::Engine, not the runtime"},
-      {sim::MutationKind::kMailboxDrop, 0,
+      {&lossy, sim::MutationKind::kMailboxDrop, 0,
        "mutation mailbox-drop: mutation_ordinal must be >= 1"},
-      {sim::MutationKind::kDupDelivery, 3,
+      {&lossy, sim::MutationKind::kDupDelivery, 3,
        "mutation dup-delivery: mutation_ordinal must be 0"},
-      {sim::MutationKind::kFrameCorrupt, 1,
+      {&lossy, sim::MutationKind::kFrameCorrupt, 1,
        "mutation frame-corrupt needs a socket transport (kUds or kTcp)"},
+      {&lossy, sim::MutationKind::kStealDuplicateTask, 0,
+       "mutation steal-duplicate-task needs steal.enabled"},
+      {&lossy, sim::MutationKind::kCrashLoseQueue, 0,
+       "mutation crash-lose-queue needs a crash schedule"},
+      {&lossy, sim::MutationKind::kStaleFreeLunch, 0,
+       "mutation stale-free-lunch needs policy stale-sq"},
+      {&steal, sim::MutationKind::kDelaySkew, 1,
+       "mutation delay-skew needs the latency fabric (latency >= 1)"},
+      {&steal, sim::MutationKind::kLinkLossNoRetransmit, 0,
+       "mutation link-loss-no-retransmit needs a lossy latency link "
+       "(link.loss_per_64k > 0)"},
+      {&steal, sim::MutationKind::kDupDelivery, 0,
+       "mutation dup-delivery needs a lossy latency link "
+       "(link.loss_per_64k > 0)"},
   };
   for (const auto& c : cases) {
+    rt::RtConfig cfg = *c.base;
     cfg.mutation = c.kind;
     cfg.mutation_ordinal = c.ordinal;
-    EXPECT_EQ(rt::validate(cfg), std::vector<std::string>{c.rule});
+    EXPECT_EQ(rt::validate(cfg), std::vector<std::string>{c.rule})
+        << sim::to_string(c.kind);
   }
+  rt::RtConfig cfg = lossy;
+  cfg.mutation = sim::MutationKind::kFrameCorrupt;
+  cfg.mutation_ordinal = 1;
   models::SingleModel model(0.45, 0.1);
   EXPECT_DEATH(rt::Runtime(cfg, &model),
                "rt::Runtime refuses the config: mutation frame-corrupt");

@@ -3,6 +3,9 @@
 // mutation conviction), shrinking, and repro-command round-trips.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "sim/mutation.hpp"
 #include "testing/fuzzer.hpp"
 #include "testing/oracle.hpp"
@@ -114,6 +117,22 @@ TEST(Mutation, NamesRoundTripForEveryKind) {
     EXPECT_EQ(clb::sim::mutation_from_string(clb::sim::to_string(k)), k) << i;
   }
   EXPECT_FALSE(clb::sim::mutation_from_string("typo").has_value());
+}
+
+// Every engine and runtime kind has a `fuzz_mutation_<name>` ctest tier,
+// and every tier names such a kind: the build passes the tier list of
+// src/testing/CMakeLists.txt in, so a kind added to the table cannot go
+// without a self-test in tier-1 and in CI's TSan step.
+TEST(Mutation, EveryEngineAndRuntimeKindHasACtestTier) {
+  const std::set<std::string> tiers{CLB_FUZZ_MUTATION_TIERS};
+  std::set<std::string> kinds;
+  for (const clb::sim::MutationInfo& row : clb::sim::mutations()) {
+    if (row.site == clb::sim::MutationSite::kEngine ||
+        row.site == clb::sim::MutationSite::kRuntime) {
+      kinds.emplace(row.name);
+    }
+  }
+  EXPECT_EQ(tiers, kinds);
 }
 
 TEST(Oracle, ShrinkProducesSmallerStillFailingScenario) {
