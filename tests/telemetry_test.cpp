@@ -241,6 +241,46 @@ TEST(TelemetryRuntime, TotalsConserved) {
   }
 }
 
+// The stage laps partition the step: every threshold stage that ran is
+// booked, the idle ones are not, and together they stay within the step.
+TEST(TelemetryRuntime, StagesPartitionTheStep) {
+  constexpr std::uint64_t kN = 256;
+  models::SingleModel model(0.45, 0.1);
+  rt::Runtime run(det_config(kN, 2, /*telemetry=*/true), &model);
+  for (std::uint64_t s = 0; s < 64; s += 16) {
+    spike(run, kN, s);
+    run.run(16);
+  }
+  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "built with CLB_TELEMETRY=OFF";
+
+  const obs::WorkerTelemetry total = run.telemetry_total();
+  ASSERT_GT(total.phases, 0u);
+  const auto ns = [&](obs::Stage s) {
+    return total.stage_ns[static_cast<std::size_t>(s)];
+  };
+  std::uint64_t staged = 0;
+  for (const std::uint64_t v : total.stage_ns) staged += v;
+  EXPECT_LE(staged, total.step_ns);
+  for (const obs::Stage s :
+       {obs::Stage::kGenConsume, obs::Stage::kClassify,
+        obs::Stage::kCollisionRounds, obs::Stage::kTreeChildren,
+        obs::Stage::kTreeIds, obs::Stage::kTreeTransfers,
+        obs::Stage::kTreeForwards, obs::Stage::kEndStep}) {
+    EXPECT_GT(ns(s), 0u) << obs::kStageNames[static_cast<std::size_t>(s)];
+  }
+  EXPECT_EQ(ns(obs::Stage::kSteal), 0u);  // stealing is off
+
+  obs::MetricsRegistry m;
+  run.export_telemetry(m, "t.");
+  EXPECT_EQ(m.counter("t.stage.gen_consume_ns"),
+            ns(obs::Stage::kGenConsume));
+  EXPECT_EQ(m.counter("t.w1.stage.tree_ids_ns"),
+            run.worker_telemetry(1)
+                .stage_ns[static_cast<std::size_t>(obs::Stage::kTreeIds)]);
+  EXPECT_GT(m.gauge("t.stage_coverage"), 0.0);
+  EXPECT_LE(m.gauge("t.stage_coverage"), 1.0);
+}
+
 TEST(TelemetryRuntime, DisabledRunsRecordNothing) {
   constexpr std::uint64_t kN = 128;
   models::SingleModel model(0.45, 0.1);
@@ -251,6 +291,7 @@ TEST(TelemetryRuntime, DisabledRunsRecordNothing) {
   EXPECT_EQ(total.steps, 0u);
   EXPECT_EQ(total.step_ns, 0u);
   EXPECT_EQ(total.deq, 0u);
+  for (const std::uint64_t v : total.stage_ns) EXPECT_EQ(v, 0u);
   EXPECT_TRUE(run.telemetry_jsonl().empty());
 }
 

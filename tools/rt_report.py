@@ -5,7 +5,9 @@ Consumes the snapshot timeline written by `bench_rt --telemetry
 --telemetry-jsonl=...` (one rt_telemetry JSON object per worker per
 interval, cumulative counters) and/or a metrics registry export carrying
 `<run>.telemetry.*` gauges, and prints the runtime's health report:
-per-worker utilization, queue imbalance, and barrier-stall breakdown.
+per-worker utilization, queue imbalance, barrier-stall breakdown, and
+(from the `<run>.telemetry.stage.*_ns` counters) where the step's time
+went, stage by stage.
 
     tools/rt_report.py --snapshots build/rt_telemetry/snapshots.jsonl
     tools/rt_report.py --metrics bench_rt.metrics.json
@@ -28,6 +30,12 @@ COUNTER_FIELDS = (
     "steps", "step_ns", "stall_ns", "work_ns", "barrier_waits",
     "enq_self", "enq_remote", "deq", "drains", "generated", "consumed",
     "phases",
+)
+
+# obs::kStageNames, in the step's schedule order.
+STAGES = (
+    "gen_consume", "steal", "classify", "collision_rounds", "tree_children",
+    "tree_ids", "tree_transfers", "tree_forwards", "end_step", "other",
 )
 
 
@@ -170,6 +178,32 @@ def report_metrics(path: str) -> None:
         ])
     print_table(["run", "util mean", "stall", "imbalance", "drain mean",
                  "barrier p99 us"], rows)
+    report_stages(doc.get("counters", {}), prefixes)
+
+
+def report_stages(counters: dict, prefixes: list) -> None:
+    """Where each run's step time went: the <run>.telemetry.stage.*_ns
+    counters (summed over workers) per step and as a share of step time."""
+    marker = ".telemetry."
+    for p in prefixes:
+        stages = {name[len(p) + len("stage."):-len("_ns")]: v
+                  for name, v in counters.items()
+                  if name.startswith(p + "stage.") and name.endswith("_ns")
+                  and isinstance(v, (int, float))}
+        steps = counters.get(p + "steps", 0)
+        step_ns = counters.get(p + "step_ns", 0)
+        if not stages or not steps:
+            continue
+        print(f"\n== rt report: stages of {p[:-len(marker)]} "
+              f"({steps} worker-steps) ==")
+        order = [n for n in STAGES if n in stages]
+        order += sorted(n for n in stages if n not in STAGES)
+        rows = [[name, f"{ratio(stages[name], steps) / 1e3:.1f}",
+                 f"{100.0 * ratio(stages[name], step_ns):.1f}%"]
+                for name in order]
+        rows.append(["(sum)", f"{ratio(sum(stages.values()), steps) / 1e3:.1f}",
+                     f"{100.0 * ratio(sum(stages.values()), step_ns):.1f}%"])
+        print_table(["stage", "us/step", "of step"], rows)
 
 
 def main() -> int:
