@@ -24,22 +24,22 @@ BurstModel::BurstModel(BurstConfig cfg, std::uint64_t n)
              cfg_.hot_fraction * static_cast<double>(n))));
 }
 
+std::uint64_t BurstModel::hot_start(std::uint64_t step) const {
+  const std::uint64_t window = step / cfg_.period;
+  return cfg_.rotate_hotspot ? (window * hot_count_) % n_ : 0;
+}
+
 bool BurstModel::is_hot(std::uint64_t proc, std::uint64_t step) const {
   if (step % cfg_.period >= cfg_.burst_len) return false;
-  const std::uint64_t window = step / cfg_.period;
-  const std::uint64_t start =
-      cfg_.rotate_hotspot ? (window * hot_count_) % n_ : 0;
-  const std::uint64_t offset = (proc + n_ - start) % n_;
+  const std::uint64_t offset = (proc + n_ - hot_start(step)) % n_;
   return offset < hot_count_;
 }
 
-sim::StepAction BurstModel::step_action(std::uint64_t seed,
-                                        std::uint64_t proc,
-                                        std::uint64_t step, std::uint64_t,
-                                        std::uint64_t) {
+sim::StepAction BurstModel::draw(std::uint64_t seed, std::uint64_t proc,
+                                 std::uint64_t step, bool hot) const {
   rng::CounterRng rng(seed, rng::hash_combine(proc, kSalt), step);
   sim::StepAction act;
-  if (is_hot(proc, step)) {
+  if (hot) {
     act.generate = cfg_.burst_rate;
     (void)rng();  // keep the consume lane aligned with the cold path
   } else {
@@ -47,6 +47,32 @@ sim::StepAction BurstModel::step_action(std::uint64_t seed,
   }
   act.consume = consume_(rng) ? 1 : 0;
   return act;
+}
+
+sim::StepAction BurstModel::step_action(std::uint64_t seed,
+                                        std::uint64_t proc,
+                                        std::uint64_t step, std::uint64_t,
+                                        std::uint64_t) {
+  return draw(seed, proc, step, is_hot(proc, step));
+}
+
+void BurstModel::step_actions(std::uint64_t seed, std::uint64_t first,
+                              std::uint64_t count, std::uint64_t step,
+                              std::span<const std::uint64_t>, std::uint64_t,
+                              std::span<sim::StepAction> out) {
+  if (step % cfg_.period >= cfg_.burst_len) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      out[i] = draw(seed, first + i, step, false);
+    }
+    return;
+  }
+  // is_hot's offset (proc + n - start) % n, advanced one processor at a
+  // time and wrapped at n.
+  std::uint64_t offset = (first + n_ - hot_start(step)) % n_;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    out[i] = draw(seed, first + i, step, offset < hot_count_);
+    if (++offset == n_) offset = 0;
+  }
 }
 
 double BurstModel::expected_load_per_processor() const {

@@ -8,7 +8,7 @@
 // only by the shared DeliveryPolicy/SeqKey discipline. Fabric<M> is that
 // mechanism extracted once: dist::Network is now a thin adapter over a
 // single Fabric<dist::Message>, and every rt shard kernel owns a
-// Fabric<rt::Msg> over its shard — serial execution is literally the
+// Fabric<rt::Envelope> over its shard — serial execution is literally the
 // 1-worker degenerate case of the same code.
 //
 // Determinism contract (what makes the lockstep tiers possible):

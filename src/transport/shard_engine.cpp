@@ -297,29 +297,40 @@ SocketComm::SocketComm(const ShardRunConfig& cfg, const rt::Partition& part,
   }
 }
 
-void SocketComm::post(unsigned dest_shard, rt::Msg&& m) {
+void SocketComm::post(unsigned dest_shard, const rt::Msg& m,
+                      std::span<const rt::RtTask> tasks) {
   if (dest_shard == self_) {
-    self_open_.push_back(std::move(m));
+    self_open_.push(m, tasks);
     return;
   }
+  std::vector<rt::RtTask> forged;
   if (m.kind == rt::MsgKind::kTransfer &&
-      ++remote_transfers_ == corrupt_ordinal_ && !m.payload.empty()) {
+      ++remote_transfers_ == corrupt_ordinal_ && !tasks.empty()) {
     // The frame-corrupt mutation: flipped BEFORE the frame is signed, so
     // the CRC vouches for the corrupted bytes and every counter stays
     // self-consistent. Only the shadow fabric can tell.
-    m.payload[0].task.birth_step ^= 1u;
+    forged.assign(tasks.begin(), tasks.end());
+    forged[0].task.birth_step ^= 1u;
+    tasks = forged;
     ++corrupted_;
   }
   PeerChannel& ch = peers_[dest_shard];
-  serialize_msg(ch.batch, m);
+  serialize_msg(ch.batch, m, tasks);
+  ++ch.batch_count;
+}
+
+void SocketComm::post(unsigned dest_shard, const rt::Envelope& e) {
+  if (dest_shard == self_) {
+    self_open_.envs.push_back(e);
+    return;
+  }
+  PeerChannel& ch = peers_[dest_shard];
+  serialize_msg(ch.batch, e);
   ++ch.batch_count;
 }
 
 rt::Comm::Blobs SocketComm::exchange(std::span<const std::uint64_t> blob) {
-  self_sealed_.insert(self_sealed_.end(),
-                      std::make_move_iterator(self_open_.begin()),
-                      std::make_move_iterator(self_open_.end()));
-  self_open_.clear();
+  self_sealed_.append(self_open_);
   if (data_plane_) {
     // Exactly one kBatch frame per peer per exchange — possibly empty. The
     // receiver counts batches, not messages, so a drain knows when it has
@@ -360,10 +371,8 @@ rt::Comm::Blobs SocketComm::exchange(std::span<const std::uint64_t> blob) {
   return blobs_;
 }
 
-void SocketComm::drain(std::vector<rt::Msg>& out) {
-  out.insert(out.end(), std::make_move_iterator(self_sealed_.begin()),
-             std::make_move_iterator(self_sealed_.end()));
-  self_sealed_.clear();
+void SocketComm::drain(rt::Batch& out) {
+  out.append(self_sealed_);
   for (unsigned i = 0; i < part_.shards(); ++i) {
     if (i == self_) continue;
     PeerChannel& ch = peers_[i];
@@ -373,9 +382,7 @@ void SocketComm::drain(std::vector<rt::Msg>& out) {
                 "transport: expected a kBatch frame on a data link");
       Reader r(f.payload);
       const std::uint32_t count = r.u32();
-      for (std::uint32_t k = 0; k < count; ++k) {
-        out.push_back(deserialize_msg(r));
-      }
+      for (std::uint32_t k = 0; k < count; ++k) deserialize_msg(r, out);
       CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kBatch frame");
       ++ch.batches_consumed;
     }

@@ -73,7 +73,7 @@ class SocketComm final : public rt::Comm {
              Endpoint& control, std::vector<Endpoint> peers,
              obs::WireStats& wire);
 
-  void drain(std::vector<rt::Msg>& out) override;
+  void drain(rt::Batch& out) override;
   Blobs exchange(std::span<const std::uint64_t> blob) override;
   /// Adds every link's byte/frame counters into `s`.
   void account_into(obs::WireStats& s) const;
@@ -82,7 +82,9 @@ class SocketComm final : public rt::Comm {
   [[nodiscard]] std::uint64_t mutation_applied() const { return corrupted_; }
 
  protected:
-  void post(unsigned dest_shard, rt::Msg&& m) override;
+  void post(unsigned dest_shard, const rt::Msg& m,
+            std::span<const rt::RtTask> tasks) override;
+  void post(unsigned dest_shard, const rt::Envelope& e) override;
 
  private:
   struct PeerChannel {
@@ -106,7 +108,7 @@ class SocketComm final : public rt::Comm {
   const bool data_plane_;          // policy kNone without steal/crash sends none
   std::uint64_t data_rounds_ = 0;  // flushing exchanges passed so far
   std::uint64_t remote_transfers_ = 0;  // kTransfer messages serialised
-  std::vector<rt::Msg> self_open_, self_sealed_;  // own-shard messages
+  rt::Batch self_open_, self_sealed_;  // own-shard messages
   std::vector<std::vector<std::uint64_t>> blobs_;
 };
 

@@ -61,38 +61,64 @@ rt::RtTask deserialize_task(Reader& r) {
   return t;
 }
 
-void serialize_msg(Writer& w, const Msg& m) {
-  w.u8(static_cast<std::uint8_t>(m.kind));
+namespace {
+
+void put_record(Writer& w, std::uint8_t kind_byte, const rt::Msg& m,
+                std::span<const rt::RtTask> tasks) {
+  w.u8(kind_byte);
   w.u64(m.key);
   w.u32(m.a);
   w.u32(m.b);
   w.u32(m.c);
-  w.u32(m.from);
-  w.u32(m.to);
-  w.u64(m.due);
-  w.seq_key(m.seq);
-  w.u32(static_cast<std::uint32_t>(m.payload.size()));
-  for (const rt::RtTask& t : m.payload) serialize_task(w, t);
+  w.u32(static_cast<std::uint32_t>(tasks.size()));
+  for (const rt::RtTask& t : tasks) serialize_task(w, t);
 }
 
-Msg deserialize_msg(Reader& r) {
-  Msg m;
-  m.kind = static_cast<rt::MsgKind>(r.u8());
+}  // namespace
+
+void serialize_msg(Writer& w, const rt::Msg& m,
+                   std::span<const rt::RtTask> tasks) {
+  put_record(w, static_cast<std::uint8_t>(m.kind), m, tasks);
+}
+
+void serialize_msg(Writer& w, const rt::Envelope& e) {
+  put_record(w, static_cast<std::uint8_t>(
+                    static_cast<std::uint8_t>(e.msg.kind) | kEnvelopeBit),
+             e.msg, {});
+  w.u32(e.from);
+  w.u32(e.to);
+  w.u64(e.due);
+  w.seq_key(e.seq);
+}
+
+void deserialize_msg(Reader& r, rt::Batch& out) {
+  const std::uint8_t kind_byte = r.u8();
+  rt::Msg m;
+  m.kind = static_cast<rt::MsgKind>(kind_byte & ~kEnvelopeBit);
   CLB_CHECK(m.kind <= rt::MsgKind::kRehome, "unknown message kind on the wire");
   m.key = r.u64();
   m.a = r.u32();
   m.b = r.u32();
   m.c = r.u32();
-  m.from = r.u32();
-  m.to = r.u32();
-  m.due = r.u64();
-  m.seq = r.seq_key();
   const std::uint32_t count = r.u32();
-  m.payload.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    m.payload.push_back(deserialize_task(r));
+  CLB_CHECK(count <= r.remaining() / kTaskWireSize,
+            "message payload count runs past the frame");
+  if ((kind_byte & kEnvelopeBit) != 0) {
+    CLB_CHECK(count == 0, "an envelope record carries a payload");
+    rt::Envelope& e = out.envs.emplace_back();
+    e.msg = m;
+    e.from = r.u32();
+    e.to = r.u32();
+    e.due = r.u64();
+    e.seq = r.seq_key();
+    return;
   }
-  return m;
+  m.task_offset = static_cast<std::uint32_t>(out.tasks.size());
+  m.task_count = count;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    out.tasks.push_back(deserialize_task(r));
+  }
+  out.msgs.push_back(m);
 }
 
 void serialize_params(Writer& w, const core::PhaseParams& p) {

@@ -1,12 +1,14 @@
 // Payload serialisation for the cross-process transport: a bounds-checked
 // little-endian Writer/Reader pair (on top of net::wire), a serialisable
 // load-model spec (the coordinator distributes the spec, each process
-// constructs its own identical model), and the protocol-message encoding.
+// constructs its own identical model), and the kBatch record encoding of
+// the kernel's messages and latency envelopes.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/params.hpp"
@@ -105,11 +107,20 @@ struct ModelSpec {
   [[nodiscard]] static ModelSpec deserialize(Reader& r);
 };
 
-/// One protocol message on the wire: the kernel's own value type.
-using Msg = rt::Msg;
+/// One kBatch record: the kind byte, key, a, b, c, the payload task count
+/// and the tasks; a latency-mode record sets kEnvelopeBit in the kind byte
+/// and appends the envelope (from, to, due, SeqKey). See docs/transport.md.
+inline constexpr std::uint8_t kEnvelopeBit = 0x80;
+inline constexpr std::size_t kTaskWireSize = 16;
 
-void serialize_msg(Writer& w, const Msg& m);
-[[nodiscard]] Msg deserialize_msg(Reader& r);
+void serialize_msg(Writer& w, const rt::Msg& m,
+                   std::span<const rt::RtTask> tasks = {});
+void serialize_msg(Writer& w, const rt::Envelope& e);
+/// Decodes one record into `out`: a message with its payload appended to
+/// out.tasks (span rebased), or an envelope. Aborts on an unknown kind
+/// byte, a payload count that runs past the input, or an envelope with a
+/// payload.
+void deserialize_msg(Reader& r, rt::Batch& out);
 
 void serialize_task(Writer& w, const rt::RtTask& t);
 [[nodiscard]] rt::RtTask deserialize_task(Reader& r);
