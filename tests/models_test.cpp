@@ -2,14 +2,26 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "models/adversarial.hpp"
 #include "models/burst.hpp"
+#include "models/diurnal.hpp"
+#include "models/flash_crowd.hpp"
 #include "models/geometric.hpp"
+#include "models/hetero.hpp"
 #include "models/multi.hpp"
 #include "models/onoff.hpp"
+#include "models/pareto.hpp"
 #include "models/poisson_batch.hpp"
 #include "models/single.hpp"
+#include "models/trace.hpp"
+#include "models/weighted.hpp"
+#include "models/zipf.hpp"
 #include "sim/engine.hpp"
 
 namespace clb::models {
@@ -266,6 +278,167 @@ TEST(Burst, RotationMovesHotGroup) {
   EXPECT_TRUE(m.is_hot(0, 0));
   EXPECT_TRUE(m.is_hot(4, 10));   // window 1 starts at proc 4
   EXPECT_FALSE(m.is_hot(0, 10));
+}
+
+// ---------------------------------------------------------------------------
+// LoadModel::step_actions (the runtime's batched draw) against step_action
+// (the engine's per-processor draw). Two instances of each model see the
+// same calls in the same order, so stateful models (on-off, adversarial)
+// compare too.
+// ---------------------------------------------------------------------------
+
+using Range = std::pair<std::uint64_t, std::uint64_t>;  // [first, first+count)
+using Ranges = std::function<std::vector<Range>(std::uint64_t step)>;
+using Make = std::function<std::unique_ptr<sim::LoadModel>()>;
+
+/// Draws every range of every step through step_actions on one instance
+/// and step_action on the other; `ranges(step)` must tile [0, n) in order.
+void expect_batched_draw_matches(const Make& make, std::uint64_t n,
+                                 std::uint64_t steps, const Ranges& ranges) {
+  const std::unique_ptr<sim::LoadModel> batched = make();
+  const std::unique_ptr<sim::LoadModel> single = make();
+  constexpr std::uint64_t kSeed = 77;
+  std::vector<std::uint64_t> loads(n);
+  for (std::uint64_t step = 0; step < steps; ++step) {
+    std::uint64_t system_load = 0;
+    for (std::uint64_t p = 0; p < n; ++p) {
+      loads[p] = (p * 7 + step * 3) % 11;
+      system_load += loads[p];
+    }
+    std::uint64_t next = 0;
+    for (const auto& [first, count] : ranges(step)) {
+      ASSERT_EQ(first, next) << batched->name() << ": ranges must tile";
+      next = first + count;
+      std::vector<sim::StepAction> out(count);
+      batched->step_actions(kSeed, first, count, step,
+                            {loads.data() + first, count}, system_load, out);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t p = first + i;
+        const sim::StepAction want =
+            single->step_action(kSeed, p, step, loads[p], system_load);
+        ASSERT_EQ(out[i].generate, want.generate)
+            << batched->name() << " proc " << p << " step " << step;
+        ASSERT_EQ(out[i].consume, want.consume)
+            << batched->name() << " proc " << p << " step " << step;
+        ASSERT_EQ(out[i].weight, want.weight)
+            << batched->name() << " proc " << p << " step " << step;
+      }
+    }
+    ASSERT_EQ(next, n) << batched->name() << ": ranges must tile";
+  }
+}
+
+/// Random tilings of [0, n): block sizes 1..300, fresh per step.
+Ranges random_ranges(std::uint64_t n) {
+  return [n](std::uint64_t step) {
+    std::mt19937_64 rng(step * 1000003 + n);
+    std::vector<Range> r;
+    for (std::uint64_t first = 0; first < n;) {
+      const std::uint64_t count = std::min<std::uint64_t>(n - first,
+                                                          1 + rng() % 300);
+      r.emplace_back(first, count);
+      first += count;
+    }
+    return r;
+  };
+}
+
+constexpr std::uint64_t kZooN = 700;
+
+TEST(BatchedDraw, EveryModelMatchesPerProcessorDraws) {
+  const std::vector<Make> all = {
+      [] {
+        AdversarialConfig ac;
+        ac.cap = 4 * kZooN;
+        return std::make_unique<AdversarialModel>(ac, kZooN);
+      },
+      [] { return std::make_unique<BurstModel>(BurstConfig{}, kZooN); },
+      [] {
+        DiurnalConfig dc;
+        dc.proc_skew = 1.0 / kZooN;
+        return std::make_unique<DiurnalModel>(dc);
+      },
+      [] {
+        return std::make_unique<FlashCrowdModel>(FlashCrowdConfig{}, kZooN);
+      },
+      [] { return std::make_unique<GeometricModel>(4); },
+      [] { return std::make_unique<HeteroModel>(HeteroConfig{}); },
+      [] {
+        return std::make_unique<MultiModel>(std::vector<double>{0.6, 0.2, 0.2});
+      },
+      [] { return std::make_unique<OnOffModel>(OnOffConfig{}, kZooN); },
+      [] { return std::make_unique<ParetoModel>(ParetoConfig{}); },
+      [] { return std::make_unique<PoissonBatchModel>(0.5); },
+      [] { return std::make_unique<SingleModel>(0.4, 0.1); },
+      [] {
+        std::vector<std::vector<std::uint32_t>> gen(8), con(8);
+        for (std::uint32_t s = 0; s < 8; ++s) {
+          for (std::uint32_t p = 0; p < kZooN; ++p) {
+            gen[s].push_back((p + s) % 3);
+            con[s].push_back((p * s) % 2);
+          }
+        }
+        return std::make_unique<TraceModel>(std::move(gen), std::move(con));
+      },
+      [] {
+        return std::make_unique<WeightedSingleModel>(
+            0.4, 0.1, std::vector<double>{0.5, 0.25, 0.15, 0.1});
+      },
+      [] {
+        ZipfConfig zc;
+        zc.rotate_period = 5;
+        return std::make_unique<ZipfModel>(zc, kZooN);
+      },
+  };
+  EXPECT_EQ(all.size(), 14u);  // one per model in src/models
+  for (const Make& make : all) {
+    expect_batched_draw_matches(make, kZooN, 40, random_ranges(kZooN));
+  }
+}
+
+// BurstModel's override steps the hot offset instead of recomputing it:
+// pin the edges. n = 100 with 30 hot processors rotating by 30 per window
+// puts window 3's hot group at 90..99 then 0..19, so the group wraps
+// n - 1 -> 0 and the offset wraps at processor 90; windows are 8 steps
+// with a 3-step burst, so step 24 is the first and step 26 the last burst
+// step of window 3, and step 27 the first cold one.
+constexpr std::uint64_t kBurstN = 100;
+
+TEST(BatchedDraw, BurstEdgesAcrossTheRotationWrapAndWindowEnds) {
+  constexpr std::uint64_t n = kBurstN;
+  for (const bool rotate : {true, false}) {
+    BurstConfig bc;
+    bc.period = 8;
+    bc.burst_len = 3;
+    bc.hot_fraction = 0.3;
+    bc.burst_rate = 5;
+    bc.rotate_hotspot = rotate;
+    const Make make = [bc] {
+      return std::make_unique<BurstModel>(bc, kBurstN);
+    };
+    const BurstModel probe(bc, n);
+    if (rotate) {
+      ASSERT_TRUE(probe.is_hot(99, 24) && probe.is_hot(0, 24) &&
+                  probe.is_hot(19, 24) && !probe.is_hot(20, 24) &&
+                  probe.is_hot(90, 24) && !probe.is_hot(89, 24));
+      ASSERT_TRUE(probe.is_hot(90, 26) && !probe.is_hot(90, 27));
+    }
+    // Blocks cut at the hot group's edges and around the wrap.
+    const std::vector<Ranges> tilings = {
+        [](std::uint64_t) {
+          return std::vector<Range>{{0, 1},  {1, 18}, {19, 2}, {21, 68},
+                                    {89, 2}, {91, 8}, {99, 1}};
+        },
+        [](std::uint64_t) { return std::vector<Range>{{0, kBurstN}}; },
+        [](std::uint64_t) {
+          return std::vector<Range>{{0, 25}, {25, 60}, {85, 15}};
+        },
+        random_ranges(n),
+    };
+    for (const Ranges& ranges : tilings) {
+      expect_batched_draw_matches(make, n, 40, ranges);
+    }
+  }
 }
 
 }  // namespace

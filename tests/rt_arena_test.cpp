@@ -1,15 +1,17 @@
 // rt::TaskQueue and rt::TaskArena: the SoA ring's FIFO contract across
 // growth and ring wrap, its hand-written ownership (owned and
-// arena-bound blocks under move), and the per-processor footprint the
-// runtime's sweeps depend on.
+// arena-bound blocks under move), and the per-processor and per-message
+// footprints the runtime's sweeps and exchanges depend on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "rt/arena.hpp"
 #include "rt/config.hpp"
+#include "rt/message.hpp"
 
 namespace {
 
@@ -22,6 +24,11 @@ using clb::rt::TaskQueue;
 // RtProcessor per processor every step and is bandwidth-bound on it.
 static_assert(sizeof(TaskQueue) <= 32, "TaskQueue header grew past 32 bytes");
 static_assert(sizeof(RtProcessor) <= 80, "RtProcessor grew past 80 bytes");
+// Every protocol message is copied into an outbox, out of it, and sorted by
+// key: a record that grows or owns memory slows every exchange.
+static_assert(sizeof(clb::rt::Msg) <= 32 &&
+                  std::is_trivially_copyable_v<clb::rt::Msg>,
+              "rt::Msg grew past 32 bytes or stopped being trivially copyable");
 
 RtTask task(std::uint32_t id) {
   return RtTask{clb::sim::Task{id, id + 1000, id % 7 + 1}, id * 3};
