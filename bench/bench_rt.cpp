@@ -268,12 +268,13 @@ int main(int argc, char** argv) {
         trace_window += *steps + 16;
         rt::Runtime run(cfg, model.get());
         run.run(*steps);
+        const rt::RunResult& res = run.result();
 
         const double secs = std::max(run.wall_seconds(), 1e-9);
         const double rate =
-            static_cast<double>(run.total_consumed()) / secs;
+            static_cast<double>(res.total_consumed()) / secs;
         if (w == workers.front()) base_rate = rate;
-        const stats::IntHistogram soj = run.sojourn_us();
+        const stats::IntHistogram& soj = res.out.sojourn_us;
         const std::uint64_t remote = run.remote_pushes();
         const std::uint64_t self = run.self_pushes();
         const double remote_pct =
@@ -282,9 +283,9 @@ int main(int argc, char** argv) {
                       static_cast<double>(remote + self)
                 : 0.0;
         const double msgs_per_task =
-            run.total_generated() > 0
-                ? static_cast<double>(run.messages().protocol_total()) /
-                      static_cast<double>(run.total_generated())
+            res.total_generated() > 0
+                ? static_cast<double>(res.out.msg.protocol_total()) /
+                      static_cast<double>(res.total_generated())
                 : 0.0;
 
         table.row()
@@ -313,7 +314,7 @@ int main(int argc, char** argv) {
             remote_pct / 100.0;
         rec.metrics().gauge(prefix + "msgs_per_task") = msgs_per_task;
         rec.metrics().gauge(prefix + "consumed") =
-            static_cast<double>(run.total_consumed());
+            static_cast<double>(res.total_consumed());
 
         if (run.telemetry_enabled()) {
           run.export_telemetry(rec.metrics(), prefix + "telemetry.");
@@ -332,7 +333,7 @@ int main(int argc, char** argv) {
                     1);
         }
 
-        if (!run.conservation_holds()) {
+        if (!res.conservation_holds()) {
           std::fprintf(stderr, "FATAL: conservation violated (%s/%s/w%u)\n",
                        model_name.c_str(), policy_name.c_str(), w);
           return 1;
@@ -401,13 +402,14 @@ int main(int argc, char** argv) {
       // the fabric are neither queued nor consumed); step on to the next
       // phase boundary so the conservation check sees a drained fabric.
       for (std::uint64_t extra = 0;
-           run.fabric_in_flight() != 0 && extra < 4096; ++extra) {
+           run.result().fabric_in_flight() != 0 && extra < 4096; ++extra) {
         run.run(1);
       }
+      const rt::RunResult& res = run.result();
 
       std::uint64_t phases = 0, duration = 0, matched = 0, unmatched = 0,
                     forced = 0;
-      for (const rt::RtPhaseSummary& ps : run.phases()) {
+      for (const rt::RtPhaseSummary& ps : res.out.phases) {
         if (!ps.completed || ps.num_heavy == 0) continue;
         ++phases;
         duration += ps.end_step - ps.start_step;
@@ -431,7 +433,7 @@ int main(int argc, char** argv) {
           .cell(mean_dur, 2)
           .cell(match_pct, 2)
           .cell(forced)
-          .cell(run.running_max_load());
+          .cell(res.out.running_max);
 
       const std::string prefix = "exp22.lat" + std::to_string(latency) + ".";
       rec.metrics().gauge(prefix + "phase_duration_mean") = mean_dur;
@@ -444,7 +446,7 @@ int main(int argc, char** argv) {
         telemetry_timeline += run.telemetry_jsonl();
       }
 
-      if (!run.conservation_holds() || run.fabric_in_flight() != 0) {
+      if (!res.conservation_holds() || res.fabric_in_flight() != 0) {
         std::fprintf(stderr,
                      "FATAL: latency-sweep invariants violated (lat=%u)\n",
                      latency);
@@ -521,13 +523,14 @@ int main(int argc, char** argv) {
         }
         run.run(*lat_steps - done);
         for (std::uint64_t extra = 0;
-             run.fabric_in_flight() != 0 && extra < 4096; ++extra) {
+             run.result().fabric_in_flight() != 0 && extra < 4096; ++extra) {
           run.run(1);
         }
+        const rt::RunResult& res = run.result();
 
         std::uint64_t phases = 0, duration = 0, matched = 0, unmatched = 0,
                       forced = 0;
-        for (const rt::RtPhaseSummary& ps : run.phases()) {
+        for (const rt::RtPhaseSummary& ps : res.out.phases) {
           if (!ps.completed || ps.num_heavy == 0) continue;
           ++phases;
           duration += ps.end_step - ps.start_step;
@@ -552,9 +555,9 @@ int main(int argc, char** argv) {
             .cell(mean_dur, 2)
             .cell(match_pct, 2)
             .cell(forced)
-            .cell(run.fabric_retransmits())
-            .cell(run.fabric_dup_suppressed())
-            .cell(run.fabric_queued_delay());
+            .cell(res.out.retransmits)
+            .cell(res.out.dup_suppressed)
+            .cell(res.out.queued_delay);
 
         const std::string prefix = "exp24.loss" + std::to_string(loss) +
                                    ".bw" + std::to_string(bw) + ".";
@@ -563,18 +566,18 @@ int main(int argc, char** argv) {
         rec.metrics().gauge(prefix + "match_pct") = match_pct;
         rec.metrics().gauge(prefix + "forced") = static_cast<double>(forced);
         rec.metrics().gauge(prefix + "retransmits") =
-            static_cast<double>(run.fabric_retransmits());
+            static_cast<double>(res.out.retransmits);
         rec.metrics().gauge(prefix + "dup_suppressed") =
-            static_cast<double>(run.fabric_dup_suppressed());
+            static_cast<double>(res.out.dup_suppressed);
         rec.metrics().gauge(prefix + "queued_delay") =
-            static_cast<double>(run.fabric_queued_delay());
+            static_cast<double>(res.out.queued_delay);
 
         if (run.telemetry_enabled()) {
           run.export_telemetry(rec.metrics(), prefix + "telemetry.");
           telemetry_timeline += run.telemetry_jsonl();
         }
 
-        if (!run.conservation_holds() || run.fabric_in_flight() != 0) {
+        if (!res.conservation_holds() || res.fabric_in_flight() != 0) {
           std::fprintf(stderr,
                        "FATAL: link-sweep invariants violated "
                        "(loss=%u bw=%u)\n",
@@ -625,42 +628,43 @@ int main(int argc, char** argv) {
       trace_window += *zoo_steps + 16;
       rt::Runtime run(cfg, model.get());
       run.run(*zoo_steps);
+      const rt::RunResult& res = run.result();
 
       const double final_mean =
-          static_cast<double>(run.total_load()) / static_cast<double>(*n);
-      const std::uint64_t moved = run.messages().tasks_moved;
+          static_cast<double>(res.total_load()) / static_cast<double>(*n);
+      const std::uint64_t moved = res.out.msg.tasks_moved;
       const double msgs_per_task =
-          run.total_generated() > 0
-              ? static_cast<double>(run.messages().protocol_total()) /
-                    static_cast<double>(run.total_generated())
+          res.total_generated() > 0
+              ? static_cast<double>(res.out.msg.protocol_total()) /
+                    static_cast<double>(res.total_generated())
               : 0.0;
 
       zt.row()
           .cell(model_name)
           .cell(policy_name)
-          .cell(run.running_max_load())
+          .cell(res.out.running_max)
           .cell(final_mean, 2)
           .cell(moved)
           .cell(msgs_per_task, 4)
-          .cell(run.total_consumed())
-          .cell(run.rehomed_tasks());
+          .cell(res.total_consumed())
+          .cell(res.out.rehomed_tasks);
 
       const std::string gp = "exp25." + prefix + ".";
       rec.metrics().gauge(gp + "max_load") =
-          static_cast<double>(run.running_max_load());
+          static_cast<double>(res.out.running_max);
       rec.metrics().gauge(gp + "final_mean_load") = final_mean;
       rec.metrics().gauge(gp + "tasks_moved") = static_cast<double>(moved);
       rec.metrics().gauge(gp + "msgs_per_task") = msgs_per_task;
       rec.metrics().gauge(gp + "consumed") =
-          static_cast<double>(run.total_consumed());
+          static_cast<double>(res.total_consumed());
       if (!crashes.empty()) {
         rec.metrics().gauge(gp + "rehomed_tasks") =
-            static_cast<double>(run.rehomed_tasks());
+            static_cast<double>(res.out.rehomed_tasks);
         rec.metrics().gauge(gp + "rehomed_events") =
-            static_cast<double>(run.rehomed_events());
+            static_cast<double>(res.out.rehomed_events);
       }
 
-      if (!run.conservation_holds()) {
+      if (!res.conservation_holds()) {
         std::fprintf(stderr, "FATAL: zoo conservation violated (%s/%s)\n",
                      model_name.c_str(), policy_name.c_str());
         return false;
@@ -735,10 +739,11 @@ int main(int argc, char** argv) {
           trace_window += *grid_steps + 16;
           rt::Runtime run(cfg, model.get());
           run.run(*grid_steps);
+          const rt::RunResult& res = run.result();
 
           const double secs = std::max(run.wall_seconds(), 1e-9);
           const double rate =
-              static_cast<double>(run.total_consumed()) / secs;
+              static_cast<double>(res.total_consumed()) / secs;
           const double arena_mb =
               static_cast<double>(run.arena_bytes_used()) / (1024.0 * 1024.0);
 
@@ -747,9 +752,9 @@ int main(int argc, char** argv) {
               .cell(gw)
               .cell(layout_names[layout])
               .cell(rate, 0)
-              .cell(run.total_consumed())
-              .cell(run.running_max_load())
-              .cell(run.steal_events())
+              .cell(res.total_consumed())
+              .cell(res.out.running_max)
+              .cell(res.out.steal_events)
               .cell(arena_mb, 1);
 
           const std::string prefix = "exp27.n" + std::to_string(gn) + ".w" +
@@ -758,19 +763,19 @@ int main(int argc, char** argv) {
           rec.metrics().gauge(prefix + "tasks_per_sec") = rate;
           rec.metrics().gauge(prefix + "wall_seconds") = secs;
           rec.metrics().gauge(prefix + "consumed") =
-              static_cast<double>(run.total_consumed());
+              static_cast<double>(res.total_consumed());
           rec.metrics().gauge(prefix + "max_load") =
-              static_cast<double>(run.running_max_load());
+              static_cast<double>(res.out.running_max);
           rec.metrics().gauge(prefix + "arena_bytes") =
               static_cast<double>(run.arena_bytes_used());
           if (layout == 1) {
             rec.metrics().gauge(prefix + "steal_events") =
-                static_cast<double>(run.steal_events());
+                static_cast<double>(res.out.steal_events);
             rec.metrics().gauge(prefix + "stolen_tasks") =
-                static_cast<double>(run.stolen_tasks());
+                static_cast<double>(res.out.stolen_tasks);
           }
 
-          if (!run.conservation_holds()) {
+          if (!res.conservation_holds()) {
             std::fprintf(stderr,
                          "FATAL: scaling-grid conservation violated "
                          "(n=%llu w=%llu %s)\n",
@@ -782,12 +787,12 @@ int main(int argc, char** argv) {
           GridSig& sig = layout == 1 ? steal_sig : nosteal_sig;
           if (!sig.set) {
             sig.set = true;
-            sig.consumed = run.total_consumed();
-            sig.max_load = run.running_max_load();
-            sig.total_load = run.total_load();
-          } else if (sig.consumed != run.total_consumed() ||
-                     sig.max_load != run.running_max_load() ||
-                     sig.total_load != run.total_load()) {
+            sig.consumed = res.total_consumed();
+            sig.max_load = res.out.running_max;
+            sig.total_load = res.total_load();
+          } else if (sig.consumed != res.total_consumed() ||
+                     sig.max_load != res.out.running_max ||
+                     sig.total_load != res.total_load()) {
             std::fprintf(stderr,
                          "FATAL: scaling-grid worker counts diverged "
                          "(n=%llu w=%llu %s)\n",

@@ -104,9 +104,10 @@ Outcome run_inproc(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
   drive(run, steps, seed, n);
   Outcome o;
   o.wall = run.wall_seconds();
-  o.consumed = run.total_consumed();
-  o.sojourn_us = run.sojourn_us();
-  o.running_max = run.running_max_load();
+  const rt::RunResult& res = run.result();
+  o.consumed = res.total_consumed();
+  o.sojourn_us = res.out.sojourn_us;
+  o.running_max = res.out.running_max;
   return o;
 }
 
@@ -119,9 +120,10 @@ Outcome run_process(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
   drive(run, steps, seed, n);
   Outcome o;
   o.wall = run.wall_seconds();
-  o.consumed = run.total_consumed();
-  o.sojourn_us = run.sojourn_us();
-  o.running_max = run.running_max_load();
+  const rt::RunResult& res = run.result();
+  o.consumed = res.total_consumed();
+  o.sojourn_us = res.out.sojourn_us;
+  o.running_max = res.out.running_max;
   o.wire = run.wire_stats();
   return o;
 }

@@ -62,23 +62,24 @@ Row run_policy(const std::string& policy, std::uint64_t n,
   clb::rt::Runtime run(cfg, &model);
   run.run(steps);
 
-  const clb::stats::IntHistogram soj = run.sojourn_us();
+  const clb::rt::RunResult& res = run.result();
+  const clb::stats::IntHistogram& soj = res.out.sojourn_us;
   const std::uint64_t remote = run.remote_pushes();
   const std::uint64_t self = run.self_pushes();
   return Row{
       policy,
-      static_cast<double>(run.total_consumed()) /
+      static_cast<double>(res.total_consumed()) /
           (run.wall_seconds() > 0 ? run.wall_seconds() : 1e-9),
-      run.running_max_load(),
+      res.out.running_max,
       soj.quantile(0.50),
       soj.quantile(0.99),
       remote + self > 0 ? 100.0 * static_cast<double>(remote) /
                               static_cast<double>(remote + self)
                         : 0.0,
-      run.total_generated() > 0
-          ? static_cast<double>(run.messages().protocol_total() +
-                                run.messages().control) /
-                static_cast<double>(run.total_generated())
+      res.total_generated() > 0
+          ? static_cast<double>(res.out.msg.protocol_total() +
+                                res.out.msg.control) /
+                static_cast<double>(res.total_generated())
           : 0.0};
 }
 

@@ -119,7 +119,8 @@ struct RtConfig {
   /// of the ordinal kinds (k >= 1) and is 0 for the rest:
   ///   mailbox-drop   drop the k-th kTransfer in canonical (step, source)
   ///                  order — prefix-scanned across shards, so the victim is
-  ///                  the same at every worker count (see dropped_log()).
+  ///                  the same at every worker count (see
+  ///                  ShardOutputs::dropped).
   ///                  The sender's books (pop, counters, ledger) stay.
   ///   delay-skew     deliver the shard's k-th fabric send one superstep
   ///                  early (latency >= 1; no-op when its delay is 1).
@@ -134,9 +135,9 @@ struct RtConfig {
   ///                  stale snapshot.
   ///   steal-duplicate-task  a steal clones the newest task of its batch
   ///                  back onto the victim.
-  /// Each run-changing firing bumps the mutation_applied() witness. The
-  /// engine-only kinds (drop-task, dup-task, reorder, phantom-msg) are
-  /// refused: they inject through sim::Engine.
+  /// Each run-changing firing bumps the ShardOutputs::mutation_applied
+  /// witness. The engine-only kinds (drop-task, dup-task, reorder,
+  /// phantom-msg) are refused: they inject through sim::Engine.
   sim::MutationKind mutation = sim::MutationKind::kNone;
   std::uint64_t mutation_ordinal = 0;
   /// Per-worker hot-path telemetry (obs::WorkerTelemetry): superstep and
@@ -159,6 +160,8 @@ struct LedgerEntry {
   std::uint32_t from = 0;
   std::uint32_t to = 0;
   std::uint32_t count = 0;
+
+  bool operator==(const LedgerEntry&) const = default;
 };
 
 /// The canonical ledger order: (step, from, to), then count — a steal and a

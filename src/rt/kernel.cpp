@@ -60,29 +60,6 @@ Envelope envelope(MsgKind kind, std::uint32_t from, std::uint32_t to,
 
 }  // namespace
 
-void ShardOutputs::merge(const ShardOutputs& o) {
-  msg += o.msg;
-  clamped += o.clamped;
-  deposited += o.deposited;
-  ledger.insert(ledger.end(), o.ledger.begin(), o.ledger.end());
-  dropped.insert(dropped.end(), o.dropped.begin(), o.dropped.end());
-  dropped_tasks += o.dropped_tasks;
-  sojourn_steps.merge(o.sojourn_steps);
-  sojourn_us.merge(o.sojourn_us);
-  running_max = std::max(running_max, o.running_max);
-  phases.insert(phases.end(), o.phases.begin(), o.phases.end());
-  steal_events += o.steal_events;
-  stolen_tasks += o.stolen_tasks;
-  rehomed_tasks += o.rehomed_tasks;
-  rehomed_events += o.rehomed_events;
-  fab_sent += o.fab_sent;
-  fab_delivered += o.fab_delivered;
-  retransmits += o.retransmits;
-  dup_suppressed += o.dup_suppressed;
-  queued_delay += o.queued_delay;
-  mutation_applied += o.mutation_applied;
-}
-
 ShardKernel::ShardKernel(const RtConfig& cfg, sim::LoadModel* model,
                          Comm& comm, std::span<RtProcessor> procs,
                          Clock::time_point origin, bool telemetry)
@@ -153,6 +130,15 @@ void ShardKernel::sync_outputs() {
   out_.retransmits = links_.retransmits();
   out_.dup_suppressed = links_.dup_suppressed();
   out_.queued_delay = links_.queued_delay();
+}
+
+void ShardKernel::release_logs() {
+  // Fresh objects, not `= {}`: that is the vector's initializer-list
+  // assignment, which keeps the capacity.
+  out_.ledger = std::vector<LedgerEntry>();
+  out_.dropped = std::vector<LedgerEntry>();
+  out_.sojourn_steps = stats::IntHistogram();
+  out_.sojourn_us = stats::IntHistogram();
 }
 
 // ---------------------------------------------------------------------------

@@ -42,41 +42,11 @@
 #include "obs/telemetry.hpp"
 #include "rt/comm.hpp"
 #include "rt/config.hpp"
-#include "sim/counters.hpp"
+#include "rt/result.hpp"
 #include "sim/model.hpp"
 #include "sim/steal.hpp"
-#include "stats/histogram.hpp"
 
 namespace clb::rt {
-
-/// Everything a shard produces that outlives a run: summed, concatenated or
-/// merged across shards by both substrates (ShardOutputs::merge). Phase log
-/// and running max are written by shard 0 only.
-struct ShardOutputs {
-  sim::MessageCounters msg;
-  std::uint64_t clamped = 0;
-  std::uint64_t deposited = 0;
-  std::vector<LedgerEntry> ledger;
-  std::vector<LedgerEntry> dropped;  // mailbox-drop victims
-  std::uint64_t dropped_tasks = 0;
-  stats::IntHistogram sojourn_steps;
-  stats::IntHistogram sojourn_us;
-  std::uint64_t running_max = 0;
-  std::vector<RtPhaseSummary> phases;
-  std::uint64_t steal_events = 0;  // own-victim steal batches shipped
-  std::uint64_t stolen_tasks = 0;  // tasks those batches carried
-  std::uint64_t rehomed_tasks = 0;
-  std::uint64_t rehomed_events = 0;
-  std::uint64_t fab_sent = 0;       // latency: messages put on the fabric
-  std::uint64_t fab_delivered = 0;  // ... matured or discarded
-  std::uint64_t retransmits = 0;    // link model (latency mode)
-  std::uint64_t dup_suppressed = 0;
-  std::uint64_t queued_delay = 0;
-  /// RtConfig::mutation firings that changed the run (the witness).
-  std::uint64_t mutation_applied = 0;
-
-  void merge(const ShardOutputs& o);
-};
 
 class ShardKernel {
  public:
@@ -98,6 +68,10 @@ class ShardKernel {
   /// Flushes the link-model counters into outputs() (between runs).
   void sync_outputs();
   [[nodiscard]] const ShardOutputs& outputs() const { return out_; }
+  /// Empties the append-only parts of outputs() (ledger, dropped log, both
+  /// sojourn histograms) once the caller has merged them, so they are never
+  /// held twice (between runs; see Runtime::result).
+  void release_logs();
   [[nodiscard]] const obs::WorkerTelemetry& telemetry() const {
     return telem_;
   }

@@ -102,6 +102,7 @@ void Runtime::run(std::uint64_t steps) {
           .count();
   step_base_ += steps;
   for (auto& w : workers_) w->kernel.sync_outputs();
+  result_fresh_ = false;
 }
 
 void Runtime::worker_main(Worker& w) {
@@ -118,87 +119,32 @@ void Runtime::worker_main(Worker& w) {
 void Runtime::deposit(std::uint32_t p, sim::Task t) {
   CLB_CHECK(p < cfg_.n, "deposit target out of range");
   workers_[part_.owner_of(p)]->kernel.deposit(p, t);
+  result_fresh_ = false;
 }
 
 // ---- main-thread aggregation ----
 
-std::uint64_t Runtime::sum(std::uint64_t ShardOutputs::*field) const {
-  std::uint64_t s = 0;
-  for (const auto& w : workers_) s += w->kernel.outputs().*field;
-  return s;
-}
-
-const std::vector<RtPhaseSummary>& Runtime::phases() const {
-  return workers_[0]->kernel.outputs().phases;
-}
-
-std::uint64_t Runtime::total_load() const {
-  std::uint64_t s = 0;
-  for (const auto& p : procs_) s += p.queue.size();
-  return s;
-}
-
-std::uint64_t Runtime::total_generated() const {
-  std::uint64_t s = 0;
-  for (const auto& p : procs_) s += p.generated;
-  return s;
-}
-
-std::uint64_t Runtime::total_consumed() const {
-  std::uint64_t s = 0;
-  for (const auto& p : procs_) s += p.consumed;
-  return s;
-}
-
-bool Runtime::conservation_holds() const {
-  return total_generated() + sum(&ShardOutputs::deposited) ==
-         total_consumed() + total_load() + dropped_tasks();
-}
-
-sim::MessageCounters Runtime::messages() const {
-  sim::MessageCounters total;
-  for (const auto& w : workers_) total += w->kernel.outputs().msg;
-  return total;
-}
-
-std::uint64_t Runtime::clamped_transfers() const {
-  return sum(&ShardOutputs::clamped);
-}
-
-std::vector<LedgerEntry> Runtime::ledger() const {
-  std::vector<LedgerEntry> all;
+const RunResult& Runtime::result() const {
+  if (result_fresh_) return result_;
+  // The kernels hand their logs over at every merge (release_logs), so the
+  // result holds the only copy: start from the previous result's logs and
+  // merge what each kernel appended since. Steps only grow from one run()
+  // to the next, so sorting the appended tail keeps the logs canonical.
+  ShardOutputs out;
+  out.ledger = std::move(result_.out.ledger);
+  out.dropped = std::move(result_.out.dropped);
+  out.sojourn_steps = std::move(result_.out.sojourn_steps);
+  out.sojourn_us = std::move(result_.out.sojourn_us);
+  const std::size_t ledger_from = out.ledger.size();
+  const std::size_t dropped_from = out.dropped.size();
   for (const auto& w : workers_) {
-    const auto& l = w->kernel.outputs().ledger;
-    all.insert(all.end(), l.begin(), l.end());
+    out.merge(w->kernel.outputs());
+    w->kernel.release_logs();
   }
-  std::sort(all.begin(), all.end(), ledger_less);
-  return all;
-}
-
-std::uint64_t Runtime::dropped_tasks() const {
-  return sum(&ShardOutputs::dropped_tasks);
-}
-
-std::vector<LedgerEntry> Runtime::dropped_log() const {
-  std::vector<LedgerEntry> all;
-  for (const auto& w : workers_) {
-    const auto& d = w->kernel.outputs().dropped;
-    all.insert(all.end(), d.begin(), d.end());
-  }
-  std::sort(all.begin(), all.end(), ledger_less);
-  return all;
-}
-
-stats::IntHistogram Runtime::sojourn_steps() const {
-  stats::IntHistogram h;
-  for (const auto& w : workers_) h.merge(w->kernel.outputs().sojourn_steps);
-  return h;
-}
-
-stats::IntHistogram Runtime::sojourn_us() const {
-  stats::IntHistogram h;
-  for (const auto& w : workers_) h.merge(w->kernel.outputs().sojourn_us);
-  return h;
+  out.sort_logs(ledger_from, dropped_from);
+  result_ = RunResult{procs_, std::move(out), step_base_};
+  result_fresh_ = true;
+  return result_;
 }
 
 std::uint64_t Runtime::remote_pushes() const {
@@ -211,34 +157,6 @@ std::uint64_t Runtime::self_pushes() const {
   std::uint64_t s = 0;
   for (const auto& w : workers_) s += w->comm.self_pushes();
   return s;
-}
-
-std::uint64_t Runtime::fabric_sent() const {
-  return sum(&ShardOutputs::fab_sent);
-}
-
-std::uint64_t Runtime::fabric_in_flight() const {
-  return fabric_sent() - sum(&ShardOutputs::fab_delivered);
-}
-
-std::uint64_t Runtime::fabric_retransmits() const {
-  return sum(&ShardOutputs::retransmits);
-}
-
-std::uint64_t Runtime::fabric_dup_suppressed() const {
-  return sum(&ShardOutputs::dup_suppressed);
-}
-
-std::uint64_t Runtime::fabric_queued_delay() const {
-  return sum(&ShardOutputs::queued_delay);
-}
-
-std::uint64_t Runtime::steal_events() const {
-  return sum(&ShardOutputs::steal_events);
-}
-
-std::uint64_t Runtime::stolen_tasks() const {
-  return sum(&ShardOutputs::stolen_tasks);
 }
 
 std::uint64_t Runtime::arena_bytes_used() const {

@@ -24,6 +24,7 @@
 #include "rt/comm.hpp"
 #include "rt/config.hpp"
 #include "rt/kernel.hpp"
+#include "rt/result.hpp"
 #include "sim/counters.hpp"
 #include "sim/model.hpp"
 #include "stats/histogram.hpp"
@@ -56,39 +57,12 @@ class Runtime {
     return static_cast<unsigned>(workers_.size());
   }
   [[nodiscard]] std::uint64_t step() const { return step_base_; }
-  [[nodiscard]] std::uint64_t load(std::uint64_t p) const {
-    return processor(p).queue.size();
-  }
-  [[nodiscard]] const RtProcessor& processor(std::uint64_t p) const {
-    check_processor(p, cfg_.n, "Runtime::processor");
-    return procs_[p];
-  }
-  [[nodiscard]] std::uint64_t total_load() const;
-  [[nodiscard]] std::uint64_t total_generated() const;
-  [[nodiscard]] std::uint64_t total_consumed() const;
-  [[nodiscard]] std::uint64_t running_max_load() const {
-    return sum(&ShardOutputs::running_max);
-  }
-  /// generated + deposited == consumed + queued + dropped? Count-based only
-  /// — identity-blind, which is precisely why the fuzzer's FIFO oracle and
-  /// not this check must convict the mailbox-drop mutation.
-  [[nodiscard]] bool conservation_holds() const;
 
-  /// Message counters summed over workers (same attribution rules as the
-  /// simulator: queries/accepts/ids/control from the protocol, transfers
-  /// and tasks_moved from applied transfers).
-  [[nodiscard]] sim::MessageCounters messages() const;
-  [[nodiscard]] std::uint64_t clamped_transfers() const;
-
-  /// All applied transfers, sorted by (step, from, to). Within one step
-  /// sources are unique, so this order is canonical and directly comparable
-  /// against the engine's per-step pending-transfer capture.
-  [[nodiscard]] std::vector<LedgerEntry> ledger() const;
-
-  [[nodiscard]] const std::vector<RtPhaseSummary>& phases() const;
-
-  [[nodiscard]] stats::IntHistogram sojourn_steps() const;
-  [[nodiscard]] stats::IntHistogram sojourn_us() const;
+  /// The run's outcome: the processors, every worker's outputs merged and
+  /// canonically sorted (ShardOutputs::merge + sort_logs), the step count.
+  /// Built on the first call after a run()/deposit() and cached; valid
+  /// until the next run()/deposit() or the runtime's destruction.
+  [[nodiscard]] const RunResult& result() const;
 
   /// Wall-clock seconds spent inside run() so far.
   [[nodiscard]] double wall_seconds() const { return wall_seconds_; }
@@ -98,28 +72,59 @@ class Runtime {
   [[nodiscard]] std::uint64_t remote_pushes() const;
   [[nodiscard]] std::uint64_t self_pushes() const;
 
-  /// Fault-injection witness: RtConfig::mutation firings that changed the
-  /// run (a dropped transfer, a moved delivery step, a lost first attempt,
-  /// a filed duplicate, a cleared non-empty queue, a divergent stale-sq
-  /// step, a cloned steal task). 0 when no mutation is set.
-  [[nodiscard]] std::uint64_t mutation_applied() const {
-    return sum(&ShardOutputs::mutation_applied);
+  // Forwards to result() for benchmark/clb_bench.cpp only; they go when the
+  // benchmark next changes. New code reads result().
+  [[nodiscard]] std::uint64_t total_load() const {
+    return result().total_load();
   }
-  /// Tasks the mailbox-drop mutation destroyed, booked so that
-  /// conservation_holds() still balances.
-  [[nodiscard]] std::uint64_t dropped_tasks() const;
-  /// The dropped victims themselves, sorted like ledger() — in
-  /// deterministic mode the victim identity is worker-count-invariant.
-  [[nodiscard]] std::vector<LedgerEntry> dropped_log() const;
-
-  /// Latency-mode fabric counters (0 in instant mode).
-  [[nodiscard]] std::uint64_t fabric_sent() const;
-  [[nodiscard]] std::uint64_t fabric_in_flight() const;
-  /// Link-model counters summed over workers (all 0 on an unshaped fabric;
-  /// comparable against dist::Network's identically-named stats).
-  [[nodiscard]] std::uint64_t fabric_retransmits() const;
-  [[nodiscard]] std::uint64_t fabric_dup_suppressed() const;
-  [[nodiscard]] std::uint64_t fabric_queued_delay() const;
+  [[nodiscard]] std::uint64_t total_generated() const {
+    return result().total_generated();
+  }
+  [[nodiscard]] std::uint64_t total_consumed() const {
+    return result().total_consumed();
+  }
+  [[nodiscard]] std::uint64_t running_max_load() const {
+    return result().out.running_max;
+  }
+  [[nodiscard]] bool conservation_holds() const {
+    return result().conservation_holds();
+  }
+  [[nodiscard]] const sim::MessageCounters& messages() const {
+    return result().out.msg;
+  }
+  [[nodiscard]] std::uint64_t clamped_transfers() const {
+    return result().out.clamped;
+  }
+  [[nodiscard]] const std::vector<LedgerEntry>& ledger() const {
+    return result().out.ledger;
+  }
+  [[nodiscard]] const std::vector<RtPhaseSummary>& phases() const {
+    return result().out.phases;
+  }
+  [[nodiscard]] const stats::IntHistogram& sojourn_steps() const {
+    return result().out.sojourn_steps;
+  }
+  [[nodiscard]] const stats::IntHistogram& sojourn_us() const {
+    return result().out.sojourn_us;
+  }
+  [[nodiscard]] std::uint64_t steal_events() const {
+    return result().out.steal_events;
+  }
+  [[nodiscard]] std::uint64_t stolen_tasks() const {
+    return result().out.stolen_tasks;
+  }
+  [[nodiscard]] std::uint64_t fabric_sent() const {
+    return result().out.fab_sent;
+  }
+  [[nodiscard]] std::uint64_t fabric_retransmits() const {
+    return result().out.retransmits;
+  }
+  [[nodiscard]] std::uint64_t fabric_queued_delay() const {
+    return result().out.queued_delay;
+  }
+  [[nodiscard]] std::uint64_t fabric_in_flight() const {
+    return result().fabric_in_flight();
+  }
 
   // ---- telemetry (RtConfig::telemetry; all readable between runs) ----
   /// True when telemetry was requested AND compiled in.
@@ -145,24 +150,6 @@ class Runtime {
   /// hook the fuzzer's load spikes use, mirroring sim::Engine::deposit.
   void deposit(std::uint32_t p, sim::Task t);
 
-  // ---- crash/recovery bookkeeping (RtConfig::crashes) ----
-  /// Tasks moved off crashed processors so far; mirrors
-  /// sim::Engine::rehomed_tasks (re-homes are queue moves, booked here and
-  /// nowhere else — not in the ledger or message counters).
-  [[nodiscard]] std::uint64_t rehomed_tasks() const {
-    return sum(&ShardOutputs::rehomed_tasks);
-  }
-  [[nodiscard]] std::uint64_t rehomed_events() const {
-    return sum(&ShardOutputs::rehomed_events);
-  }
-
-  // ---- work stealing (RtConfig::steal) ---------------------------------
-  /// Thief/victim pairs executed and tasks moved by the steal pass (steals
-  /// ship as regular kTransfer messages, so they also appear in ledger(),
-  /// messages().transfers and tasks_moved — same attribution as the engine).
-  [[nodiscard]] std::uint64_t steal_events() const;
-  [[nodiscard]] std::uint64_t stolen_tasks() const;
-
   // ---- queue storage ---------------------------------------------------
   /// Bytes bump-allocated across all per-worker queue arenas.
   [[nodiscard]] std::uint64_t arena_bytes_used() const;
@@ -171,7 +158,6 @@ class Runtime {
   struct Worker;
 
   void worker_main(Worker& w);
-  [[nodiscard]] std::uint64_t sum(std::uint64_t ShardOutputs::*field) const;
 
   RtConfig cfg_;
   sim::LoadModel* model_;
@@ -195,6 +181,10 @@ class Runtime {
 
   std::string telemetry_jsonl_;  // shard-0-written between snapshot exchanges
   double wall_seconds_ = 0;
+
+  // result()'s cache, dropped by run() and deposit().
+  mutable RunResult result_;
+  mutable bool result_fresh_ = false;
 };
 
 }  // namespace clb::rt

@@ -22,7 +22,6 @@
 
 #include "core/params.hpp"
 #include "dist/dist_balancer.hpp"
-#include "rng/splitmix64.hpp"
 #include "rt/runtime.hpp"
 #include "sim/engine.hpp"
 #include "testing/oracle.hpp"
@@ -108,7 +107,7 @@ void apply_rt_faults(const Scenario& s, rt::Runtime& run, std::uint64_t step) {
 }
 
 /// Element-wise queue comparison (the FIFO/identity oracle).
-bool queues_match(const sim::Engine& eng, const rt::Runtime& run,
+bool queues_match(const sim::Engine& eng, const rt::RunResult& run,
                   std::uint64_t* bad_proc, std::string* what) {
   for (std::uint64_t p = 0; p < eng.n(); ++p) {
     const sim::Processor& sp = eng.processor(p);
@@ -131,33 +130,6 @@ bool queues_match(const sim::Engine& eng, const rt::Runtime& run,
     }
   }
   return true;
-}
-
-/// Order-insensitive state fingerprint for the determinism replay.
-std::uint64_t fingerprint(const rt::Runtime& run) {
-  std::uint64_t h = 0x5254464E47ULL;  // "RTFNG"
-  for (std::uint64_t p = 0; p < run.n(); ++p) {
-    const rt::RtProcessor& proc = run.processor(p);
-    h = rng::hash_combine(h, proc.queue.size());
-    for (const rt::RtTask& t : proc.queue) {
-      h = rng::hash_combine(h, (static_cast<std::uint64_t>(t.task.birth_step)
-                                << 32) |
-                                   t.task.origin);
-    }
-    h = rng::hash_combine(h, proc.tasks_sent);
-    h = rng::hash_combine(h, proc.tasks_received);
-    h = rng::hash_combine(h, proc.consumed);
-  }
-  const sim::MessageCounters m = run.messages();
-  h = rng::hash_combine(h, m.protocol_total());
-  h = rng::hash_combine(h, m.transfers);
-  h = rng::hash_combine(h, m.tasks_moved);
-  for (const rt::LedgerEntry& e : run.ledger()) {
-    h = rng::hash_combine(h, (static_cast<std::uint64_t>(e.from) << 32) |
-                                 e.to);
-    h = rng::hash_combine(h, (e.step << 16) | e.count);
-  }
-  return h;
 }
 
 OracleReport run_against_engine(const Scenario& s) {
@@ -223,15 +195,15 @@ OracleReport run_against_engine(const Scenario& s) {
     main.run->run(1);
     eng.step_once();
 
-    if (!main.run->conservation_holds()) {
+    const rt::RunResult& res = main.run->result();
+    if (!res.conservation_holds()) {
       return OracleReport::failure(
           step, "runtime count conservation violated: generated + deposited "
                 "!= consumed + queued + dropped");
     }
-    if (main.run->total_load() != eng.total_load()) {
+    if (res.total_load() != eng.total_load()) {
       return OracleReport::failure(
-          step, "runtime total load " +
-                    std::to_string(main.run->total_load()) +
+          step, "runtime total load " + std::to_string(res.total_load()) +
                     " != engine total load " +
                     std::to_string(eng.total_load()));
     }
@@ -241,7 +213,7 @@ OracleReport run_against_engine(const Scenario& s) {
     if (step % 8 == 7 || step + 1 == s.steps) {
       std::uint64_t bad_proc = 0;
       std::string what;
-      if (!queues_match(eng, *main.run, &bad_proc, &what)) {
+      if (!queues_match(eng, res, &bad_proc, &what)) {
         return OracleReport::failure(
             step, "FIFO/identity divergence on processor " +
                       std::to_string(bad_proc) + ": " + what);
@@ -249,23 +221,24 @@ OracleReport run_against_engine(const Scenario& s) {
     }
   }
 
+  const rt::RunResult& res = main.run->result();
   const sim::MessageCounters& em = eng.messages();
-  const sim::MessageCounters rm = main.run->messages();
+  const sim::MessageCounters& rm = res.out.msg;
   if (em.queries != rm.queries || em.accepts != rm.accepts ||
       em.id_messages != rm.id_messages || em.control != rm.control ||
       em.transfers != rm.transfers || em.tasks_moved != rm.tasks_moved) {
     return OracleReport::failure(s.steps,
                                  "message counters diverge from engine");
   }
-  if (eng.clamped_transfers() != main.run->clamped_transfers()) {
+  if (eng.clamped_transfers() != res.out.clamped) {
     return OracleReport::failure(s.steps, "clamped-transfer counts diverge");
   }
-  if (eng.rehomed_tasks() != main.run->rehomed_tasks() ||
-      eng.rehomed_events() != main.run->rehomed_events()) {
+  if (eng.rehomed_tasks() != res.out.rehomed_tasks ||
+      eng.rehomed_events() != res.out.rehomed_events) {
     return OracleReport::failure(
         s.steps, "crash re-home accounting diverges from engine (" +
-                     std::to_string(main.run->rehomed_tasks()) + "/" +
-                     std::to_string(main.run->rehomed_events()) + " vs " +
+                     std::to_string(res.out.rehomed_tasks) + "/" +
+                     std::to_string(res.out.rehomed_events) + " vs " +
                      std::to_string(eng.rehomed_tasks()) + "/" +
                      std::to_string(eng.rehomed_events()) + ")");
   }
@@ -285,7 +258,7 @@ OracleReport run_against_engine(const Scenario& s) {
               if (a.to != b.to) return a.to < b.to;
               return a.count < b.count;
             });
-  const std::vector<rt::LedgerEntry> rt_ledger = main.run->ledger();
+  const std::vector<rt::LedgerEntry>& rt_ledger = res.out.ledger;
   if (engine_ledger.size() != rt_ledger.size()) {
     return OracleReport::failure(s.steps, "transfer ledger sizes diverge");
   }
@@ -306,7 +279,7 @@ OracleReport run_against_engine(const Scenario& s) {
     const std::vector<dist::DistPhaseRecord>& dl =
         dist_shadow->stats().phase_log;
     std::vector<const rt::RtPhaseSummary*> completed;
-    for (const rt::RtPhaseSummary& ps : main.run->phases()) {
+    for (const rt::RtPhaseSummary& ps : res.out.phases) {
       if (ps.completed) completed.push_back(&ps);
     }
     if (completed.size() != dl.size()) {
@@ -336,7 +309,7 @@ OracleReport run_air(const Scenario& s) {
   for (std::uint64_t step = 0; step < s.steps; ++step) {
     apply_rt_faults(s, *main.run, step);
     main.run->run(1);
-    if (!main.run->conservation_holds()) {
+    if (!main.run->result().conservation_holds()) {
       return OracleReport::failure(
           step, "runtime count conservation violated (all-in-air)");
     }
@@ -349,12 +322,14 @@ OracleReport run_air(const Scenario& s) {
     apply_rt_faults(s, *replay.run, step);
     replay.run->run(1);
   }
-  if (fingerprint(*main.run) != fingerprint(*replay.run)) {
+  const std::string split =
+      rt::diff(main.run->result(), replay.run->result());
+  if (!split.empty()) {
     return OracleReport::failure(
         s.steps, "all-in-air runtime is not deterministic across worker "
                  "counts (" +
                      std::to_string(s.threads) + " vs " +
-                     std::to_string(s.threads_replay) + ")");
+                     std::to_string(s.threads_replay) + "): " + split);
   }
   return OracleReport{};
 }
@@ -379,7 +354,7 @@ OracleReport run_rt_scenario(const Scenario& in) {
       apply_rt_faults(s, *probe.run, step);
       probe.run->run(1);
     }
-    r.mutation_applied = probe.run->mutation_applied() > 0;
+    r.mutation_applied = probe.run->result().out.mutation_applied > 0;
   }
   return r;
 }

@@ -3,7 +3,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 
 #include "util/check.hpp"
@@ -198,93 +197,18 @@ void ProcessRuntime::collect() {
     for (std::uint64_t p = b; p < e; ++p) {
       procs_[p] = std::move(st.procs[p - b]);
     }
-    total_.merge(st);
+    result_.out.merge(st);
     wire_stats_.merge(st.wire);
   }
-  std::sort(total_.ledger.begin(), total_.ledger.end(), rt::ledger_less);
+  result_.out.sort_logs();
+  result_.procs = procs_;
+  result_.step = step_base_;
   collected_ = true;
 }
 
-const rt::RtProcessor& ProcessRuntime::processor(std::uint64_t p) {
-  rt::check_processor(p, cfg_.n, "ProcessRuntime::processor");
+const rt::RunResult& ProcessRuntime::result() {
   collect();
-  return procs_[p];
-}
-
-std::uint64_t ProcessRuntime::load(std::uint64_t p) {
-  return processor(p).queue.size();
-}
-
-std::uint64_t ProcessRuntime::total_load() {
-  collect();
-  std::uint64_t sum = 0;
-  for (const rt::RtProcessor& pr : procs_) sum += pr.queue.size();
-  return sum;
-}
-
-std::uint64_t ProcessRuntime::total_generated() {
-  collect();
-  std::uint64_t sum = 0;
-  for (const rt::RtProcessor& pr : procs_) sum += pr.generated;
-  return sum;
-}
-
-std::uint64_t ProcessRuntime::total_consumed() {
-  collect();
-  std::uint64_t sum = 0;
-  for (const rt::RtProcessor& pr : procs_) sum += pr.consumed;
-  return sum;
-}
-
-std::uint64_t ProcessRuntime::running_max_load() {
-  collect();
-  return total_.running_max;
-}
-
-bool ProcessRuntime::conservation_holds() {
-  collect();
-  return total_generated() + total_.deposited ==
-         total_consumed() + total_load() + total_.dropped_tasks;
-}
-
-sim::MessageCounters ProcessRuntime::messages() {
-  collect();
-  return total_.msg;
-}
-
-std::uint64_t ProcessRuntime::clamped_transfers() {
-  collect();
-  return total_.clamped;
-}
-
-std::vector<rt::LedgerEntry> ProcessRuntime::ledger() {
-  collect();
-  return total_.ledger;
-}
-
-const std::vector<rt::RtPhaseSummary>& ProcessRuntime::phases() {
-  collect();
-  return total_.phases;
-}
-
-stats::IntHistogram ProcessRuntime::sojourn_steps() {
-  collect();
-  return total_.sojourn_steps;
-}
-
-stats::IntHistogram ProcessRuntime::sojourn_us() {
-  collect();
-  return total_.sojourn_us;
-}
-
-std::uint64_t ProcessRuntime::deposited() {
-  collect();
-  return total_.deposited;
-}
-
-const rt::ShardOutputs& ProcessRuntime::outputs() {
-  collect();
-  return total_;
+  return result_;
 }
 
 const obs::WireStats& ProcessRuntime::wire_stats() {

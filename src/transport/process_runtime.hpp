@@ -7,10 +7,11 @@
 // the cross-process PhaseBarrier), and collects ledgers, counters, queues
 // and phase logs at kCollect.
 //
-// The public surface mirrors rt::Runtime's inspection API so harnesses can
-// swap transports without changing their measurement code, and every
-// deposit/run is recorded in a command log so the shadow-fabric cross-check
-// (transport/shadow.hpp) can replay the exact run on the in-memory runtime.
+// Its outcome is the same rt::RunResult rt::Runtime returns (result()), so
+// harnesses swap substrates without changing their measurement code and
+// rt::diff compares the two; every deposit/run is recorded in a command log
+// so the shadow-fabric cross-check (transport/shadow.hpp) can replay the
+// exact run on the in-memory runtime.
 //
 // Fork discipline: all forks happen in the constructor, which must run
 // before the calling process spawns threads it cannot afford to lose (a
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "rt/result.hpp"
 #include "rt/runtime.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/shard_engine.hpp"
@@ -73,34 +75,55 @@ class ProcessRuntime {
   /// deposit() may follow.
   void collect();
 
-  // ---- Inspection (after collect(); all mirror rt::Runtime) ----
+  // ---- Inspection (after collect()) ----
   [[nodiscard]] const ShardRunConfig& config() const { return cfg_; }
   [[nodiscard]] WireKind wire() const { return wire_; }
   [[nodiscard]] std::uint64_t n() const { return cfg_.n; }
   [[nodiscard]] unsigned worker_count() const { return cfg_.workers; }
   [[nodiscard]] std::uint64_t step() const { return step_base_; }
-  [[nodiscard]] const rt::RtProcessor& processor(std::uint64_t p);
-  [[nodiscard]] std::uint64_t load(std::uint64_t p);
-  [[nodiscard]] std::uint64_t total_load();
-  [[nodiscard]] std::uint64_t total_generated();
-  [[nodiscard]] std::uint64_t total_consumed();
-  [[nodiscard]] std::uint64_t running_max_load();
-  [[nodiscard]] bool conservation_holds();
-  [[nodiscard]] sim::MessageCounters messages();
-  [[nodiscard]] std::uint64_t clamped_transfers();
-  [[nodiscard]] std::vector<rt::LedgerEntry> ledger();
-  [[nodiscard]] const std::vector<rt::RtPhaseSummary>& phases();
-  [[nodiscard]] stats::IntHistogram sojourn_steps();
-  [[nodiscard]] stats::IntHistogram sojourn_us();
-  [[nodiscard]] std::uint64_t deposited();
-  /// Every shard's outputs merged (steal, crash, fabric and mutation
-  /// counters included), for the shadow cross-check and tests.
-  [[nodiscard]] const rt::ShardOutputs& outputs();
+  /// The run's outcome, shaped as rt::Runtime::result(): the collected
+  /// processors, every shard's outputs merged and canonically sorted, the
+  /// step count. Implies collect().
+  [[nodiscard]] const rt::RunResult& result();
   /// Wire accounting merged over every child's links (bytes, frames,
   /// barrier count, barrier RTT histogram).
   [[nodiscard]] const obs::WireStats& wire_stats();
   /// Wall-clock seconds spent inside run() so far.
   [[nodiscard]] double wall_seconds() const { return wall_seconds_; }
+
+  // Forwards to result() for benchmark/clb_bench.cpp only; they go when the
+  // benchmark next changes. New code reads result().
+  [[nodiscard]] std::uint64_t total_load() { return result().total_load(); }
+  [[nodiscard]] std::uint64_t total_generated() {
+    return result().total_generated();
+  }
+  [[nodiscard]] std::uint64_t total_consumed() {
+    return result().total_consumed();
+  }
+  [[nodiscard]] std::uint64_t running_max_load() {
+    return result().out.running_max;
+  }
+  [[nodiscard]] bool conservation_holds() {
+    return result().conservation_holds();
+  }
+  [[nodiscard]] const sim::MessageCounters& messages() {
+    return result().out.msg;
+  }
+  [[nodiscard]] std::uint64_t clamped_transfers() {
+    return result().out.clamped;
+  }
+  [[nodiscard]] const std::vector<rt::LedgerEntry>& ledger() {
+    return result().out.ledger;
+  }
+  [[nodiscard]] const std::vector<rt::RtPhaseSummary>& phases() {
+    return result().out.phases;
+  }
+  [[nodiscard]] const stats::IntHistogram& sojourn_steps() {
+    return result().out.sojourn_steps;
+  }
+  [[nodiscard]] const stats::IntHistogram& sojourn_us() {
+    return result().out.sojourn_us;
+  }
 
   /// Every run()/deposit() issued, in order — the shadow replay script.
   [[nodiscard]] const std::vector<Command>& command_log() const {
@@ -119,10 +142,10 @@ class ProcessRuntime {
   double wall_seconds_ = 0;
   std::vector<Command> log_;
 
-  // Merged state (valid once collected_).
+  // Merged state (valid once collected_); result_.procs views procs_.
   bool collected_ = false;
   std::vector<rt::RtProcessor> procs_;
-  rt::ShardOutputs total_;  // ledger sorted canonically
+  rt::RunResult result_;
   obs::WireStats wire_stats_;
 };
 

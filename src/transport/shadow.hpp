@@ -1,12 +1,13 @@
 // The shadow-fabric cross-check: every deterministic cross-process run is
 // re-executed on the in-memory rt::Runtime (same config with every test-only
 // fault hook cleared, same worker count, same command log of run()/deposit()
-// calls) and the two outcomes are compared field by field — transfer
-// ledger, message counters, steal/re-home/fabric counters, phase log (heavy
-// lists included), per-queue TASK IDENTITY (birth step, origin, weight —
-// not just counts), clamp counter, running max load and the step-counted
-// sojourn histogram. Both run the same rt::ShardKernel, so any difference is
-// the substrate's doing, or a fault hook's.
+// calls) and the two results are compared by rt::diff — every field of the
+// merged outputs, the phase log (heavy lists included), every processor's
+// counters and per-queue TASK IDENTITY (birth step, origin, weight — not
+// just counts), and the step-counted sojourn histogram. Only the wall-clock
+// readings and the fault-injection witnesses are left out (rt/result.cpp
+// says why). Both run the same rt::ShardKernel, so any difference is the
+// substrate's doing, or a fault hook's.
 //
 // This is the conviction layer the wire CRC cannot provide: a frame whose
 // payload was corrupted BEFORE signing carries a valid CRC and keeps every
@@ -27,9 +28,9 @@ struct ShadowReport {
   std::string divergence;
 };
 
-/// Replays `pr`'s command log on an in-proc rt::Runtime and compares.
-/// Requires a deterministic config (bit-identity is only promised there).
-/// Calls pr.collect() — no further run()/deposit() on pr afterwards.
+/// Replays `pr`'s command log on an in-proc rt::Runtime and diffs the two
+/// results. Requires a deterministic config (bit-identity is only promised
+/// there). Collects pr — no further run()/deposit() on pr afterwards.
 [[nodiscard]] ShadowReport shadow_check(ProcessRuntime& pr);
 
 }  // namespace clb::transport

@@ -37,6 +37,13 @@ stats::IntHistogram deserialize_hist(Reader& r) {
   return h;
 }
 
+// The smallest wire size of one record of each counted list, for
+// Reader::count.
+constexpr std::size_t kLedgerEntryBytes = 8 + 3 * 4;
+constexpr std::size_t kCrashEventBytes = 8 + 4 + 8;
+constexpr std::size_t kProcBytes = 4 + 6 * 8;               // empty queue
+constexpr std::size_t kPhaseBytes = 8 * 8 + 2 * 4 + 2 + 4;  // no heavy procs
+
 void serialize_ledger(Writer& w, const std::vector<rt::LedgerEntry>& l) {
   w.u32(static_cast<std::uint32_t>(l.size()));
   for (const rt::LedgerEntry& e : l) {
@@ -47,8 +54,8 @@ void serialize_ledger(Writer& w, const std::vector<rt::LedgerEntry>& l) {
   }
 }
 
-std::vector<rt::LedgerEntry> deserialize_ledger(Reader& r) {
-  std::vector<rt::LedgerEntry> l(r.u32());
+std::vector<rt::LedgerEntry> deserialize_ledger(Reader& r, const char* name) {
+  std::vector<rt::LedgerEntry> l(r.count(kLedgerEntryBytes, name));
   for (rt::LedgerEntry& e : l) {
     e.step = r.u64();
     e.from = r.u32();
@@ -157,7 +164,7 @@ ShardRunConfig ShardRunConfig::deserialize(Reader& r) {
   c.stale.staleness = r.u64();
   c.stale.gap = r.u32();
   c.ls.min_load = r.u32();
-  c.crashes.resize(r.u32());
+  c.crashes.resize(r.count(kCrashEventBytes, "crashes"));
   for (core::CrashEvent& ev : c.crashes) {
     ev.step = r.u64();
     ev.proc = r.u32();
@@ -224,9 +231,9 @@ ShardState ShardState::deserialize(Reader& r) {
   ShardState s;
   s.begin = r.u64();
   s.end = r.u64();
-  s.procs.resize(r.u32());
+  s.procs.resize(r.count(kProcBytes, "procs"));
   for (rt::RtProcessor& p : s.procs) {
-    const std::uint32_t q = r.u32();
+    const std::uint32_t q = r.count(kTaskWireSize, "queue");
     for (std::uint32_t i = 0; i < q; ++i) p.queue.push_back(deserialize_task(r));
     p.generated = r.u64();
     p.consumed = r.u64();
@@ -241,11 +248,11 @@ ShardState ShardState::deserialize(Reader& r) {
     *v = r.u64();
   }
   for (const auto field : kScalars) s.*field = r.u64();
-  s.ledger = deserialize_ledger(r);
-  s.dropped = deserialize_ledger(r);
+  s.ledger = deserialize_ledger(r, "ledger");
+  s.dropped = deserialize_ledger(r, "dropped");
   s.sojourn_steps = deserialize_hist(r);
   s.sojourn_us = deserialize_hist(r);
-  s.phases.resize(r.u32());
+  s.phases.resize(r.count(kPhaseBytes, "phases"));
   for (rt::RtPhaseSummary& ps : s.phases) {
     ps.phase_index = r.u64();
     ps.start_step = r.u64();
@@ -259,7 +266,7 @@ ShardState ShardState::deserialize(Reader& r) {
     ps.collision_rounds = r.u32();
     ps.forced = r.u8() != 0;
     ps.completed = r.u8() != 0;
-    ps.heavy_procs.resize(r.u32());
+    ps.heavy_procs.resize(r.count(4, "heavy_procs"));
     for (std::uint32_t& h : ps.heavy_procs) h = r.u32();
   }
   s.wire.bytes_sent = r.u64();
@@ -364,7 +371,7 @@ rt::Comm::Blobs SocketComm::exchange(std::span<const std::uint64_t> blob) {
 
   Reader r(f.payload);
   for (std::vector<std::uint64_t>& b : blobs_) {
-    b.resize(r.u32());
+    b.resize(r.count(8, "kRelease blob"));
     for (std::uint64_t& v : b) v = r.u64();
   }
   CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kRelease payload");

@@ -1,8 +1,20 @@
 #include "transport/wire.hpp"
 
+#include <string>
+
 #include "models/single.hpp"
 
 namespace clb::transport {
+
+std::uint32_t Reader::count(std::size_t min_record_bytes, const char* field) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / min_record_bytes) {
+    const std::string msg = std::string(field) + " count runs past the frame";
+    util::check_failed("count <= remaining() / min_record_bytes", __FILE__,
+                       __LINE__, msg.c_str());
+  }
+  return n;
+}
 
 std::unique_ptr<sim::LoadModel> ModelSpec::make(std::uint64_t n) const {
   switch (kind) {
@@ -100,9 +112,7 @@ void deserialize_msg(Reader& r, rt::Batch& out) {
   m.a = r.u32();
   m.b = r.u32();
   m.c = r.u32();
-  const std::uint32_t count = r.u32();
-  CLB_CHECK(count <= r.remaining() / kTaskWireSize,
-            "message payload count runs past the frame");
+  const std::uint32_t count = r.count(kTaskWireSize, "message payload");
   if ((kind_byte & kEnvelopeBit) != 0) {
     CLB_CHECK(count == 0, "an envelope record carries a payload");
     rt::Envelope& e = out.envs.emplace_back();

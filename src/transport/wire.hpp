@@ -59,6 +59,11 @@ class Reader {
     return net::wire::get_seq_key(data_ + need(net::wire::kSeqKeyWireSize));
   }
 
+  /// Reads a u32 record count and refuses, naming `field`, one that the
+  /// rest of the payload cannot hold at `min_record_bytes` per record, so a
+  /// corrupt count aborts with a diagnosis before anything is sized by it.
+  std::uint32_t count(std::size_t min_record_bytes, const char* field);
+
   [[nodiscard]] bool exhausted() const { return pos_ == len_; }
   [[nodiscard]] std::size_t remaining() const { return len_ - pos_; }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,9 +162,9 @@ RunRecord run_sim(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
     r.ledger.push_back({t.step, t.from, t.to, t.count});
   }
   // The engine schedules transfers in id-delivery order, which leaves root
-  // order once trees deepen; rt::Runtime::ledger() is canonically sorted by
-  // (step, from, to, count) — count joins the key because a steal and a
-  // phase transfer may share the same (step, from, to).
+  // order once trees deepen; the runtime's merged ledger is canonically
+  // sorted by (step, from, to, count) — count joins the key because a steal
+  // and a phase transfer may share the same (step, from, to).
   std::sort(r.ledger.begin(), r.ledger.end(),
             [](const rt::LedgerEntry& a, const rt::LedgerEntry& b) {
               if (a.step != b.step) return a.step < b.step;
@@ -173,6 +174,23 @@ RunRecord run_sim(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
             });
   EXPECT_TRUE(eng.conservation_holds());
   return r;
+}
+
+/// Runs `steps` steps on `run`, depositing spikes_for(seed, n) on the way.
+void drive(rt::Runtime& run, std::uint64_t steps, std::uint64_t seed,
+           std::uint64_t n) {
+  std::uint64_t done = 0;
+  for (const Spike& sp : spikes_for(seed, n)) {
+    if (sp.step > done) {
+      run.run(sp.step - done);
+      done = sp.step;
+    }
+    for (std::uint32_t i = 0; i < sp.tasks; ++i) {
+      run.deposit(sp.proc,
+                  sim::Task{static_cast<std::uint32_t>(sp.step), sp.proc, 1});
+    }
+  }
+  run.run(steps - done);
 }
 
 RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
@@ -188,24 +206,12 @@ RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
   cfg.params = params;
   cfg.steal = steal;
   rt::Runtime run(cfg, model.get());
-
-  const std::vector<Spike> spikes = spikes_for(seed, n);
-  std::uint64_t done = 0;
-  for (const Spike& sp : spikes) {
-    if (sp.step > done) {
-      run.run(sp.step - done);
-      done = sp.step;
-    }
-    for (std::uint32_t i = 0; i < sp.tasks; ++i) {
-      run.deposit(sp.proc,
-                  sim::Task{static_cast<std::uint32_t>(sp.step), sp.proc, 1});
-    }
-  }
-  run.run(steps - done);
+  drive(run, steps, seed, n);
+  const rt::RunResult& res = run.result();
 
   RunRecord r;
   for (std::uint64_t p = 0; p < n; ++p) {
-    const rt::RtProcessor& proc = run.processor(p);
+    const rt::RtProcessor& proc = res.processor(p);
     std::vector<sim::Task> q;
     for (const rt::RtTask& t : proc.queue) q.push_back(t.task);
     r.queues.push_back(std::move(q));
@@ -214,14 +220,14 @@ RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
     r.consumed_on_origin.push_back(proc.consumed_on_origin);
     r.initiations.push_back(proc.balance_initiations);
   }
-  r.msg = run.messages();
-  r.clamped = run.clamped_transfers();
-  r.running_max = run.running_max_load();
-  r.total_load = run.total_load();
-  r.steal_events = run.steal_events();
-  r.stolen = run.stolen_tasks();
-  r.ledger = run.ledger();
-  for (const rt::RtPhaseSummary& ps : run.phases()) {
+  r.msg = res.out.msg;
+  r.clamped = res.out.clamped;
+  r.running_max = res.out.running_max;
+  r.total_load = res.total_load();
+  r.steal_events = res.out.steal_events;
+  r.stolen = res.out.stolen_tasks;
+  r.ledger = res.out.ledger;
+  for (const rt::RtPhaseSummary& ps : res.out.phases) {
     PhaseRecord pr;
     pr.start_step = ps.start_step;
     pr.num_heavy = ps.num_heavy;
@@ -234,7 +240,7 @@ RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
     pr.heavy_procs = ps.heavy_procs;
     r.phases.push_back(std::move(pr));
   }
-  EXPECT_TRUE(run.conservation_holds());
+  EXPECT_TRUE(res.conservation_holds());
   return r;
 }
 
@@ -361,14 +367,15 @@ TEST(RtEquivalenceNone, UnbalancedMatchesEngine) {
   rt::Runtime run(cfg, rt_model.get());
   run.run(steps);
 
-  EXPECT_EQ(eng.total_load(), run.total_load());
-  EXPECT_EQ(eng.total_generated(), run.total_generated());
-  EXPECT_EQ(eng.total_consumed(), run.total_consumed());
-  EXPECT_EQ(eng.running_max_load(), run.running_max_load());
+  const rt::RunResult& res = run.result();
+  EXPECT_EQ(eng.total_load(), res.total_load());
+  EXPECT_EQ(eng.total_generated(), res.total_generated());
+  EXPECT_EQ(eng.total_consumed(), res.total_consumed());
+  EXPECT_EQ(eng.running_max_load(), res.out.running_max);
   for (std::uint64_t p = 0; p < n; ++p) {
-    ASSERT_EQ(eng.load(p), run.load(p)) << "proc " << p;
+    ASSERT_EQ(eng.load(p), res.processor(p).queue.size()) << "proc " << p;
   }
-  EXPECT_TRUE(run.conservation_holds());
+  EXPECT_TRUE(res.conservation_holds());
 }
 
 // Deterministic mode must be bit-identical across worker counts for the
@@ -379,33 +386,30 @@ TEST(RtEquivalenceAir, ScatterDeterministicAcrossWorkers) {
   const std::uint64_t n = 128;
   const std::uint64_t steps = 48;
 
-  auto fingerprint = [&](unsigned workers) {
-    auto model = make_model(WhichModel::kSingle, n);
+  struct AirRun {
+    std::unique_ptr<sim::LoadModel> model;
+    std::unique_ptr<rt::Runtime> run;
+  };
+  auto run_air = [&](unsigned workers) {
+    AirRun r{make_model(WhichModel::kSingle, n), nullptr};
     rt::RtConfig cfg;
     cfg.n = n;
     cfg.seed = 7;
     cfg.workers = workers;
     cfg.policy = rt::RtPolicy::kAllInAir;
-    rt::Runtime run(cfg, model.get());
-    run.run(steps);
-    EXPECT_TRUE(run.conservation_holds());
-    std::vector<std::uint64_t> fp;
-    for (std::uint64_t p = 0; p < n; ++p) {
-      fp.push_back(run.load(p));
-      const rt::RtProcessor& proc = run.processor(p);
-      fp.push_back(proc.tasks_sent);
-      fp.push_back(proc.tasks_received);
-    }
-    const sim::MessageCounters m = run.messages();
-    fp.push_back(m.control);
-    fp.push_back(m.transfers);
-    fp.push_back(m.tasks_moved);
-    return fp;
+    r.run = std::make_unique<rt::Runtime>(cfg, r.model.get());
+    r.run->run(steps);
+    EXPECT_TRUE(r.run->result().conservation_holds());
+    return r;
   };
 
-  const auto base = fingerprint(1);
-  EXPECT_EQ(base, fingerprint(2));
-  EXPECT_EQ(base, fingerprint(8));
+  const AirRun base = run_air(1);
+  EXPECT_GT(base.run->result().out.msg.transfers, 0u);
+  for (const unsigned workers : {2u, 8u}) {
+    const AirRun other = run_air(workers);
+    EXPECT_EQ(rt::diff(base.run->result(), other.run->result()), "")
+        << "1 vs " << workers << " workers";
+  }
 }
 
 // Scale knobs (the million-processor tentpole): with the arena-backed SoA
@@ -469,6 +473,153 @@ TEST(RtEquivalenceScale64k, ArenaStealMatchesEngine) {
                                   workers, steal);
     expect_equal(sim_r, rt_r, "n64k workers=" + std::to_string(workers));
   }
+}
+
+// ---------------------------------------------------------------------------
+// rt::diff
+// ---------------------------------------------------------------------------
+
+/// A spiked threshold run with both sojourn clocks on, so every group diff
+/// compares (and each wall-clock field it leaves out) is populated.
+struct DiffRun {
+  std::unique_ptr<sim::LoadModel> model;
+  std::unique_ptr<rt::Runtime> run;
+};
+
+DiffRun diff_run(unsigned workers) {
+  const std::uint64_t n = 192;
+  DiffRun r{make_model(WhichModel::kBurst, n), nullptr};
+  rt::RtConfig cfg;
+  cfg.n = n;
+  cfg.seed = 2;
+  cfg.workers = workers;
+  cfg.policy = rt::RtPolicy::kThreshold;
+  core::Fractions f;
+  f.t_min = 64;
+  cfg.params = core::PhaseParams::from_n(n, f);
+  cfg.track_sojourn = true;
+  cfg.time_sojourn = true;
+  r.run = std::make_unique<rt::Runtime>(cfg, r.model.get());
+  drive(*r.run, 48, cfg.seed, n);
+  return r;
+}
+
+/// Own copies of `procs` (unbound queues), for perturbing a processor.
+std::vector<rt::RtProcessor> clone(std::span<const rt::RtProcessor> procs) {
+  std::vector<rt::RtProcessor> out(procs.size());
+  for (std::size_t p = 0; p < procs.size(); ++p) {
+    const rt::RtProcessor& a = procs[p];
+    rt::RtProcessor& b = out[p];
+    for (const rt::RtTask& t : a.queue) b.queue.push_back(t);
+    b.generated = a.generated;
+    b.consumed = a.consumed;
+    b.consumed_on_origin = a.consumed_on_origin;
+    b.tasks_sent = a.tasks_sent;
+    b.tasks_received = a.tasks_received;
+    b.balance_initiations = a.balance_initiations;
+  }
+  return out;
+}
+
+/// The first processor with at least one queued task.
+std::size_t first_queued(std::span<const rt::RtProcessor> procs) {
+  std::size_t p = 0;
+  while (p < procs.size() && procs[p].queue.size() == 0) ++p;
+  return p;
+}
+
+/// Rebuilds p's queue with `edit` applied to its first task.
+template <typename Edit>
+void edit_first_task(std::vector<rt::RtProcessor>& procs, std::size_t p,
+                     Edit edit) {
+  std::vector<rt::RtTask> tasks;
+  for (const rt::RtTask& t : procs[p].queue) tasks.push_back(t);
+  edit(tasks[0]);
+  procs[p].queue = rt::TaskQueue();
+  for (const rt::RtTask& t : tasks) procs[p].queue.push_back(t);
+}
+
+TEST(RunResultDiff, EqualRunsGiveEmpty) {
+  const DiffRun one = diff_run(1);
+  const DiffRun four = diff_run(4);
+  EXPECT_EQ(rt::diff(one.run->result(), one.run->result()), "");
+  EXPECT_EQ(rt::diff(four.run->result(), four.run->result()), "");
+  EXPECT_EQ(rt::diff(one.run->result(), four.run->result()), "");
+  // A copy over cloned processors is the same run too (clone() is complete).
+  rt::RunResult copy = one.run->result();
+  const std::vector<rt::RtProcessor> procs = clone(copy.procs);
+  copy.procs = procs;
+  EXPECT_EQ(rt::diff(one.run->result(), copy), "");
+}
+
+TEST(RunResultDiff, NamesTheFirstDivergentField) {
+  const DiffRun r = diff_run(1);
+  const rt::RunResult& a = r.run->result();
+  ASSERT_GE(a.out.ledger.size(), 3u);
+  ASSERT_GE(a.out.phases.size(), 2u);
+  ASSERT_FALSE(a.out.phases[1].heavy_procs.empty());
+  ASSERT_GT(a.out.sojourn_steps.total(), 0u);
+  const std::size_t q = first_queued(a.procs);
+  ASSERT_LT(q, a.procs.size());
+
+  // Each perturbation of a copy must be named, with both values.
+  const auto named = [&](const rt::RunResult& b, const std::string& field) {
+    const std::string d = rt::diff(a, b);
+    EXPECT_EQ(d.rfind(field + ": a=", 0), 0u) << "want " << field << ", got "
+                                              << d;
+  };
+  rt::RunResult b = a;
+  b.out.msg.accepts += 1;
+  named(b, "msg.accepts");
+  b = a;
+  b.out.dup_suppressed += 1;
+  named(b, "dup_suppressed");
+  b = a;
+  b.out.ledger[2].count += 1;
+  named(b, "ledger[2]");
+  b = a;
+  b.out.phases[1].end_step += 1;
+  named(b, "phases[1].end_step");
+  b = a;
+  b.out.phases[1].heavy_procs[0] += 1;
+  named(b, "phases[1].heavy_procs[0]");
+  b = a;
+  b.out.sojourn_steps.add(1);
+  named(b, "sojourn_steps[1]");
+
+  b = a;
+  std::vector<rt::RtProcessor> procs = clone(a.procs);
+  procs[5].tasks_received += 1;
+  b.procs = procs;
+  named(b, "proc[5].tasks_received");
+  procs = clone(a.procs);
+  edit_first_task(procs, q, [](rt::RtTask& t) { t.task.origin += 1; });
+  b.procs = procs;
+  named(b, "proc[" + std::to_string(q) + "].queue[0]");
+}
+
+TEST(RunResultDiff, IgnoresWallClockAndWitnesses) {
+  const DiffRun r = diff_run(1);
+  const rt::RunResult& a = r.run->result();
+  ASSERT_GT(a.out.sojourn_us.total(), 0u);
+  const std::size_t q = first_queued(a.procs);
+  ASSERT_LT(q, a.procs.size());
+
+  rt::RunResult b = a;
+  b.out.sojourn_us.add(12345);
+  EXPECT_EQ(rt::diff(a, b), "");
+  b = a;
+  b.out.mutation_applied += 1;
+  EXPECT_EQ(rt::diff(a, b), "");
+  b = a;
+  b.out.dropped_tasks += 4;
+  b.out.dropped.push_back(rt::LedgerEntry{1, 2, 3, 4});
+  EXPECT_EQ(rt::diff(a, b), "");
+  std::vector<rt::RtProcessor> procs = clone(a.procs);
+  edit_first_task(procs, q, [](rt::RtTask& t) { t.birth_us += 777; });
+  b = a;
+  b.procs = procs;
+  EXPECT_EQ(rt::diff(a, b), "");
 }
 
 }  // namespace

@@ -202,10 +202,11 @@ RunRecord run_rt(const Lockstep& su, unsigned workers,
   rt::Runtime run(cfg, model.get());
 
   drive(run, su);
+  const rt::RunResult& res = run.result();
 
   RunRecord r;
   for (std::uint64_t p = 0; p < su.n; ++p) {
-    const rt::RtProcessor& proc = run.processor(p);
+    const rt::RtProcessor& proc = res.processor(p);
     std::vector<sim::Task> q;
     for (const rt::RtTask& t : proc.queue) q.push_back(t.task);
     r.queues.push_back(std::move(q));
@@ -213,23 +214,23 @@ RunRecord run_rt(const Lockstep& su, unsigned workers,
     r.consumed.push_back(proc.consumed);
     r.initiations.push_back(proc.balance_initiations);
   }
-  r.msg = run.messages();
-  r.clamped = run.clamped_transfers();
-  r.running_max = run.running_max_load();
-  r.total_load = run.total_load();
-  r.retransmits = run.fabric_retransmits();
-  r.dup_suppressed = run.fabric_dup_suppressed();
-  r.queued_delay = run.fabric_queued_delay();
-  r.ledger = run.ledger();
-  for (const rt::RtPhaseSummary& ps : run.phases()) {
+  r.msg = res.out.msg;
+  r.clamped = res.out.clamped;
+  r.running_max = res.out.running_max;
+  r.total_load = res.total_load();
+  r.retransmits = res.out.retransmits;
+  r.dup_suppressed = res.out.dup_suppressed;
+  r.queued_delay = res.out.queued_delay;
+  r.ledger = res.out.ledger;
+  for (const rt::RtPhaseSummary& ps : res.out.phases) {
     if (!ps.completed) continue;  // run ended mid-phase
     r.phases.push_back({ps.phase_index, ps.start_step, ps.end_step,
                         ps.num_heavy, ps.matched, ps.unmatched, ps.forced});
     EXPECT_EQ(ps.heavy_procs.size(), ps.num_heavy);
     EXPECT_TRUE(std::is_sorted(ps.heavy_procs.begin(), ps.heavy_procs.end()));
   }
-  EXPECT_TRUE(run.conservation_holds());
-  EXPECT_EQ(run.fabric_in_flight(), 0u) << "undelivered messages at exit";
+  EXPECT_TRUE(res.conservation_holds());
+  EXPECT_EQ(res.fabric_in_flight(), 0u) << "undelivered messages at exit";
   return r;
 }
 
@@ -464,10 +465,11 @@ TEST(RtLatencyFreeRunning, ConservesAndCompletesPhases) {
     run.deposit(0, sim::Task{0, 0, 1});
   }
   run.run(su.steps);
-  EXPECT_TRUE(run.conservation_holds());
-  EXPECT_EQ(run.fabric_in_flight(), 0u);
+  const rt::RunResult& res = run.result();
+  EXPECT_TRUE(res.conservation_holds());
+  EXPECT_EQ(res.fabric_in_flight(), 0u);
   std::uint64_t completed = 0;
-  for (const rt::RtPhaseSummary& ps : run.phases()) {
+  for (const rt::RtPhaseSummary& ps : res.out.phases) {
     if (ps.completed) ++completed;
   }
   EXPECT_GT(completed, 4u);
@@ -538,12 +540,13 @@ TEST(RtLatencyDrop, VictimIsWorkerCountInvariant) {
     cfg.mutation_ordinal = 3;
     rt::Runtime run(cfg, model.get());
     drive(run, su);
-    EXPECT_EQ(run.mutation_applied(), 1u) << "workers=" << workers;
+    const rt::RunResult& res = run.result();
+    EXPECT_EQ(res.out.mutation_applied, 1u) << "workers=" << workers;
     // Count-based conservation books the dropped tasks and stays green —
     // only the fuzzer's identity oracle convicts the drop (by design).
-    EXPECT_TRUE(run.conservation_holds()) << "workers=" << workers;
-    EXPECT_EQ(run.dropped_tasks(), victim.count) << "workers=" << workers;
-    const std::vector<rt::LedgerEntry> log = run.dropped_log();
+    EXPECT_TRUE(res.conservation_holds()) << "workers=" << workers;
+    EXPECT_EQ(res.out.dropped_tasks, victim.count) << "workers=" << workers;
+    const std::vector<rt::LedgerEntry>& log = res.out.dropped;
     ASSERT_EQ(log.size(), 1u) << "workers=" << workers;
     EXPECT_EQ(log[0].step, victim.step) << "workers=" << workers;
     EXPECT_EQ(log[0].from, victim.from) << "workers=" << workers;

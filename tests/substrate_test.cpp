@@ -111,9 +111,9 @@ TEST_P(TransportEquivalenceLifted, UdsMatchesShadow) {
   const Checked c =
       run_and_check(lifted_config(which, shards, rt::Transport::kUds), 64);
   EXPECT_TRUE(c.rep.ok) << c.rep.divergence;
-  EXPECT_TRUE(c.pr->conservation_holds());
+  EXPECT_TRUE(c.pr->result().conservation_holds());
   // The lifted feature actually ran over the wire.
-  const rt::ShardOutputs& o = c.pr->outputs();
+  const rt::ShardOutputs& o = c.pr->result().out;
   switch (which) {
     case Lifted::kStaleSq:
     case Lifted::kLocalSearch:
@@ -129,7 +129,7 @@ TEST_P(TransportEquivalenceLifted, UdsMatchesShadow) {
     case Lifted::kLatencyLossy:
       EXPECT_GT(o.fab_sent, 0u);
       EXPECT_GT(o.retransmits, 0u);
-      EXPECT_FALSE(c.pr->phases().empty());
+      EXPECT_FALSE(c.pr->result().out.phases.empty());
       break;
   }
 }
@@ -164,10 +164,17 @@ TEST(TransportEquivalenceHooks, DroppedTransferConvictedByShadow) {
     cfg.mutation = sim::MutationKind::kMailboxDrop;
     cfg.mutation_ordinal = 1;
     const Checked c = run_and_check(cfg, 64);
-    EXPECT_GT(c.pr->outputs().dropped_tasks, 0u);
-    EXPECT_EQ(c.pr->outputs().mutation_applied, 1u);
-    EXPECT_TRUE(c.pr->conservation_holds());
+    const rt::RunResult& res = c.pr->result();
+    EXPECT_GT(res.out.dropped_tasks, 0u);
+    EXPECT_EQ(res.out.mutation_applied, 1u);
+    EXPECT_TRUE(res.conservation_holds());
     EXPECT_FALSE(c.rep.ok) << "a dropped transfer must not survive the shadow";
+    // Convicted by the drop's effect on the protocol, not by its witnesses
+    // (rt::diff leaves those out).
+    EXPECT_EQ(c.rep.divergence.find("mutation_applied"), std::string::npos)
+        << c.rep.divergence;
+    EXPECT_EQ(c.rep.divergence.find("dropped"), std::string::npos)
+        << c.rep.divergence;
   }
 }
 
@@ -183,12 +190,12 @@ TEST(TransportSojourn, CrossShardSojournWithinRunWallClock) {
 
   const rt::Partition part(cfg.n, 3);
   bool crossed = false;
-  for (const rt::LedgerEntry& e : pr.ledger()) {
+  for (const rt::LedgerEntry& e : pr.result().out.ledger) {
     crossed |= part.owner_of(e.from) != part.owner_of(e.to);
   }
   ASSERT_TRUE(crossed) << "no transfer moved tasks across shards";
 
-  const stats::IntHistogram h = pr.sojourn_us();
+  const stats::IntHistogram& h = pr.result().out.sojourn_us;
   ASSERT_GT(h.total(), 0u);
   const std::vector<std::uint64_t>& counts = h.counts();
   std::uint64_t max_us = 0;
@@ -300,10 +307,11 @@ TEST(SubstrateInspectionDeathTest, ProcessorOutOfRangeNamesPAndN) {
   cfg.policy = rt::RtPolicy::kNone;
   models::SingleModel model(0.45, 0.1);
   rt::Runtime r(cfg, &model);
-  EXPECT_EQ(r.load(63), 0u);
-  EXPECT_DEATH((void)r.load(64),
-               "Runtime::processor: processor 64 out of range \\(n = 64\\)");
-  EXPECT_DEATH((void)r.processor(1000), "processor 1000 out of range");
+  const rt::RunResult& res = r.result();
+  EXPECT_EQ(res.processor(63).queue.size(), 0u);
+  EXPECT_DEATH((void)res.processor(64),
+               "RunResult::processor: processor 64 out of range \\(n = 64\\)");
+  EXPECT_DEATH((void)res.processor(1000), "processor 1000 out of range");
 }
 
 TEST(SubstrateInspectionDeathTest, ProcessRuntimeProcessorOutOfRange) {
@@ -314,11 +322,12 @@ TEST(SubstrateInspectionDeathTest, ProcessRuntimeProcessorOutOfRange) {
   cfg.transport = rt::Transport::kUds;
   ProcessRuntime pr(cfg, ModelSpec::single(0.45, 0.1));
   pr.run(4);
-  EXPECT_EQ(pr.load(63), pr.processor(63).queue.size());
-  // The check precedes any wire traffic, so the forked death-test child
-  // aborts without touching the shard sockets it shares with this process.
-  EXPECT_DEATH((void)pr.load(64),
-               "ProcessRuntime::processor: processor 64 out of range "
+  // Collected here, so the forked death-test child aborts in the bounds
+  // check without touching the shard sockets it shares with this process.
+  const rt::RunResult& res = pr.result();
+  EXPECT_EQ(res.procs.size(), 64u);
+  EXPECT_DEATH((void)res.processor(64),
+               "RunResult::processor: processor 64 out of range "
                "\\(n = 64\\)");
 }
 

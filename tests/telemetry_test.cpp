@@ -224,8 +224,8 @@ TEST(TelemetryRuntime, TotalsConserved) {
   if (!obs::kTelemetryCompiled) GTEST_SKIP() << "built with CLB_TELEMETRY=OFF";
 
   const obs::WorkerTelemetry total = run.telemetry_total();
-  EXPECT_EQ(total.consumed, run.total_consumed());
-  EXPECT_EQ(total.generated, run.total_generated());
+  EXPECT_EQ(total.consumed, run.result().total_consumed());
+  EXPECT_EQ(total.generated, run.result().total_generated());
   // Every mailbox push was drained by run end (the step barrier orders
   // sends before the next drain, and the run ended on a step boundary).
   EXPECT_EQ(total.enq_self + total.enq_remote, total.deq);
@@ -295,63 +295,37 @@ TEST(TelemetryRuntime, DisabledRunsRecordNothing) {
   EXPECT_TRUE(run.telemetry_jsonl().empty());
 }
 
-struct Outputs {
-  std::vector<std::uint64_t> consumed;
-  std::vector<std::uint64_t> loads;
-  std::vector<rt::LedgerEntry> ledger;
-  std::uint64_t running_max = 0;
-  std::uint64_t protocol_msgs = 0;
-  std::size_t phases = 0;
+/// A spiked deterministic run, kept alive so its result can be diffed.
+struct SpikedRun {
+  std::unique_ptr<models::SingleModel> model;
+  std::unique_ptr<rt::Runtime> run;
 };
 
-Outputs run_and_collect(std::uint64_t n, unsigned workers, bool telemetry,
-                        std::uint32_t latency) {
-  models::SingleModel model(0.45, 0.1);
+SpikedRun spiked_run(std::uint64_t n, unsigned workers, bool telemetry,
+                     std::uint32_t latency) {
+  SpikedRun r{std::make_unique<models::SingleModel>(0.45, 0.1), nullptr};
   rt::RtConfig cfg = det_config(n, workers, telemetry, latency);
   cfg.telemetry_interval = telemetry ? 16 : 0;
-  rt::Runtime run(cfg, &model);
+  r.run = std::make_unique<rt::Runtime>(cfg, r.model.get());
   for (std::uint64_t s = 0; s < 96; s += 24) {
-    spike(run, n, s);
-    run.run(24);
+    spike(*r.run, n, s);
+    r.run->run(24);
   }
-  Outputs o;
-  for (std::uint64_t p = 0; p < n; ++p) {
-    o.consumed.push_back(run.processor(p).consumed);
-    o.loads.push_back(run.load(p));
-  }
-  o.ledger = run.ledger();
-  o.running_max = run.running_max_load();
-  o.protocol_msgs = run.messages().protocol_total();
-  o.phases = run.phases().size();
-  return o;
-}
-
-void expect_identical(const Outputs& a, const Outputs& b) {
-  EXPECT_EQ(a.consumed, b.consumed);
-  EXPECT_EQ(a.loads, b.loads);
-  EXPECT_EQ(a.running_max, b.running_max);
-  EXPECT_EQ(a.protocol_msgs, b.protocol_msgs);
-  EXPECT_EQ(a.phases, b.phases);
-  ASSERT_EQ(a.ledger.size(), b.ledger.size());
-  for (std::size_t i = 0; i < a.ledger.size(); ++i) {
-    EXPECT_EQ(a.ledger[i].step, b.ledger[i].step) << "ledger[" << i << "]";
-    EXPECT_EQ(a.ledger[i].from, b.ledger[i].from) << "ledger[" << i << "]";
-    EXPECT_EQ(a.ledger[i].to, b.ledger[i].to) << "ledger[" << i << "]";
-  }
+  return r;
 }
 
 // Telemetry only observes: a deterministic run's protocol outputs are
 // bit-identical with telemetry (and its snapshot emitter) on or off.
 TEST(TelemetryDeterminism, InstantModeBitIdenticalOnVsOff) {
-  const Outputs off = run_and_collect(256, 3, false, 0);
-  const Outputs on = run_and_collect(256, 3, true, 0);
-  expect_identical(off, on);
+  const SpikedRun off = spiked_run(256, 3, false, 0);
+  const SpikedRun on = spiked_run(256, 3, true, 0);
+  EXPECT_EQ(rt::diff(off.run->result(), on.run->result()), "");
 }
 
 TEST(TelemetryDeterminism, LatencyFabricBitIdenticalOnVsOff) {
-  const Outputs off = run_and_collect(256, 3, false, 2);
-  const Outputs on = run_and_collect(256, 3, true, 2);
-  expect_identical(off, on);
+  const SpikedRun off = spiked_run(256, 3, false, 2);
+  const SpikedRun on = spiked_run(256, 3, true, 2);
+  EXPECT_EQ(rt::diff(off.run->result(), on.run->result()), "");
 }
 
 TEST(TelemetryDeterminism, CountersReproduceAcrossRuns) {
@@ -419,7 +393,7 @@ TEST(TelemetryExport, RegistryGaugesMatchTotals) {
   }
   obs::MetricsRegistry m;
   run.export_telemetry(m, "t.");
-  EXPECT_EQ(m.counter("t.consumed"), run.total_consumed());
+  EXPECT_EQ(m.counter("t.consumed"), run.result().total_consumed());
   EXPECT_EQ(m.counter("t.steps"),
             static_cast<std::uint64_t>(kWorkers) * 64);
   EXPECT_EQ(m.counter("t.w0.steps"), 64u);

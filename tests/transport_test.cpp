@@ -414,6 +414,52 @@ TEST(PayloadCodecDeathTest, OutOfRangeEnumsRefused) {
                "unknown mutation kind on the wire");
 }
 
+// A record count that the rest of the payload cannot hold is refused,
+// naming the field, before anything is sized by it: a corrupt u32 count
+// would otherwise ask for up to 2^32 records. One site each for the shard
+// state's per-processor and ledger lists and the barrier release's blobs.
+TEST(PayloadCodecDeathTest, OversizedCountsRefusedByName) {
+  // The first byte where `more` (one record more) encodes differently is
+  // the low byte of that list's u32 count; all four set is 2^32 - 1.
+  const auto inflated = [](const ShardState& base, const ShardState& more) {
+    Writer wb, wm;
+    base.serialize(wb);
+    more.serialize(wm);
+    std::vector<std::uint8_t> out = wb.data();
+    const auto at =
+        std::mismatch(out.begin(), out.end(), wm.data().begin()).first;
+    std::fill(at, at + 4, std::uint8_t{0xFF});
+    return out;
+  };
+  const ShardState base;
+  ShardState one_proc, one_entry;
+  one_proc.procs.resize(1);
+  one_entry.ledger.push_back(rt::LedgerEntry{1, 2, 3, 4});
+  const std::vector<std::uint8_t> procs = inflated(base, one_proc);
+  const std::vector<std::uint8_t> ledger = inflated(base, one_entry);
+  Reader rp(procs), rl(ledger);
+  EXPECT_DEATH((void)ShardState::deserialize(rp),
+               "procs count runs past the frame");
+  EXPECT_DEATH((void)ShardState::deserialize(rl),
+               "ledger count runs past the frame");
+
+  // kRelease, met inside an exchange: a one-shard comm without a data
+  // plane, whose control link already holds the forged release.
+  ShardRunConfig cfg;
+  cfg.n = 4;
+  cfg.workers = 1;
+  cfg.policy = rt::RtPolicy::kNone;
+  const rt::Partition part(cfg.n, 1);
+  auto [coordinator, control] = make_stream_pair(WireKind::kUds);
+  obs::WireStats wire;
+  SocketComm comm(cfg, part, control, {}, wire);
+  Writer release;
+  release.u32(0xFFFFFFFFu);
+  coordinator.send_frame(FrameType::kRelease, release.data());
+  EXPECT_DEATH((void)comm.exchange({}),
+               "kRelease blob count runs past the frame");
+}
+
 TEST(PayloadCodec, ShardStateRoundTrip) {
   ShardState s;
   s.begin = 10;
