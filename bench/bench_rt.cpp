@@ -2,49 +2,52 @@
 //
 // rt::Runtime executes the paper's protocol on real worker threads
 // (shared-nothing shards, one shard kernel per thread, lock-free outboxes,
-// barrier-separated supersteps). This bench free-runs it — no determinism sequencing, spin
-// work attached to every consumed task so "consume" costs real CPU — and
-// sweeps worker counts for Threshold vs NoBalancing vs AllInAir under the
+// barrier-separated supersteps). Every experiment below is one row of the
+// grid table in main(): its points (one runtime config each), its driver,
+// and one column list that yields both the printed table and the row's
+// <prefix>.<point>.<gauge> metrics. --grids picks the rows to run; the row
+// name is also the BENCH_rt.json section tools/perfbench.py records and the
+// tools/statcheck.py section that bands it.
+//
+// exp21 (gauges rt.*) — free-running scaling: no determinism sequencing,
+// spin work attached to every consumed task so "consume" costs real CPU,
+// worker counts swept for Threshold vs NoBalancing vs AllInAir under the
 // Single and Burst models. Measured: wall-clock throughput (tasks/sec),
 // speedup over the 1-worker run of the same configuration, task sojourn
-// latency (p50/p95/p99 in microseconds), and contention exposure
-// (fraction of messages addressed to another worker's shard).
+// latency (p50/p95/p99 in microseconds), and contention exposure (fraction
+// of messages addressed to another worker's shard). tools/perfbench.py
+// distils it into BENCH_rt.json's "runs".
 //
-// tools/perfbench.py drives this binary once per worker count and distils
-// the emitted metrics into BENCH_rt.json; run it directly for tables.
+// exp22 — the latency fabric on real threads. Deterministic runs with a
+// message latency attached to every protocol send (the dist:: delay-queue
+// policy, executed by worker threads) report per-phase durations: EXP-19's
+// phase-duration ∝ latency result, reproduced on the concurrent runtime.
 //
-// EXP-22 (second section) — the latency fabric on real threads. With
-// --latencies the runtime re-runs in deterministic mode with a message
-// latency attached to every protocol send (the dist:: delay-queue policy,
-// executed by worker threads), and the table reports per-phase durations:
-// EXP-19's phase-duration ∝ latency result, reproduced on the concurrent
-// runtime. tools/statcheck.py --exp22 gates the exp22.* gauges.
+// exp24 — the link model on the same fabric. A loss × bandwidth grid
+// (heterogeneous jitter on every point): lost attempts are retransmitted
+// after an RTO, ack losses schedule (suppressed) duplicates, and bandwidth
+// caps serialize each link's sends. Phase durations stretch with the
+// retransmit/queueing delay while the match rate holds.
 //
-// EXP-24 (third section) — the link model on the same fabric. A loss ×
-// bandwidth grid (heterogeneous jitter on every point) re-runs the
-// deterministic latency sweep with lossy, shaped links: lost attempts are
-// retransmitted after an RTO, ack losses schedule (suppressed) duplicates,
-// and bandwidth caps serialize each link's sends. The table reports how
-// phase durations stretch with the retransmit/queueing delay while the
-// match rate holds. tools/statcheck.py --exp24 gates the exp24.* gauges.
-//
-// EXP-25 (--workload-grid) — the production workload zoo. Every zoo model
-// (diurnal, flash-crowd, pareto, zipf, hetero) runs deterministically under
-// four policies: unbalanced control, the stale-information shortest-queue
+// exp25 — the production workload zoo. Every zoo model (diurnal,
+// flash-crowd, pareto, zipf, hetero) runs deterministically under four
+// policies: unbalanced control, the stale-information shortest-queue
 // baseline, Berenbrink–Kling local search, and the paper's threshold
 // protocol. A crash/recovery pass re-runs the liveness-aware policies with
-// processors dying mid-run. Deterministic mode makes every gauge an exact
-// replayable constant; tools/statcheck.py --exp25 gates the exp25.* bands.
+// processors dying mid-run.
 //
-// EXP-27 (--scaling-grid) — million-processor scale. A throughput grid over
-// n x workers x {arena, arena+steal}: the arena-backed SoA queues alone,
-// and with deterministic work stealing live (RtConfig::steal). Runs are
-// deterministic, so every row of one (n, mode) pair must agree on every
-// counter across worker counts — the bench FATALs if they diverge.
-// tools/statcheck.py --exp27 bands the exp27.* gauges.
+// exp27 — million-processor scale. A throughput grid over n x workers x
+// {arena, arena+steal}: the arena-backed SoA queues alone, and with
+// deterministic work stealing live (RtConfig::steal). Every row of one
+// (n, mode) pair must agree on every counter across worker counts — the
+// bench FATALs if they diverge.
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,64 +121,190 @@ std::vector<unsigned> auto_workers() {
   return w;
 }
 
+// Fixed shape of the deterministic grids: the worker threads of the
+// latency, link and zoo grids, the link model's base latency, per-link
+// jitter and bandwidth caps (msgs/step, 0 = uncapped), and the stale-SQ
+// broadcast interval of the zoo.
+constexpr unsigned kGridWorkers = 4;
+constexpr std::uint32_t kLinkLatency = 2;
+constexpr std::uint32_t kLinkJitter = 1;
+constexpr std::uint32_t kLinkBandwidths[] = {0, 1};
+constexpr std::uint64_t kZooStaleness = 8;
+
+// Column values (see Column) shared by several grids.
+double wall_seconds(const rt::Runtime& run, const rt::RunResult&) {
+  return std::max(run.wall_seconds(), 1e-9);
+}
+
+double rate(const rt::Runtime& run, const rt::RunResult& res) {
+  return static_cast<double>(res.total_consumed()) / wall_seconds(run, res);
+}
+
+double msgs_per_task(const rt::Runtime&, const rt::RunResult& res) {
+  return res.total_generated() > 0
+             ? static_cast<double>(res.out.msg.protocol_total()) /
+                   static_cast<double>(res.total_generated())
+             : 0.0;
+}
+
+/// The completed phases that did heavy work, reduced for the latency grids.
+struct PhaseStats {
+  std::uint64_t phases = 0, duration = 0, matched = 0, unmatched = 0,
+                forced = 0;
+
+  explicit PhaseStats(const rt::RunResult& res) {
+    for (const rt::RtPhaseSummary& ps : res.out.phases) {
+      if (!ps.completed || ps.num_heavy == 0) continue;
+      ++phases;
+      duration += ps.end_step - ps.start_step;
+      matched += ps.matched;
+      unmatched += ps.unmatched;
+      if (ps.forced) ++forced;
+    }
+  }
+  [[nodiscard]] double mean_duration() const {
+    return phases > 0
+               ? static_cast<double>(duration) / static_cast<double>(phases)
+               : 0.0;
+  }
+  [[nodiscard]] double match_pct() const {
+    const double heavy = static_cast<double>(matched + unmatched);
+    return heavy > 0 ? 100.0 * static_cast<double>(matched) / heavy : 100.0;
+  }
+};
+
+/// The most steps run_spiked runs past the nominal end.
+constexpr std::uint64_t kDrainSteps = 4096;
+
+/// The latency grids' driver. Periodic load spikes guarantee heavy
+/// processors, so every phase does real matching work — the same pattern
+/// at every grid point. A phase may be mid-flight at the nominal end (task
+/// payloads riding the fabric are neither queued nor consumed), so the run
+/// steps on to the next phase boundary; the caller checks the fabric
+/// drained.
+void run_spiked(rt::Runtime& run, std::uint64_t steps, std::uint64_t seed) {
+  const std::uint64_t n = run.n();
+  std::uint64_t done = 0;
+  for (std::uint64_t s = 0; s < steps; s += 37) {
+    if (s > done) {
+      run.run(s - done);
+      done = s;
+    }
+    const auto proc = static_cast<std::uint32_t>((seed * 7 + s * 13) % n);
+    for (std::uint32_t i = 0; i < 48; ++i) {
+      run.deposit(proc, sim::Task{static_cast<std::uint32_t>(s), proc, 1});
+    }
+  }
+  run.run(steps - done);
+  for (std::uint64_t extra = 0;
+       run.result().fabric_in_flight() != 0 && extra < kDrainSteps; ++extra) {
+    run.run(1);
+  }
+}
+
+using Value = std::function<double(const rt::Runtime&, const rt::RunResult&)>;
+
+/// One output of a grid row: a table cell, a gauge, or both from one value.
+struct Column {
+  std::string header;  // table header; empty = gauge only
+  std::string gauge;   // gauge suffix; empty = table only
+  int precision;       // decimals of the cell; kInt = an integer cell
+  Value value;
+  /// The gauge is emitted only on points whose config satisfies this.
+  bool (*only)(const rt::RtConfig&) = nullptr;
+};
+constexpr int kInt = -1;
+
+/// Column value helpers: a RunResult counter, a ShardOutputs field.
+Value counter(std::uint64_t (rt::RunResult::*f)() const) {
+  return [f](const rt::Runtime&, const rt::RunResult& res) {
+    return static_cast<double>((res.*f)());
+  };
+}
+Value output(std::uint64_t rt::ShardOutputs::*f) {
+  return [f](const rt::Runtime&, const rt::RunResult& res) {
+    return static_cast<double>(res.out.*f);
+  };
+}
+Value sojourn_us(double q) {
+  return [q](const rt::Runtime&, const rt::RunResult& res) {
+    return static_cast<double>(res.out.sojourn_us.quantile(q));
+  };
+}
+Value phase_stat(double (PhaseStats::*f)() const) {
+  return [f](const rt::Runtime&, const rt::RunResult& res) {
+    return (PhaseStats(res).*f)();
+  };
+}
+Value phase_count(std::uint64_t PhaseStats::*f) {
+  return [f](const rt::Runtime&, const rt::RunResult& res) {
+    return static_cast<double>(PhaseStats(res).*f);
+  };
+}
+
+/// One grid point: the table's leading cells, the gauge group and the run.
+struct Point {
+  std::vector<std::string> keys;
+  std::string group;  // gauges land under <prefix>.<group>.<gauge>
+  rt::RtConfig cfg;   // seed, trace and telemetry are filled by the loop
+  std::function<std::unique_ptr<sim::LoadModel>()> model;
+};
+
+/// One experiment: named once, run by the one loop in main().
+struct Grid {
+  std::string name;    // --grids selector
+  std::string prefix;  // gauge prefix
+  std::string banner, note;
+  std::vector<std::string> key_headers;
+  std::vector<Point> points;
+  std::uint64_t steps;
+  /// The periodic-spike driver (and a drained-fabric check) rather than a
+  /// plain run(steps).
+  bool spiked;
+  std::vector<Column> columns;
+  /// An extra per-point invariant: "" or what it found violated.
+  std::function<std::string(const rt::Runtime&, const rt::RunResult&)> post;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Cli cli("EXP-21: concurrent runtime scaling (threads + mailboxes)");
+  const auto grids_csv = cli.flag_str(
+      "grids", "exp21,exp22,exp24",
+      "grids to run: exp21 (scaling), exp22 (latency), exp24 (link model), "
+      "exp25 (workload zoo), exp27 (million-processor scale)");
   const auto n = cli.flag_u64("n", 1 << 12, "logical processors");
-  const auto steps = cli.flag_u64("steps", 2000, "runtime steps per run");
+  const auto steps = cli.flag_u64("steps", 2000, "exp21 steps per run");
   const auto seed = cli.flag_u64("seed", 1, "seed");
   const auto spin = cli.flag_u64(
-      "spin", 64, "spin-work iterations per consumed task (free-running)");
+      "spin", 64, "spin-work iterations per consumed task (exp21)");
   const auto workers_csv = cli.flag_str(
-      "workers", "", "comma-separated worker counts (default: 1,2,4,..,hw)");
+      "workers", "", "exp21 worker counts (default: 1,2,4,..,hw)");
   const auto models_csv =
-      cli.flag_str("models", "single,burst", "models: single,burst");
+      cli.flag_str("models", "single,burst", "exp21 models: single,burst");
   const auto policies_csv = cli.flag_str(
       "policies", "threshold,none,all-in-air",
-      "policies: threshold,none,all-in-air");
-  const auto latencies_csv = cli.flag_str(
-      "latencies", "1,2,4,8",
-      "EXP-22 deterministic latency sweep (empty disables)");
-  const auto lat_steps = cli.flag_u64(
-      "lat-steps", 512, "runtime steps per latency-sweep run");
-  const auto lat_workers =
-      cli.flag_u64("lat-workers", 4, "worker threads in the latency sweep");
+      "exp21 policies: threshold,none,all-in-air");
+  const auto latencies_csv =
+      cli.flag_str("latencies", "1,2,4,8", "exp22 message latencies");
+  const auto lat_steps =
+      cli.flag_u64("lat-steps", 512, "exp22/exp24 steps per run");
   const auto link_loss_csv = cli.flag_str(
-      "link-loss-grid", "0,4096,16384",
-      "EXP-24 loss grid, /65536 numerators (empty disables)");
-  const auto link_bw_csv = cli.flag_str(
-      "link-bw-grid", "0,1",
-      "EXP-24 bandwidth-cap grid, msgs/step per link (0 = uncapped)");
-  const auto link_jitter = cli.flag_u64(
-      "link-jitter", 1, "EXP-24 per-link extra-delay span (heterogeneous)");
-  const auto link_latency = cli.flag_u64(
-      "link-latency", 2, "EXP-24 base fabric latency");
-  const auto workload_grid = cli.flag_bool(
-      "workload-grid", false,
-      "EXP-25 production workload zoo: every zoo model under the "
-      "unbalanced/stale-SQ/local-search/threshold policies, plus a "
-      "crash/recovery pass (deterministic; statcheck --exp25)");
-  const auto scaling_grid = cli.flag_bool(
-      "scaling-grid", false,
-      "EXP-27 million-processor scale: n x workers throughput grid "
-      "(arena vs arena+steal, deterministic; perfbench --exp27 / "
-      "statcheck --exp27)");
+      "link-loss-grid", "0,4096,16384", "exp24 loss grid, /65536 numerators");
+  const auto zoo_steps =
+      cli.flag_u64("zoo-steps", 384, "exp25 steps per run");
   const auto grid_n_csv = cli.flag_str(
       "grid-n", "65536,262144,1048576",
-      "EXP-27 processor counts (default 2^16, 2^18, 2^20)");
+      "exp27 processor counts (default 2^16, 2^18, 2^20)");
   const auto grid_workers_csv =
-      cli.flag_str("grid-workers", "1,2,4", "EXP-27 worker counts");
+      cli.flag_str("grid-workers", "1,2,4", "exp27 worker counts");
   const auto grid_steps =
-      cli.flag_u64("grid-steps", 48, "steps per EXP-27 grid run");
-  const auto zoo_steps =
-      cli.flag_u64("zoo-steps", 384, "steps per workload-zoo run");
-  const auto zoo_staleness = cli.flag_u64(
-      "zoo-staleness", 8, "stale-SQ broadcast interval in the zoo grid");
+      cli.flag_u64("grid-steps", 48, "exp27 steps per run");
   const auto telemetry = cli.flag_bool(
       "telemetry", false,
       "per-worker hot-path telemetry: utilization/stall/imbalance table, "
-      "rt.*.telemetry.* gauges, snapshot timeline (--telemetry-jsonl)");
+      "<run>.telemetry.* gauges, snapshot timeline (--telemetry-jsonl)");
   const auto telemetry_interval = cli.flag_u64(
       "telemetry-interval", 64, "steps between telemetry snapshots");
   const auto telemetry_jsonl = cli.flag_str(
@@ -191,7 +320,6 @@ int main(int argc, char** argv) {
     cli.override_str("latencies", "1,4");
     cli.override_u64("lat-steps", 192);
     cli.override_str("link-loss-grid", "0,16384");
-    cli.override_str("link-bw-grid", "0,1");
     cli.override_u64("zoo-steps", 128);
     cli.override_str("grid-n", "16384");
     cli.override_str("grid-workers", "1,2");
@@ -213,24 +341,287 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::string> model_names;
-  for (const std::string& m : {std::string("single"), std::string("burst")}) {
-    if (models_csv->find(m) != std::string::npos) model_names.push_back(m);
-  }
-  std::vector<std::string> policy_names;
-  for (const std::string& p :
-       {std::string("threshold"), std::string("none"),
-        std::string("all-in-air")}) {
-    if (policies_csv->find(p) != std::string::npos) policy_names.push_back(p);
+  // ---- the grid table ----
+  std::vector<Grid> grids;
+
+  {
+    Grid g{"exp21", "rt",
+           "EXP-21  runtime scaling: threads, mailboxes, supersteps",
+           "expect: tasks/sec grows with workers until the core count; "
+           "threshold holds p99 sojourn near the unbalanced p50 at a few "
+           "percent remote-message overhead",
+           {"model", "policy", "workers"}, {}, *steps, false, {}, {}};
+    for (const std::string m : {"single", "burst"}) {
+      if (models_csv->find(m) == std::string::npos) continue;
+      for (const std::string p : {"threshold", "none", "all-in-air"}) {
+        if (policies_csv->find(p) == std::string::npos) continue;
+        for (const unsigned w : workers) {
+          rt::RtConfig cfg;
+          cfg.n = *n;
+          cfg.workers = w;
+          cfg.deterministic = false;  // free-running: arrival order wins
+          cfg.policy = policy_of(p);
+          if (cfg.policy == rt::RtPolicy::kThreshold) {
+            cfg.params = core::PhaseParams::from_n(*n);
+          }
+          cfg.spin_work = static_cast<std::uint32_t>(*spin);
+          cfg.time_sojourn = true;
+          g.points.push_back({{m, p, std::to_string(w)},
+                              m + "." + p + ".w" + std::to_string(w), cfg,
+                              [m, nn = *n] { return make_model(m, nn); }});
+        }
+      }
+    }
+    // Speedup is relative to the first worker count of each (model,
+    // policy) group; the points run in exactly that order.
+    auto base_rate = std::make_shared<double>(0.0);
+    const unsigned first_w = workers.front();
+    const Value remote = [](const rt::Runtime& run, const rt::RunResult&) {
+      const auto r = static_cast<double>(run.remote_pushes());
+      const auto s = static_cast<double>(run.self_pushes());
+      return r + s > 0 ? r / (r + s) : 0.0;
+    };
+    g.columns = {
+        {"tasks/sec", "tasks_per_sec", 0, rate},
+        {"speedup", "", 2,
+         [base_rate, first_w](const rt::Runtime& run,
+                              const rt::RunResult& res) {
+           const double r = rate(run, res);
+           if (run.config().workers == first_w) *base_rate = r;
+           return *base_rate > 0 ? r / *base_rate : 1.0;
+         }},
+        {"", "wall_seconds", 0, wall_seconds},
+        {"p50 us", "sojourn_p50_us", kInt, sojourn_us(0.50)},
+        {"p95 us", "sojourn_p95_us", kInt, sojourn_us(0.95)},
+        {"p99 us", "sojourn_p99_us", kInt, sojourn_us(0.99)},
+        {"remote %", "", 2,
+         [remote](const rt::Runtime& run, const rt::RunResult& res) {
+           return 100.0 * remote(run, res);
+         }},
+        {"", "remote_push_fraction", 0, remote},
+        {"msgs/task", "msgs_per_task", 4, msgs_per_task},
+        {"", "consumed", 0, counter(&rt::RunResult::total_consumed)},
+    };
+    grids.push_back(std::move(g));
   }
 
-  util::print_banner("EXP-21  runtime scaling: threads, mailboxes, supersteps");
-  util::print_note("expect: tasks/sec grows with workers until the core "
-                   "count; threshold holds p99 sojourn near the unbalanced "
-                   "p50 at a few percent remote-message overhead");
+  // The latency and link grids share one deterministic threshold setup.
+  core::Fractions lat_fr;
+  lat_fr.t_min = 64;
+  const core::PhaseParams lat_params = core::PhaseParams::from_n(*n, lat_fr);
+  const auto latency_cfg = [&](std::uint32_t latency) {
+    rt::RtConfig cfg;
+    cfg.n = *n;
+    cfg.workers = kGridWorkers;
+    cfg.deterministic = true;
+    cfg.policy = rt::RtPolicy::kThreshold;
+    cfg.params = lat_params;
+    cfg.latency = latency;
+    return cfg;
+  };
+  const auto single = [nn = *n] { return make_model("single", nn); };
+  const std::vector<Column> phase_columns = {
+      {"phases", "phases", kInt, phase_count(&PhaseStats::phases)},
+      {"phase steps (mean)", "phase_duration_mean", 2,
+       phase_stat(&PhaseStats::mean_duration)},
+      {"match %", "match_pct", 2, phase_stat(&PhaseStats::match_pct)},
+      {"forced", "forced", kInt, phase_count(&PhaseStats::forced)},
+  };
 
-  util::Table table({"model", "policy", "workers", "tasks/sec", "speedup",
-                     "p50 us", "p95 us", "p99 us", "remote %", "msgs/task"});
+  {
+    Grid g{"exp22", "exp22",
+           "EXP-22  latency fabric: phase duration on real threads",
+           "expect: mean phase duration grows ~linearly with the message "
+           "latency while the match rate holds; runs are deterministic and "
+           "worker-count invariant (lockstep with dist/, see "
+           "rt_latency_equivalence)",
+           {"latency"}, {}, *lat_steps, true, phase_columns, {}};
+    for (const std::uint64_t l : util::Cli::parse_u64_list(*latencies_csv)) {
+      g.points.push_back({{std::to_string(l)}, "lat" + std::to_string(l),
+                          latency_cfg(static_cast<std::uint32_t>(l)), single});
+    }
+    g.columns.push_back(
+        {"max load", "", kInt, output(&rt::ShardOutputs::running_max)});
+    grids.push_back(std::move(g));
+  }
+
+  {
+    Grid g{"exp24", "exp24",
+           "EXP-24  link model: loss/retransmit + bandwidth caps + jitter",
+           "expect: phase duration stretches with the loss rate (retransmit "
+           "RTOs) and with bandwidth caps (per-link FIFO queueing) while the "
+           "match rate holds; lossless uncapped rows pay neither",
+           {"loss/64k", "bw cap"}, {}, *lat_steps, true, phase_columns, {}};
+    for (const std::uint64_t loss :
+         util::Cli::parse_u64_list(*link_loss_csv)) {
+      for (const std::uint32_t bw : kLinkBandwidths) {
+        rt::RtConfig cfg = latency_cfg(kLinkLatency);
+        cfg.link.jitter = kLinkJitter;
+        cfg.link.bandwidth = bw;
+        cfg.link.loss_per_64k = static_cast<std::uint32_t>(loss);
+        g.points.push_back(
+            {{std::to_string(loss), std::to_string(bw)},
+             "loss" + std::to_string(loss) + ".bw" + std::to_string(bw), cfg,
+             single});
+      }
+    }
+    g.columns.push_back({"retrans", "retransmits", kInt,
+                         output(&rt::ShardOutputs::retransmits)});
+    g.columns.push_back({"dups supp", "dup_suppressed", kInt,
+                         output(&rt::ShardOutputs::dup_suppressed)});
+    g.columns.push_back({"queued delay", "queued_delay", kInt,
+                         output(&rt::ShardOutputs::queued_delay)});
+    grids.push_back(std::move(g));
+  }
+
+  {
+    Grid g{"exp25", "exp25",
+           "EXP-25  workload zoo: heavy tails, diurnal skew, crash/recovery",
+           "expect: the load-oblivious threshold protocol holds max load "
+           "within a small constant of the informed baselines on every model "
+           "without load broadcasts; stale-SQ herds onto stale minima; "
+           "crashes re-home every task (conservation is FATAL-checked)",
+           {"model", "policy"}, {}, *zoo_steps, false, {}, {}};
+    const auto zoo_point = [&](const std::string& model,
+                               const std::string& policy,
+                               std::vector<core::CrashEvent> crashes,
+                               std::string group) {
+      rt::RtConfig cfg;
+      cfg.n = *n;
+      cfg.workers = kGridWorkers;
+      cfg.deterministic = true;
+      cfg.policy = zoo_policy_of(policy);
+      if (cfg.policy == rt::RtPolicy::kThreshold) {
+        cfg.params = core::PhaseParams::from_n(*n);
+      }
+      cfg.stale.staleness = kZooStaleness;
+      cfg.crashes = std::move(crashes);
+      g.points.push_back(
+          {{model, policy}, std::move(group), cfg,
+           [model, nn = *n] { return make_zoo_model(model, nn); }});
+    };
+    for (const std::string m :
+         {"diurnal", "flash-crowd", "pareto", "zipf", "hetero"}) {
+      for (const std::string p :
+           {"none", "stale-sq", "local-search", "threshold"}) {
+        zoo_point(m, p, {}, m + "." + p);
+      }
+    }
+    // Crash/recovery pass: the diurnal model under the liveness-aware
+    // policies (the threshold protocol predates liveness; see RtConfig),
+    // two processors dying mid-run and recovering before the end.
+    const std::uint64_t down = std::max<std::uint64_t>(*zoo_steps / 8, 1);
+    const std::vector<core::CrashEvent> crashes = {
+        {*zoo_steps / 3, static_cast<std::uint32_t>(*n / 3), down},
+        {*zoo_steps / 2, static_cast<std::uint32_t>(2 * *n / 3), down}};
+    for (const std::string p : {"none", "stale-sq", "local-search"}) {
+      zoo_point("diurnal", p, crashes, "crash." + p);
+    }
+    const auto crashed = [](const rt::RtConfig& c) {
+      return !c.crashes.empty();
+    };
+    g.columns = {
+        {"max load", "max_load", kInt, output(&rt::ShardOutputs::running_max)},
+        {"final mean", "final_mean_load", 2,
+         [](const rt::Runtime& run, const rt::RunResult& res) {
+           return static_cast<double>(res.total_load()) /
+                  static_cast<double>(run.n());
+         }},
+        {"moved", "tasks_moved", kInt,
+         [](const rt::Runtime&, const rt::RunResult& res) {
+           return static_cast<double>(res.out.msg.tasks_moved);
+         }},
+        {"msgs/task", "msgs_per_task", 4, msgs_per_task},
+        {"consumed", "consumed", kInt,
+         counter(&rt::RunResult::total_consumed)},
+        {"rehomed", "rehomed_tasks", kInt,
+         output(&rt::ShardOutputs::rehomed_tasks), crashed},
+        {"", "rehomed_events", 0, output(&rt::ShardOutputs::rehomed_events),
+         crashed},
+    };
+    grids.push_back(std::move(g));
+  }
+
+  {
+    // Spin work is off so the queue data path dominates.
+    Grid g{"exp27", "exp27",
+           "EXP-27  million-processor scale: arena queues, batched drains, "
+           "stealing",
+           "expect: identical consumed/max-load counters across the worker "
+           "counts of each row (deterministic); the steal rows drain dry "
+           "shards from the canonically-ordered hottest victims",
+           {"n", "workers", "layout"}, {}, *grid_steps, false, {}, {}};
+    for (const std::uint64_t gn : util::Cli::parse_u64_list(*grid_n_csv)) {
+      for (const std::uint64_t gw :
+           util::Cli::parse_u64_list(*grid_workers_csv)) {
+        for (const bool steal : {false, true}) {
+          const std::string layout = steal ? "arena_steal" : "arena";
+          rt::RtConfig cfg;
+          cfg.n = gn;
+          cfg.workers = static_cast<unsigned>(gw);
+          cfg.deterministic = true;
+          cfg.policy = rt::RtPolicy::kNone;
+          cfg.spin_work = 0;
+          cfg.steal.enabled = steal;
+          g.points.push_back(
+              {{std::to_string(gn), std::to_string(gw), layout},
+               "n" + std::to_string(gn) + ".w" + std::to_string(gw) + "." +
+                   layout,
+               cfg, [gn] { return make_model("burst", gn); }});
+        }
+      }
+    }
+    const auto stealing = [](const rt::RtConfig& c) {
+      return c.steal.enabled;
+    };
+    const Value arena_bytes = [](const rt::Runtime& run,
+                                 const rt::RunResult&) {
+      return static_cast<double>(run.arena_bytes_used());
+    };
+    g.columns = {
+        {"tasks/sec", "tasks_per_sec", 0, rate},
+        {"", "wall_seconds", 0, wall_seconds},
+        {"consumed", "consumed", kInt,
+         counter(&rt::RunResult::total_consumed)},
+        {"max load", "max_load", kInt, output(&rt::ShardOutputs::running_max)},
+        {"steals", "steal_events", kInt,
+         output(&rt::ShardOutputs::steal_events), stealing},
+        {"", "stolen_tasks", 0, output(&rt::ShardOutputs::stolen_tasks),
+         stealing},
+        {"arena MB", "", 1,
+         [arena_bytes](const rt::Runtime& run, const rt::RunResult& res) {
+           return arena_bytes(run, res) / (1024.0 * 1024.0);
+         }},
+        {"", "arena_bytes", 0, arena_bytes},
+    };
+    // Deterministic runs: every counter of one (n, layout) pair is the
+    // same at every worker count.
+    auto sigs = std::make_shared<
+        std::map<std::pair<std::uint64_t, bool>,
+                 std::array<std::uint64_t, 3>>>();
+    g.post = [sigs](const rt::Runtime& run, const rt::RunResult& res) {
+      const std::array<std::uint64_t, 3> sig = {
+          res.total_consumed(), res.out.running_max, res.total_load()};
+      const bool same =
+          sigs->try_emplace({run.n(), run.config().steal.enabled}, sig)
+              .first->second == sig;
+      return same ? std::string() : std::string("worker counts diverged");
+    };
+    grids.push_back(std::move(g));
+  }
+
+  std::vector<std::string> selected;
+  std::istringstream grids_in(*grids_csv);
+  for (std::string s; std::getline(grids_in, s, ',');) {
+    if (std::none_of(grids.begin(), grids.end(),
+                     [&](const Grid& g) { return g.name == s; })) {
+      std::fprintf(stderr, "bench_rt: unknown grid '%s' in --grids\n",
+                   s.c_str());
+      return 2;
+    }
+    selected.push_back(s);
+  }
+
   util::Table ttable({"model", "policy", "workers", "util mean", "stall %",
                       "imbalance", "drain mean", "barrier p99 us"});
   std::string telemetry_timeline;
@@ -241,570 +632,88 @@ int main(int argc, char** argv) {
 
   // Runs share one trace timeline; each gets its own step window so the
   // JSONL steps stay globally non-decreasing (same idiom as the sim benches).
+  // A spiked run's window also covers its bounded drain overrun.
   std::uint64_t trace_window = 0;
 
-  for (const std::string& model_name : model_names) {
-    for (const std::string& policy_name : policy_names) {
-      double base_rate = 0;
-      for (unsigned w : workers) {
-        auto model = make_model(model_name, *n);
-        rt::RtConfig cfg;
-        cfg.n = *n;
-        cfg.seed = *seed;
-        cfg.workers = w;
-        cfg.deterministic = false;  // free-running: arrival order wins
-        cfg.policy = policy_of(policy_name);
-        if (cfg.policy == rt::RtPolicy::kThreshold) {
-          cfg.params = core::PhaseParams::from_n(*n);
-        }
-        cfg.spin_work = static_cast<std::uint32_t>(*spin);
-        cfg.time_sojourn = true;
-        cfg.telemetry = *telemetry;
-        cfg.telemetry_interval = *telemetry ? *telemetry_interval : 0;
-        cfg.telemetry_tag =
-            model_name + "." + policy_name + ".w" + std::to_string(w);
-        cfg.trace = rec.trace();
-        rec.trace()->set_time_base(trace_window);
-        trace_window += *steps + 16;
-        rt::Runtime run(cfg, model.get());
-        run.run(*steps);
-        const rt::RunResult& res = run.result();
-
-        const double secs = std::max(run.wall_seconds(), 1e-9);
-        const double rate =
-            static_cast<double>(res.total_consumed()) / secs;
-        if (w == workers.front()) base_rate = rate;
-        const stats::IntHistogram& soj = res.out.sojourn_us;
-        const std::uint64_t remote = run.remote_pushes();
-        const std::uint64_t self = run.self_pushes();
-        const double remote_pct =
-            remote + self > 0
-                ? 100.0 * static_cast<double>(remote) /
-                      static_cast<double>(remote + self)
-                : 0.0;
-        const double msgs_per_task =
-            res.total_generated() > 0
-                ? static_cast<double>(res.out.msg.protocol_total()) /
-                      static_cast<double>(res.total_generated())
-                : 0.0;
-
-        table.row()
-            .cell(model_name)
-            .cell(policy_name)
-            .cell(static_cast<std::uint64_t>(w))
-            .cell(rate, 0)
-            .cell(base_rate > 0 ? rate / base_rate : 1.0, 2)
-            .cell(soj.quantile(0.50))
-            .cell(soj.quantile(0.95))
-            .cell(soj.quantile(0.99))
-            .cell(remote_pct, 2)
-            .cell(msgs_per_task, 4);
-
-        const std::string prefix = "rt." + model_name + "." + policy_name +
-                                   ".w" + std::to_string(w) + ".";
-        rec.metrics().gauge(prefix + "tasks_per_sec") = rate;
-        rec.metrics().gauge(prefix + "wall_seconds") = secs;
-        rec.metrics().gauge(prefix + "sojourn_p50_us") =
-            static_cast<double>(soj.quantile(0.50));
-        rec.metrics().gauge(prefix + "sojourn_p95_us") =
-            static_cast<double>(soj.quantile(0.95));
-        rec.metrics().gauge(prefix + "sojourn_p99_us") =
-            static_cast<double>(soj.quantile(0.99));
-        rec.metrics().gauge(prefix + "remote_push_fraction") =
-            remote_pct / 100.0;
-        rec.metrics().gauge(prefix + "msgs_per_task") = msgs_per_task;
-        rec.metrics().gauge(prefix + "consumed") =
-            static_cast<double>(res.total_consumed());
-
-        if (run.telemetry_enabled()) {
-          run.export_telemetry(rec.metrics(), prefix + "telemetry.");
-          telemetry_timeline += run.telemetry_jsonl();
-          auto& m = rec.metrics();
-          ttable.row()
-              .cell(model_name)
-              .cell(policy_name)
-              .cell(static_cast<std::uint64_t>(w))
-              .cell(m.gauge(prefix + "telemetry.utilization_mean"), 3)
-              .cell(100.0 * m.gauge(prefix + "telemetry.barrier_stall_fraction"),
-                    2)
-              .cell(m.gauge(prefix + "telemetry.queue_imbalance"), 2)
-              .cell(m.gauge(prefix + "telemetry.drain_batch_mean"), 2)
-              .cell(m.gauge(prefix + "telemetry.barrier_wait_p99_ns") / 1000.0,
-                    1);
-        }
-
-        if (!res.conservation_holds()) {
-          std::fprintf(stderr, "FATAL: conservation violated (%s/%s/w%u)\n",
-                       model_name.c_str(), policy_name.c_str(), w);
-          return 1;
-        }
-      }
+  for (std::size_t gi = 0; gi < grids.size(); ++gi) {
+    Grid& g = grids[gi];
+    if (std::find(selected.begin(), selected.end(), g.name) ==
+        selected.end()) {
+      continue;
     }
-  }
-  clb::bench::emit(table, "rt_1");
-
-  // ---- EXP-22: the latency fabric on real threads (deterministic) ----
-  // Same protocol, but every send is delayed by the dist:: delivery policy;
-  // phases span supersteps and their duration tracks the message latency
-  // (EXP-19's result, executed by worker threads instead of the simulator).
-  std::vector<std::uint32_t> latencies;
-  for (std::uint64_t l : util::Cli::parse_u64_list(*latencies_csv)) {
-    latencies.push_back(static_cast<std::uint32_t>(l));
-  }
-  if (!latencies.empty()) {
-    util::print_banner(
-        "EXP-22  latency fabric: phase duration on real threads");
-    util::print_note("expect: mean phase duration grows ~linearly with the "
-                     "message latency while the match rate holds; runs are "
-                     "deterministic and worker-count invariant (lockstep "
-                     "with dist/, see rt_latency_equivalence)");
-    util::Table lt({"latency", "phases", "phase steps (mean)", "match %",
-                    "forced", "max load"});
-    core::Fractions lat_fr;
-    lat_fr.t_min = 64;
-    const core::PhaseParams lat_params = core::PhaseParams::from_n(*n, lat_fr);
-    for (const std::uint32_t latency : latencies) {
-      auto model = make_model("single", *n);
-      rt::RtConfig cfg;
-      cfg.n = *n;
+    util::print_banner(g.banner);
+    util::print_note(g.note);
+    std::vector<std::string> headers = g.key_headers;
+    for (const Column& c : g.columns) {
+      if (!c.header.empty()) headers.push_back(c.header);
+    }
+    util::Table table(headers);
+    for (Point& p : g.points) {
+      const std::string gp = g.prefix + "." + p.group;
+      rt::RtConfig& cfg = p.cfg;
       cfg.seed = *seed;
-      cfg.workers = static_cast<unsigned>(*lat_workers);
-      cfg.deterministic = true;
-      cfg.policy = rt::RtPolicy::kThreshold;
-      cfg.params = lat_params;
-      cfg.latency = latency;
       cfg.telemetry = *telemetry;
       cfg.telemetry_interval = *telemetry ? *telemetry_interval : 0;
-      cfg.telemetry_tag = "exp22.lat" + std::to_string(latency);
+      cfg.telemetry_tag = gp;
       cfg.trace = rec.trace();
       rec.trace()->set_time_base(trace_window);
-      // Window must cover the bounded drain overrun below (<= 4096 steps).
-      trace_window += *lat_steps + 4096 + 64;
+      trace_window += g.steps + (g.spiked ? kDrainSteps + 64 : 16);
+      const auto model = p.model();
       rt::Runtime run(cfg, model.get());
-
-      // Periodic load spikes guarantee heavy processors, so every phase
-      // does real matching work — the same pattern at every latency.
-      std::uint64_t done = 0;
-      for (std::uint64_t s = 0; s < *lat_steps; s += 37) {
-        if (s > done) {
-          run.run(s - done);
-          done = s;
-        }
-        const std::uint32_t proc =
-            static_cast<std::uint32_t>((*seed * 7 + s * 13) % *n);
-        for (std::uint32_t i = 0; i < 48; ++i) {
-          run.deposit(proc,
-                      sim::Task{static_cast<std::uint32_t>(s), proc, 1});
-        }
-      }
-      run.run(*lat_steps - done);
-      // A phase may be mid-flight at the nominal end (task payloads riding
-      // the fabric are neither queued nor consumed); step on to the next
-      // phase boundary so the conservation check sees a drained fabric.
-      for (std::uint64_t extra = 0;
-           run.result().fabric_in_flight() != 0 && extra < 4096; ++extra) {
-        run.run(1);
+      if (g.spiked) {
+        run_spiked(run, g.steps, *seed);
+      } else {
+        run.run(g.steps);
       }
       const rt::RunResult& res = run.result();
 
-      std::uint64_t phases = 0, duration = 0, matched = 0, unmatched = 0,
-                    forced = 0;
-      for (const rt::RtPhaseSummary& ps : res.out.phases) {
-        if (!ps.completed || ps.num_heavy == 0) continue;
-        ++phases;
-        duration += ps.end_step - ps.start_step;
-        matched += ps.matched;
-        unmatched += ps.unmatched;
-        if (ps.forced) ++forced;
+      table.row();
+      for (const std::string& k : p.keys) table.cell(k);
+      for (const Column& c : g.columns) {
+        const double v = c.value(run, res);
+        if (!c.header.empty()) {
+          if (c.precision == kInt) {
+            table.cell(static_cast<std::uint64_t>(v));
+          } else {
+            table.cell(v, c.precision);
+          }
+        }
+        if (!c.gauge.empty() && (c.only == nullptr || c.only(cfg))) {
+          rec.metrics().gauge(gp + "." + c.gauge) = v;
+        }
       }
-      const double mean_dur =
-          phases > 0
-              ? static_cast<double>(duration) / static_cast<double>(phases)
-              : 0.0;
-      const double total_heavy = static_cast<double>(matched + unmatched);
-      const double match_pct =
-          total_heavy > 0
-              ? 100.0 * static_cast<double>(matched) / total_heavy
-              : 100.0;
-
-      lt.row()
-          .cell(static_cast<std::uint64_t>(latency))
-          .cell(phases)
-          .cell(mean_dur, 2)
-          .cell(match_pct, 2)
-          .cell(forced)
-          .cell(res.out.running_max);
-
-      const std::string prefix = "exp22.lat" + std::to_string(latency) + ".";
-      rec.metrics().gauge(prefix + "phase_duration_mean") = mean_dur;
-      rec.metrics().gauge(prefix + "phases") = static_cast<double>(phases);
-      rec.metrics().gauge(prefix + "match_pct") = match_pct;
-      rec.metrics().gauge(prefix + "forced") = static_cast<double>(forced);
 
       if (run.telemetry_enabled()) {
-        run.export_telemetry(rec.metrics(), prefix + "telemetry.");
+        const std::string tp = gp + ".telemetry.";
+        run.export_telemetry(rec.metrics(), tp);
         telemetry_timeline += run.telemetry_jsonl();
+        if (g.name == "exp21") {  // the table's keys are exp21's
+          auto& m = rec.metrics();
+          ttable.row();
+          for (const std::string& k : p.keys) ttable.cell(k);
+          ttable.cell(m.gauge(tp + "utilization_mean"), 3)
+              .cell(100.0 * m.gauge(tp + "barrier_stall_fraction"), 2)
+              .cell(m.gauge(tp + "queue_imbalance"), 2)
+              .cell(m.gauge(tp + "drain_batch_mean"), 2)
+              .cell(m.gauge(tp + "barrier_wait_p99_ns") / 1000.0, 1);
+        }
       }
 
-      if (!res.conservation_holds() || res.fabric_in_flight() != 0) {
-        std::fprintf(stderr,
-                     "FATAL: latency-sweep invariants violated (lat=%u)\n",
-                     latency);
+      std::string broken;
+      if (!res.conservation_holds()) {
+        broken = "conservation violated";
+      } else if (g.spiked && res.fabric_in_flight() != 0) {
+        broken = "fabric not drained";
+      } else if (g.post) {
+        broken = g.post(run, res);
+      }
+      if (!broken.empty()) {
+        std::fprintf(stderr, "FATAL: %s: %s (%s)\n", g.name.c_str(),
+                     broken.c_str(), gp.c_str());
         return 1;
       }
     }
-    clb::bench::emit(lt, "rt_2");
-  }
-
-  // ---- EXP-24: the link model (loss/retransmit, bandwidth, jitter) ----
-  // Same deterministic driver as EXP-22 at a fixed base latency, sweeping a
-  // loss × bandwidth grid with heterogeneous per-link jitter everywhere:
-  // the single fabric absorbs retransmit and queueing delay as longer
-  // phases, not lost work.
-  std::vector<std::uint32_t> losses;
-  for (std::uint64_t l : util::Cli::parse_u64_list(*link_loss_csv)) {
-    losses.push_back(static_cast<std::uint32_t>(l));
-  }
-  std::vector<std::uint32_t> bws;
-  for (std::uint64_t b : util::Cli::parse_u64_list(*link_bw_csv)) {
-    bws.push_back(static_cast<std::uint32_t>(b));
-  }
-  if (!losses.empty() && !bws.empty()) {
-    util::print_banner(
-        "EXP-24  link model: loss/retransmit + bandwidth caps + jitter");
-    util::print_note("expect: phase duration stretches with the loss rate "
-                     "(retransmit RTOs) and with bandwidth caps (per-link "
-                     "FIFO queueing) while the match rate holds; lossless "
-                     "uncapped rows pay neither");
-    util::Table kt({"loss/64k", "bw cap", "phases", "phase steps (mean)",
-                    "match %", "forced", "retrans", "dups supp",
-                    "queued delay"});
-    core::Fractions link_fr;
-    link_fr.t_min = 64;
-    const core::PhaseParams link_params =
-        core::PhaseParams::from_n(*n, link_fr);
-    for (const std::uint32_t loss : losses) {
-      for (const std::uint32_t bw : bws) {
-        auto model = make_model("single", *n);
-        rt::RtConfig cfg;
-        cfg.n = *n;
-        cfg.seed = *seed;
-        cfg.workers = static_cast<unsigned>(*lat_workers);
-        cfg.deterministic = true;
-        cfg.policy = rt::RtPolicy::kThreshold;
-        cfg.params = link_params;
-        cfg.latency = static_cast<std::uint32_t>(*link_latency);
-        cfg.link.jitter = static_cast<std::uint32_t>(*link_jitter);
-        cfg.link.bandwidth = bw;
-        cfg.link.loss_per_64k = loss;
-        cfg.telemetry = *telemetry;
-        cfg.telemetry_interval = *telemetry ? *telemetry_interval : 0;
-        cfg.telemetry_tag =
-            "exp24.loss" + std::to_string(loss) + ".bw" + std::to_string(bw);
-        cfg.trace = rec.trace();
-        rec.trace()->set_time_base(trace_window);
-        trace_window += *lat_steps + 4096 + 64;
-        rt::Runtime run(cfg, model.get());
-
-        // The same periodic-spike pattern as EXP-22, so rows only differ in
-        // their link model.
-        std::uint64_t done = 0;
-        for (std::uint64_t s = 0; s < *lat_steps; s += 37) {
-          if (s > done) {
-            run.run(s - done);
-            done = s;
-          }
-          const std::uint32_t proc =
-              static_cast<std::uint32_t>((*seed * 7 + s * 13) % *n);
-          for (std::uint32_t i = 0; i < 48; ++i) {
-            run.deposit(proc,
-                        sim::Task{static_cast<std::uint32_t>(s), proc, 1});
-          }
-        }
-        run.run(*lat_steps - done);
-        for (std::uint64_t extra = 0;
-             run.result().fabric_in_flight() != 0 && extra < 4096; ++extra) {
-          run.run(1);
-        }
-        const rt::RunResult& res = run.result();
-
-        std::uint64_t phases = 0, duration = 0, matched = 0, unmatched = 0,
-                      forced = 0;
-        for (const rt::RtPhaseSummary& ps : res.out.phases) {
-          if (!ps.completed || ps.num_heavy == 0) continue;
-          ++phases;
-          duration += ps.end_step - ps.start_step;
-          matched += ps.matched;
-          unmatched += ps.unmatched;
-          if (ps.forced) ++forced;
-        }
-        const double mean_dur =
-            phases > 0
-                ? static_cast<double>(duration) / static_cast<double>(phases)
-                : 0.0;
-        const double total_heavy = static_cast<double>(matched + unmatched);
-        const double match_pct =
-            total_heavy > 0
-                ? 100.0 * static_cast<double>(matched) / total_heavy
-                : 100.0;
-
-        kt.row()
-            .cell(static_cast<std::uint64_t>(loss))
-            .cell(static_cast<std::uint64_t>(bw))
-            .cell(phases)
-            .cell(mean_dur, 2)
-            .cell(match_pct, 2)
-            .cell(forced)
-            .cell(res.out.retransmits)
-            .cell(res.out.dup_suppressed)
-            .cell(res.out.queued_delay);
-
-        const std::string prefix = "exp24.loss" + std::to_string(loss) +
-                                   ".bw" + std::to_string(bw) + ".";
-        rec.metrics().gauge(prefix + "phase_duration_mean") = mean_dur;
-        rec.metrics().gauge(prefix + "phases") = static_cast<double>(phases);
-        rec.metrics().gauge(prefix + "match_pct") = match_pct;
-        rec.metrics().gauge(prefix + "forced") = static_cast<double>(forced);
-        rec.metrics().gauge(prefix + "retransmits") =
-            static_cast<double>(res.out.retransmits);
-        rec.metrics().gauge(prefix + "dup_suppressed") =
-            static_cast<double>(res.out.dup_suppressed);
-        rec.metrics().gauge(prefix + "queued_delay") =
-            static_cast<double>(res.out.queued_delay);
-
-        if (run.telemetry_enabled()) {
-          run.export_telemetry(rec.metrics(), prefix + "telemetry.");
-          telemetry_timeline += run.telemetry_jsonl();
-        }
-
-        if (!res.conservation_holds() || res.fabric_in_flight() != 0) {
-          std::fprintf(stderr,
-                       "FATAL: link-sweep invariants violated "
-                       "(loss=%u bw=%u)\n",
-                       loss, bw);
-          return 1;
-        }
-      }
-    }
-    clb::bench::emit(kt, "rt_3");
-  }
-
-  // ---- EXP-25: the production workload zoo (--workload-grid) ----
-  // Deterministic runs, so every gauge is an exact replayable constant:
-  // each zoo model under the unbalanced control, the stale-information
-  // shortest-queue baseline, Berenbrink–Kling local search, and the paper's
-  // threshold protocol; then a crash/recovery pass over the liveness-aware
-  // policies with two processors dying mid-run.
-  if (*workload_grid) {
-    util::print_banner(
-        "EXP-25  workload zoo: heavy tails, diurnal skew, crash/recovery");
-    util::print_note("expect: the load-oblivious threshold protocol holds "
-                     "max load within a small constant of the informed "
-                     "baselines on every model without load broadcasts; "
-                     "stale-SQ herds onto stale minima; crashes re-home "
-                     "every task (conservation is FATAL-checked)");
-    util::Table zt({"model", "policy", "max load", "final mean", "moved",
-                    "msgs/task", "consumed", "rehomed"});
-    // One zoo run -> one table row + one exp25.<prefix>.* gauge group.
-    // Returns false on an invariant violation (caller aborts the bench).
-    auto zoo_run = [&](const std::string& model_name,
-                       const std::string& policy_name,
-                       const std::vector<core::CrashEvent>& crashes,
-                       const std::string& prefix) -> bool {
-      auto model = make_zoo_model(model_name, *n);
-      rt::RtConfig cfg;
-      cfg.n = *n;
-      cfg.seed = *seed;
-      cfg.workers = static_cast<unsigned>(*lat_workers);
-      cfg.deterministic = true;
-      cfg.policy = zoo_policy_of(policy_name);
-      if (cfg.policy == rt::RtPolicy::kThreshold) {
-        cfg.params = core::PhaseParams::from_n(*n);
-      }
-      cfg.stale.staleness = *zoo_staleness;
-      cfg.crashes = crashes;
-      cfg.trace = rec.trace();
-      rec.trace()->set_time_base(trace_window);
-      trace_window += *zoo_steps + 16;
-      rt::Runtime run(cfg, model.get());
-      run.run(*zoo_steps);
-      const rt::RunResult& res = run.result();
-
-      const double final_mean =
-          static_cast<double>(res.total_load()) / static_cast<double>(*n);
-      const std::uint64_t moved = res.out.msg.tasks_moved;
-      const double msgs_per_task =
-          res.total_generated() > 0
-              ? static_cast<double>(res.out.msg.protocol_total()) /
-                    static_cast<double>(res.total_generated())
-              : 0.0;
-
-      zt.row()
-          .cell(model_name)
-          .cell(policy_name)
-          .cell(res.out.running_max)
-          .cell(final_mean, 2)
-          .cell(moved)
-          .cell(msgs_per_task, 4)
-          .cell(res.total_consumed())
-          .cell(res.out.rehomed_tasks);
-
-      const std::string gp = "exp25." + prefix + ".";
-      rec.metrics().gauge(gp + "max_load") =
-          static_cast<double>(res.out.running_max);
-      rec.metrics().gauge(gp + "final_mean_load") = final_mean;
-      rec.metrics().gauge(gp + "tasks_moved") = static_cast<double>(moved);
-      rec.metrics().gauge(gp + "msgs_per_task") = msgs_per_task;
-      rec.metrics().gauge(gp + "consumed") =
-          static_cast<double>(res.total_consumed());
-      if (!crashes.empty()) {
-        rec.metrics().gauge(gp + "rehomed_tasks") =
-            static_cast<double>(res.out.rehomed_tasks);
-        rec.metrics().gauge(gp + "rehomed_events") =
-            static_cast<double>(res.out.rehomed_events);
-      }
-
-      if (!res.conservation_holds()) {
-        std::fprintf(stderr, "FATAL: zoo conservation violated (%s/%s)\n",
-                     model_name.c_str(), policy_name.c_str());
-        return false;
-      }
-      return true;
-    };
-
-    const std::vector<std::string> zoo_model_names = {
-        "diurnal", "flash-crowd", "pareto", "zipf", "hetero"};
-    const std::vector<std::string> zoo_policy_names = {
-        "none", "stale-sq", "local-search", "threshold"};
-    for (const std::string& mn : zoo_model_names) {
-      for (const std::string& pn : zoo_policy_names) {
-        if (!zoo_run(mn, pn, {}, mn + "." + pn)) return 1;
-      }
-    }
-
-    // Crash/recovery pass: the diurnal model under the liveness-aware
-    // policies (the threshold protocol predates liveness; see RtConfig),
-    // two processors dying mid-run and recovering before the end.
-    const std::uint64_t down = std::max<std::uint64_t>(*zoo_steps / 8, 1);
-    const std::vector<core::CrashEvent> zoo_crashes = {
-        {*zoo_steps / 3, static_cast<std::uint32_t>(*n / 3), down},
-        {*zoo_steps / 2, static_cast<std::uint32_t>(2 * *n / 3), down}};
-    for (const std::string& pn : {std::string("none"),
-                                  std::string("stale-sq"),
-                                  std::string("local-search")}) {
-      if (!zoo_run("diurnal", pn, zoo_crashes, "crash." + pn)) return 1;
-    }
-    clb::bench::emit(zt, "rt_4");
-  }
-
-  // ---- EXP-27: million-processor scale (--scaling-grid) ----
-  // Deterministic throughput grid over n x workers, two rows per point: the
-  // arena-backed SoA task queues alone, and with deterministic work
-  // stealing live (RtConfig::steal). Spin work is off so the queue data
-  // path dominates; determinism makes every counter an exact replayable
-  // constant, identical across worker counts (any divergence is FATAL).
-  if (*scaling_grid) {
-    util::print_banner(
-        "EXP-27  million-processor scale: arena queues, batched drains, "
-        "stealing");
-    util::print_note("expect: identical consumed/max-load counters across "
-                     "the worker counts of each row (deterministic); the "
-                     "steal rows drain dry shards from the "
-                     "canonically-ordered hottest victims");
-    util::Table gt({"n", "workers", "layout", "tasks/sec", "consumed",
-                    "max load", "steals", "arena MB"});
-    struct GridSig {
-      bool set = false;
-      std::uint64_t consumed = 0;
-      std::uint64_t max_load = 0;
-      std::uint64_t total_load = 0;
-    };
-    const char* layout_names[2] = {"arena", "arena_steal"};
-    for (std::uint64_t gn : util::Cli::parse_u64_list(*grid_n_csv)) {
-      GridSig nosteal_sig;  // shared by arena at every worker count
-      GridSig steal_sig;    // shared by arena_steal at every worker count
-      for (std::uint64_t gw : util::Cli::parse_u64_list(*grid_workers_csv)) {
-        for (int layout = 0; layout < 2; ++layout) {
-          auto model = make_model("burst", gn);
-          rt::RtConfig cfg;
-          cfg.n = gn;
-          cfg.seed = *seed;
-          cfg.workers = static_cast<unsigned>(gw);
-          cfg.deterministic = true;
-          cfg.policy = rt::RtPolicy::kNone;
-          cfg.spin_work = 0;  // measure the queue path, not the payload
-          cfg.steal.enabled = layout == 1;
-          cfg.trace = rec.trace();
-          rec.trace()->set_time_base(trace_window);
-          trace_window += *grid_steps + 16;
-          rt::Runtime run(cfg, model.get());
-          run.run(*grid_steps);
-          const rt::RunResult& res = run.result();
-
-          const double secs = std::max(run.wall_seconds(), 1e-9);
-          const double rate =
-              static_cast<double>(res.total_consumed()) / secs;
-          const double arena_mb =
-              static_cast<double>(run.arena_bytes_used()) / (1024.0 * 1024.0);
-
-          gt.row()
-              .cell(gn)
-              .cell(gw)
-              .cell(layout_names[layout])
-              .cell(rate, 0)
-              .cell(res.total_consumed())
-              .cell(res.out.running_max)
-              .cell(res.out.steal_events)
-              .cell(arena_mb, 1);
-
-          const std::string prefix = "exp27.n" + std::to_string(gn) + ".w" +
-                                     std::to_string(gw) + "." +
-                                     layout_names[layout] + ".";
-          rec.metrics().gauge(prefix + "tasks_per_sec") = rate;
-          rec.metrics().gauge(prefix + "wall_seconds") = secs;
-          rec.metrics().gauge(prefix + "consumed") =
-              static_cast<double>(res.total_consumed());
-          rec.metrics().gauge(prefix + "max_load") =
-              static_cast<double>(res.out.running_max);
-          rec.metrics().gauge(prefix + "arena_bytes") =
-              static_cast<double>(run.arena_bytes_used());
-          if (layout == 1) {
-            rec.metrics().gauge(prefix + "steal_events") =
-                static_cast<double>(res.out.steal_events);
-            rec.metrics().gauge(prefix + "stolen_tasks") =
-                static_cast<double>(res.out.stolen_tasks);
-          }
-
-          if (!res.conservation_holds()) {
-            std::fprintf(stderr,
-                         "FATAL: scaling-grid conservation violated "
-                         "(n=%llu w=%llu %s)\n",
-                         static_cast<unsigned long long>(gn),
-                         static_cast<unsigned long long>(gw),
-                         layout_names[layout]);
-            return 1;
-          }
-          GridSig& sig = layout == 1 ? steal_sig : nosteal_sig;
-          if (!sig.set) {
-            sig.set = true;
-            sig.consumed = res.total_consumed();
-            sig.max_load = res.out.running_max;
-            sig.total_load = res.total_load();
-          } else if (sig.consumed != res.total_consumed() ||
-                     sig.max_load != res.out.running_max ||
-                     sig.total_load != res.total_load()) {
-            std::fprintf(stderr,
-                         "FATAL: scaling-grid worker counts diverged "
-                         "(n=%llu w=%llu %s)\n",
-                         static_cast<unsigned long long>(gn),
-                         static_cast<unsigned long long>(gw),
-                         layout_names[layout]);
-            return 1;
-          }
-        }
-      }
-    }
-    clb::bench::emit(gt, "rt_5");
+    clb::bench::emit(table, "rt_" + std::to_string(gi + 1));
   }
 
   if (*telemetry) {

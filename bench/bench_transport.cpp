@@ -12,7 +12,7 @@
 // frames per step, barrier count, and barrier round-trip latency — the
 // cross-process analogue of the in-proc barrier stall.
 //
-// Gauges land under exp26.<substrate>.w<k>.*; tools/perfbench.py --exp26
+// Gauges land under exp26.<substrate>.w<k>.*; tools/perfbench.py --grids=exp26
 // folds them into the perf report.
 #include <algorithm>
 #include <cstdint>
@@ -271,7 +271,8 @@ int main(int argc, char** argv) {
   clb::bench::emit(table, "transport_1");
   util::print_note("gauges: exp26.<substrate>.w<k>.{tasks_per_sec, "
                    "vs_inproc, sojourn_p50/p95/p99_us, wire.*}; "
-                   "tools/perfbench.py --exp26 folds them into the report");
+                   "tools/perfbench.py --grids=exp26 folds them into the "
+                   "report");
   rec.finish();
   return 0;
 }

@@ -139,6 +139,13 @@ void ShardKernel::release_logs() {
   out_.dropped = std::vector<LedgerEntry>();
   out_.sojourn_steps = stats::IntHistogram();
   out_.sojourn_us = stats::IntHistogram();
+  // A still-open latency phase stays: its end is written into
+  // phases.back() when it completes.
+  std::vector<RtPhaseSummary> kept;
+  if (!out_.phases.empty() && !out_.phases.back().completed) {
+    kept.push_back(std::move(out_.phases.back()));
+  }
+  out_.phases = std::move(kept);
 }
 
 // ---------------------------------------------------------------------------

@@ -69,8 +69,9 @@ class ShardKernel {
   void sync_outputs();
   [[nodiscard]] const ShardOutputs& outputs() const { return out_; }
   /// Empties the append-only parts of outputs() (ledger, dropped log, both
-  /// sojourn histograms) once the caller has merged them, so they are never
-  /// held twice (between runs; see Runtime::result).
+  /// sojourn histograms, the completed phases) once the caller has merged
+  /// them, so they are never held twice (between runs; see
+  /// Runtime::result). An open latency phase stays until it completes.
   void release_logs();
   [[nodiscard]] const obs::WorkerTelemetry& telemetry() const {
     return telem_;

@@ -130,11 +130,17 @@ const RunResult& Runtime::result() const {
   // result holds the only copy: start from the previous result's logs and
   // merge what each kernel appended since. Steps only grow from one run()
   // to the next, so sorting the appended tail keeps the logs canonical.
+  // An open latency phase stays with its kernel, so the previous result
+  // holds only a copy of it, which the merge replaces.
   ShardOutputs out;
   out.ledger = std::move(result_.out.ledger);
   out.dropped = std::move(result_.out.dropped);
   out.sojourn_steps = std::move(result_.out.sojourn_steps);
   out.sojourn_us = std::move(result_.out.sojourn_us);
+  out.phases = std::move(result_.out.phases);
+  if (!out.phases.empty() && !out.phases.back().completed) {
+    out.phases.pop_back();
+  }
   const std::size_t ledger_from = out.ledger.size();
   const std::size_t dropped_from = out.dropped.size();
   for (const auto& w : workers_) {

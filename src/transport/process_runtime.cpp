@@ -189,7 +189,14 @@ void ProcessRuntime::collect() {
     CLB_CHECK(f.type == FrameType::kState,
               "transport: expected kState from a shard worker");
     Reader r(f.payload);
-    ShardState st = ShardState::deserialize(r);
+    const std::int64_t now_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    const HistBounds bound{
+        step_base_,
+        static_cast<std::uint64_t>(now_ns - cfg_.clock_origin_ns) / 1000 + 1};
+    ShardState st = ShardState::deserialize(r, bound);
     CLB_CHECK(r.exhausted(), "transport: trailing bytes after kState payload");
     const auto [b, e] = util::block_range(cfg_.n, cfg_.workers, i);
     CLB_CHECK(st.begin == b && st.end == e && st.procs.size() == e - b,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -10,14 +11,15 @@ namespace clb::transport {
 namespace {
 
 void serialize_hist(Writer& w, const stats::IntHistogram& h) {
-  // Sparse (value, count) pairs: sojourn_us values can reach the run's
-  // wall-clock in microseconds, so a dense dump would dwarf the frame cap.
+  // Sparse (value, count) pairs in ascending value order: sojourn_us values
+  // can reach the run's wall-clock in microseconds, so a dense dump would
+  // dwarf the frame cap.
   const std::vector<std::uint64_t>& counts = h.counts();
-  std::uint64_t pairs = 0;
+  std::uint32_t pairs = 0;
   for (const std::uint64_t c : counts) {
     if (c != 0) ++pairs;
   }
-  w.u64(pairs);
+  w.u32(pairs);
   for (std::uint64_t v = 0; v < counts.size(); ++v) {
     if (counts[v] != 0) {
       w.u64(v);
@@ -26,13 +28,25 @@ void serialize_hist(Writer& w, const stats::IntHistogram& h) {
   }
 }
 
-stats::IntHistogram deserialize_hist(Reader& r) {
+[[noreturn]] void refuse(const char* field, const char* what) {
+  const std::string msg = std::string(field) + " " + what;
+  util::check_failed("histogram pair", __FILE__, __LINE__, msg.c_str());
+}
+
+/// The dense histogram sizes itself to its largest value, so each value is
+/// checked against `max_value` before it is added.
+stats::IntHistogram deserialize_hist(Reader& r, const char* field,
+                                     std::uint64_t max_value) {
   stats::IntHistogram h;
-  const std::uint64_t pairs = r.u64();
-  for (std::uint64_t i = 0; i < pairs; ++i) {
+  const std::uint32_t pairs = r.count(16, field);
+  std::uint64_t last = 0;
+  for (std::uint32_t i = 0; i < pairs; ++i) {
     const std::uint64_t v = r.u64();
     const std::uint64_t c = r.u64();
+    if (i > 0 && v <= last) refuse(field, "values not strictly ascending");
+    if (v > max_value) refuse(field, "value above its bound");
     h.add(v, c);
+    last = v;
   }
   return h;
 }
@@ -227,7 +241,7 @@ void ShardState::serialize(Writer& w) const {
   serialize_hist(w, wire.barrier_rtt_us);
 }
 
-ShardState ShardState::deserialize(Reader& r) {
+ShardState ShardState::deserialize(Reader& r, const HistBounds& bound) {
   ShardState s;
   s.begin = r.u64();
   s.end = r.u64();
@@ -250,8 +264,8 @@ ShardState ShardState::deserialize(Reader& r) {
   for (const auto field : kScalars) s.*field = r.u64();
   s.ledger = deserialize_ledger(r, "ledger");
   s.dropped = deserialize_ledger(r, "dropped");
-  s.sojourn_steps = deserialize_hist(r);
-  s.sojourn_us = deserialize_hist(r);
+  s.sojourn_steps = deserialize_hist(r, "sojourn_steps", bound.steps);
+  s.sojourn_us = deserialize_hist(r, "sojourn_us", bound.us);
   s.phases.resize(r.count(kPhaseBytes, "phases"));
   for (rt::RtPhaseSummary& ps : s.phases) {
     ps.phase_index = r.u64();
@@ -274,7 +288,7 @@ ShardState ShardState::deserialize(Reader& r) {
   s.wire.frames_sent = r.u64();
   s.wire.frames_received = r.u64();
   s.wire.barriers = r.u64();
-  s.wire.barrier_rtt_us = deserialize_hist(r);
+  s.wire.barrier_rtt_us = deserialize_hist(r, "barrier_rtt_us", bound.us);
   return s;
 }
 

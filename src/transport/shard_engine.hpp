@@ -46,8 +46,19 @@ struct ShardRunConfig : rt::RtConfig {
   [[nodiscard]] static ShardRunConfig deserialize(Reader& r);
 };
 
+/// The largest histogram value a kState may carry, supplied by the
+/// coordinator: a step-counted sojourn is below the steps run, and the
+/// wall-clock histograms (sojourn_us, barrier_rtt_us) are below the
+/// microseconds since the run's clock origin.
+struct HistBounds {
+  std::uint64_t steps = 0;
+  std::uint64_t us = 0;
+};
+
 /// A worker's end-of-run state, shipped to the coordinator on kCollect.
-/// Histograms travel as sparse (value, count) pairs.
+/// Histograms travel as sparse (value, count) pairs in ascending value
+/// order; deserialize refuses, by field name, a pair count the frame cannot
+/// hold, values out of that order, and a value above `bound`.
 struct ShardState : rt::ShardOutputs {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
@@ -55,7 +66,8 @@ struct ShardState : rt::ShardOutputs {
   obs::WireStats wire;
 
   void serialize(Writer& w) const;
-  [[nodiscard]] static ShardState deserialize(Reader& r);
+  [[nodiscard]] static ShardState deserialize(Reader& r,
+                                              const HistBounds& bound);
 };
 
 /// Entry point for a forked shard worker: performs the kConfig handshake on

@@ -622,4 +622,42 @@ TEST(RunResultDiff, IgnoresWallClockAndWitnesses) {
   EXPECT_EQ(rt::diff(a, b), "");
 }
 
+TEST(RunResultDiff, PhaseLogSameWhetherInspectedEachStepOrOnce) {
+  // result() takes the completed phases from the kernel at every rebuild
+  // and copies the one still open, whose end is written later: a run
+  // inspected after every step must read the same as one inspected once.
+  const std::uint64_t n = 192;
+  rt::RtConfig cfg;
+  cfg.n = n;
+  cfg.seed = 4;
+  cfg.workers = 2;
+  cfg.policy = rt::RtPolicy::kThreshold;
+  core::Fractions f;
+  f.t_min = 64;
+  cfg.params = core::PhaseParams::from_n(n, f);
+  cfg.latency = 3;
+  const auto run = [&](bool inspect_each_step, bool& saw_open) {
+    auto model = make_model(WhichModel::kSingle, n);
+    auto r = std::make_unique<rt::Runtime>(cfg, model.get());
+    for (std::uint32_t s = 0; s < 160; ++s) {
+      if (s % 29 == 0) {
+        const auto p = static_cast<std::uint32_t>(s * 7 % n);
+        for (int i = 0; i < 40; ++i) r->deposit(p, sim::Task{s, p, 1});
+      }
+      r->run(1);
+      if (inspect_each_step) {
+        const std::vector<rt::RtPhaseSummary>& ph = r->result().out.phases;
+        saw_open |= !ph.empty() && !ph.back().completed;
+      }
+    }
+    return DiffRun{std::move(model), std::move(r)};
+  };
+  bool saw_open = false, unused = false;
+  const DiffRun each = run(true, saw_open);
+  const DiffRun once = run(false, unused);
+  EXPECT_TRUE(saw_open);
+  EXPECT_GE(once.run->result().out.phases.size(), 4u);
+  EXPECT_EQ(rt::diff(each.run->result(), once.run->result()), "");
+}
+
 }  // namespace

@@ -387,7 +387,7 @@ TEST(PayloadCodecLifted, ConfigAndStateCarryEveryKernelField) {
   Writer ws;
   s.serialize(ws);
   Reader rs(ws.data());
-  const ShardState sb = ShardState::deserialize(rs);
+  const ShardState sb = ShardState::deserialize(rs, {});
   EXPECT_TRUE(rs.exhausted());
   ASSERT_EQ(sb.dropped.size(), 1u);
   EXPECT_EQ(sb.dropped[0].count, 4u);

@@ -111,11 +111,12 @@ TEST(FrameCodec, BadMagicConvicted) {
 }
 
 TEST(FrameCodec, BadVersionConvicted) {
-  // The next version, and version 1 (per-message envelopes, before the
-  // task-lane record): a peer built from either cannot be decoded.
-  static_assert(kWireVersion == 2);
+  // The next version, version 2 (a u64 histogram pair count in kState)
+  // and version 1 (per-message envelopes, before the task-lane record): a
+  // peer built from any of them cannot be decoded.
+  static_assert(kWireVersion == 3);
   for (const std::uint8_t v : {std::uint8_t{kWireVersion + 1},
-                               std::uint8_t{1}}) {
+                               std::uint8_t{2}, std::uint8_t{1}}) {
     auto wire = encode_frame(FrameType::kRun, 1, bytes({1}));
     wire[4] = v;
     EXPECT_EQ(decode_frame(wire.data(), wire.size()).status,
@@ -438,9 +439,9 @@ TEST(PayloadCodecDeathTest, OversizedCountsRefusedByName) {
   const std::vector<std::uint8_t> procs = inflated(base, one_proc);
   const std::vector<std::uint8_t> ledger = inflated(base, one_entry);
   Reader rp(procs), rl(ledger);
-  EXPECT_DEATH((void)ShardState::deserialize(rp),
+  EXPECT_DEATH((void)ShardState::deserialize(rp, {}),
                "procs count runs past the frame");
-  EXPECT_DEATH((void)ShardState::deserialize(rl),
+  EXPECT_DEATH((void)ShardState::deserialize(rl, {}),
                "ledger count runs past the frame");
 
   // kRelease, met inside an exchange: a one-shard comm without a data
@@ -458,6 +459,54 @@ TEST(PayloadCodecDeathTest, OversizedCountsRefusedByName) {
   coordinator.send_frame(FrameType::kRelease, release.data());
   EXPECT_DEATH((void)comm.exchange({}),
                "kRelease blob count runs past the frame");
+}
+
+TEST(PayloadCodecDeathTest, HistogramValuesRefusedByName) {
+  // The first byte where two histograms encode differently is the low byte
+  // of the value they differ in; `patched` overwrites the byte `offset`
+  // past it (offset 5 with 1 sets bit 40 of the value).
+  const auto patched = [](const ShardState& a, const ShardState& b,
+                          std::size_t offset, std::uint8_t byte) {
+    Writer wa, wb;
+    a.serialize(wa);
+    b.serialize(wb);
+    std::vector<std::uint8_t> out = wa.data();
+    const auto at =
+        std::mismatch(out.begin(), out.end(), wb.data().begin()).first;
+    *(at + static_cast<std::ptrdiff_t>(offset)) = byte;
+    return out;
+  };
+  const HistBounds bound{100, 1000};
+  ShardState three, four;
+  three.sojourn_us.add(3);
+  four.sojourn_us.add(4);
+  // 3 + 2^40: a dense histogram of that size is 8 TiB.
+  const std::vector<std::uint8_t> huge = patched(three, four, 5, 1);
+  Reader rh(huge);
+  EXPECT_DEATH((void)ShardState::deserialize(rh, bound),
+               "sojourn_us value above its bound");
+
+  ShardState two, other;
+  two.sojourn_us.add(3);
+  two.sojourn_us.add(5);
+  other.sojourn_us.add(3);
+  other.sojourn_us.add(6);
+  const std::vector<std::uint8_t> repeated = patched(two, other, 0, 3);
+  Reader rr(repeated);
+  EXPECT_DEATH((void)ShardState::deserialize(rr, bound),
+               "sojourn_us values not strictly ascending");
+
+  ShardState late;
+  late.sojourn_steps.add(101);
+  late.wire.barrier_rtt_us.add(1001);
+  Writer wl;
+  late.serialize(wl);
+  Reader rs(wl.data());
+  EXPECT_DEATH((void)ShardState::deserialize(rs, bound),
+               "sojourn_steps value above its bound");
+  Reader rb(wl.data());
+  const ShardState at_bound = ShardState::deserialize(rb, {101, 1001});
+  EXPECT_EQ(at_bound.wire.barrier_rtt_us.count_at(1001), 1u);
 }
 
 TEST(PayloadCodec, ShardStateRoundTrip) {
@@ -490,7 +539,7 @@ TEST(PayloadCodec, ShardStateRoundTrip) {
   Writer w;
   s.serialize(w);
   Reader r(w.data());
-  const ShardState back = ShardState::deserialize(r);
+  const ShardState back = ShardState::deserialize(r, {900, 15});
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(back.begin, 10u);
   ASSERT_EQ(back.procs.size(), 2u);

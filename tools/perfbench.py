@@ -18,53 +18,19 @@ Document schema (clb.bench_rt.v1):
     "config": {"n": .., "steps": .., "spin": .., "seed": ..,
                "workers": [..], "models": [..], "policies": [..],
                "smoke": <bool>},
-    "runs": [{"model": .., "policy": .., "workers": ..,
-              "tasks_per_sec": .., "wall_seconds": ..,
-              "sojourn_p50_us": .., "sojourn_p95_us": ..,
-              "sojourn_p99_us": .., "remote_push_fraction": ..,
-              "msgs_per_task": .., "consumed": ..,
-              # with --telemetry (and a CLB_TELEMETRY=ON build):
-              "utilization_mean": .., "barrier_stall_fraction": ..,
-              "queue_imbalance": ..}, ...],
+    "runs": [{"model": .., "policy": .., "workers": .., <fields>}, ...],
     "derived": {"<model>.<policy>.speedup_at_max_workers": .., ...},
-    # with --exp24: the EXP-24 link-model sweep (loss x bandwidth grid)
-    "exp24": [{"loss": .., "bw": .., "phase_duration_mean": ..,
-               "phases": .., "match_pct": .., "forced": ..,
-               "retransmits": .., "dup_suppressed": ..,
-               "queued_delay": ..}, ...],
-    # with --exp25: the EXP-25 workload-zoo grid (model x policy, plus the
-    # crash/recovery pass under model "crash"; crash rows also carry the
-    # rehomed_tasks / rehomed_events gauges)
-    "exp25": [{"model": .., "policy": .., "max_load": ..,
-               "final_mean_load": .., "tasks_moved": ..,
-               "msgs_per_task": .., "consumed": ..}, ...],
-    # with --exp26: the cross-process transport sweep (bench_transport:
-    # in-proc vs UDS/TCP at each shard count). Only recorded when the
-    # bench's shadow cross-check proved the socket run bit-identical to
-    # the in-memory runtime (exp26.shadow_ok); wire_* fields appear on
-    # socket substrates only.
-    "exp26": [{"substrate": "inproc"|"uds"|"tcp", "workers": ..,
-               "tasks_per_sec": .., "wall_seconds": .., "vs_inproc": ..,
-               "sojourn_p50_us": .., "sojourn_p95_us": ..,
-               "sojourn_p99_us": .., "consumed": ..,
-               "running_max_load": ..,
-               # socket substrates only:
-               "wire_bytes_sent": .., "wire_frames_sent": ..,
-               "wire_barriers": .., "wire_barrier_rtt_mean_us": ..,
-               "wire_barrier_rtt_p99_us": .., "wire_kb_per_step": ..},
-              ...],
-    # with --exp27: the EXP-27 million-processor scaling grid (bench_rt
-    # --scaling-grid: n x workers x {arena, arena_steal}, deterministic).
-    # Every row carries arena_bytes; arena_steal rows add steal_events /
-    # stolen_tasks.
-    "exp27": [{"n": .., "workers": .., "layout": "arena"|"arena_steal",
-               "tasks_per_sec": .., "wall_seconds": ..,
-               "consumed": .., "max_load": .., "arena_bytes": ..}, ...]
+    # one list per further grid named in --grids:
+    "exp24": [...], "exp25": [...], "exp26": [...], "exp27": [...]
   }
 
-The exp24/exp25/exp26/exp27 sections are optional (schema stays
-clb.bench_rt.v1); baselines recorded without them keep comparing cleanly —
---compare only reads "runs".
+Every section is one row of SECTIONS below: its points are the gauge
+groups its regex finds, keyed by the regex's named groups, and carry the
+row's fields plus each optional field whose row condition holds (crash
+rows re-home, arena_steal rows steal, socket rows pay a wire bill).
+"runs" is exp21, bench_rt's scaling grid; exp26 comes from
+bench_transport. The further sections are optional (schema stays
+clb.bench_rt.v1), and --compare only reads "runs".
 
 The >1.5x speedup gate (threshold policy, max vs 1 worker) only arms when
 the host has at least --min-cores-for-gate real cores: worker threads on a
@@ -74,12 +40,10 @@ assertion there measures the scheduler, not the runtime.
 --compare OLD.json turns the run into a perf-trajectory gate: each fresh
 run's tasks_per_sec is checked against the matching (model, policy,
 workers) run in the committed baseline, and a drop beyond the tolerance
-fails the build. The tolerance defaults to 0.35 (fresh >= 0.65x baseline)
-because CI hosts are shared and noisy; tune it per-host with
---compare-tolerance or the CLB_PERF_TOLERANCE environment variable (the
-flag wins). The comparison disarms itself — with a warning, not a failure —
-when the baseline was recorded on a host with a different
-hardware_concurrency or when the current host is below
+fails the build. The tolerance is 0.35 (fresh >= 0.65x baseline) because
+CI hosts are shared and noisy. The comparison disarms itself — with a
+warning, not a failure — when the baseline was recorded on a host with a
+different hardware_concurrency or when the current host is below
 --min-cores-for-gate: comparing throughput across machine shapes gates the
 hardware, not the code.
 
@@ -95,80 +59,65 @@ import re
 import subprocess
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 SCHEMA = "clb.bench_rt.v1"
 
-RUN_FIELDS = [
-    "tasks_per_sec",
-    "wall_seconds",
-    "sojourn_p50_us",
-    "sojourn_p95_us",
-    "sojourn_p99_us",
-    "remote_push_fraction",
-    "msgs_per_task",
-    "consumed",
+# Allowed fractional tasks_per_sec drop against the --compare baseline.
+TOLERANCE = 0.35
+
+
+class Section(NamedTuple):
+    grid: str      # --grids name: a bench_rt grid, or exp26 (bench_transport)
+    key: str       # document key
+    pattern: str   # a point's gauge prefix; named groups become key fields
+    fields: list   # gauge suffixes every point carries
+    # (suffixes, condition): optional fields, required on the points where
+    # the condition holds (never, when it is None)
+    optional: list[tuple[list, Callable | None]] = []
+
+
+SECTIONS = [
+    Section("exp21", "runs",
+            r"rt\.(?P<model>[a-z-]+)\.(?P<policy>[a-z-]+)"
+            r"\.w(?P<workers>\d+)\.",
+            ["tasks_per_sec", "wall_seconds", "sojourn_p50_us",
+             "sojourn_p95_us", "sojourn_p99_us", "remote_push_fraction",
+             "msgs_per_task", "consumed"],
+            # --telemetry, on a CLB_TELEMETRY=ON build
+            [(["telemetry.utilization_mean",
+               "telemetry.barrier_stall_fraction",
+               "telemetry.queue_imbalance"], None)]),
+    Section("exp24", "exp24", r"exp24\.loss(?P<loss>\d+)\.bw(?P<bw>\d+)\.",
+            ["phase_duration_mean", "phases", "match_pct", "forced",
+             "retransmits", "dup_suppressed", "queued_delay"]),
+    Section("exp25", "exp25",
+            r"exp25\.(?P<model>[a-z-]+)\.(?P<policy>[a-z-]+)\.",
+            ["max_load", "final_mean_load", "tasks_moved", "msgs_per_task",
+             "consumed"],
+            [(["rehomed_tasks", "rehomed_events"],
+              lambda p: p["model"] == "crash")]),
+    Section("exp26", "exp26",
+            r"exp26\.(?P<substrate>[a-z]+)\.w(?P<workers>\d+)\.",
+            ["tasks_per_sec", "wall_seconds", "vs_inproc", "sojourn_p50_us",
+             "sojourn_p95_us", "sojourn_p99_us", "consumed",
+             "running_max_load"],
+            [(["wire.bytes_sent", "wire.frames_sent", "wire.barriers",
+               "wire.barrier_rtt_mean_us", "wire.barrier_rtt_p99_us",
+               "wire.kb_per_step"], lambda p: p["substrate"] != "inproc")]),
+    Section("exp27", "exp27",
+            r"exp27\.n(?P<n>\d+)\.w(?P<workers>\d+)"
+            r"\.(?P<layout>arena|arena_steal)\.",
+            ["tasks_per_sec", "wall_seconds", "consumed", "max_load",
+             "arena_bytes"],
+            [(["steal_events", "stolen_tasks"],
+              lambda p: p["layout"] == "arena_steal")]),
 ]
 
-# Optional per-run telemetry gauges (--telemetry): present in the document
-# only when bench_rt ran with telemetry compiled in and enabled.
-TELEMETRY_FIELDS = [
-    "utilization_mean",
-    "barrier_stall_fraction",
-    "queue_imbalance",
-]
 
-# Per-grid-point gauges of the EXP-24 link-model sweep (--exp24).
-EXP24_FIELDS = [
-    "phase_duration_mean",
-    "phases",
-    "match_pct",
-    "forced",
-    "retransmits",
-    "dup_suppressed",
-    "queued_delay",
-]
-
-# Per-grid-point gauges of the EXP-25 workload-zoo grid (--exp25).
-EXP25_FIELDS = [
-    "max_load",
-    "final_mean_load",
-    "tasks_moved",
-    "msgs_per_task",
-    "consumed",
-]
-
-# Per-run gauges of the EXP-26 cross-process transport sweep (--exp26,
-# driven by bench_transport rather than bench_rt).
-EXP26_FIELDS = [
-    "tasks_per_sec",
-    "wall_seconds",
-    "vs_inproc",
-    "sojourn_p50_us",
-    "sojourn_p95_us",
-    "sojourn_p99_us",
-    "consumed",
-    "running_max_load",
-]
-
-# Per-grid-point gauges of the EXP-27 scaling grid (--exp27). Every row
-# carries these; arena_steal rows add steal_events / stolen_tasks.
-EXP27_FIELDS = [
-    "tasks_per_sec",
-    "wall_seconds",
-    "consumed",
-    "max_load",
-    "arena_bytes",
-]
-
-# Wire accounting, present only on socket-backed substrates (uds/tcp).
-EXP26_WIRE_FIELDS = [
-    "wire.bytes_sent",
-    "wire.frames_sent",
-    "wire.barriers",
-    "wire.barrier_rtt_mean_us",
-    "wire.barrier_rtt_p99_us",
-    "wire.kb_per_step",
-]
+def doc_field(suffix: str) -> str:
+    """A gauge suffix's document name: no telemetry. prefix, no dots."""
+    return suffix.removeprefix("telemetry.").replace(".", "_")
 
 
 def fail(msg: str) -> "sys.NoReturn":
@@ -176,9 +125,25 @@ def fail(msg: str) -> "sys.NoReturn":
     sys.exit(1)
 
 
-def run_bench(bench: str, args: argparse.Namespace, metrics_path: str) -> None:
+def run_tool(name: str, cmd: list, metrics_path: str) -> dict:
+    proc = subprocess.run(cmd + [f"--metrics-json={metrics_path}"],
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True)
+    if proc.returncode != 0:
+        print(proc.stdout, file=sys.stderr)
+        fail(f"{name} exited {proc.returncode}")
+    try:
+        with open(metrics_path, encoding="utf-8") as f:
+            return json.load(f).get("gauges", {})
+    except (OSError, json.JSONDecodeError) as e:
+        fail(f"cannot read {name} metrics: {e}")
+
+
+def bench_rt_cmd(args: argparse.Namespace) -> list:
+    grids = [g for g in args.grid_list if g != "exp26"]
     cmd = [
-        bench,
+        args.bench,
+        f"--grids={','.join(grids)}",
         f"--n={args.n}",
         f"--steps={args.steps}",
         f"--spin={args.spin}",
@@ -186,93 +151,74 @@ def run_bench(bench: str, args: argparse.Namespace, metrics_path: str) -> None:
         f"--workers={','.join(str(w) for w in args.worker_list)}",
         f"--models={','.join(args.model_list)}",
         f"--policies={','.join(args.policy_list)}",
-        "--latencies=",  # EXP-22 sweep is statcheck's domain, skip it here
-        f"--metrics-json={metrics_path}",
     ]
-    if args.exp24:
-        # Let bench_rt's default loss x bandwidth grid run (EXP-24).
-        pass
-    else:
-        cmd.append("--link-loss-grid=")  # skip the EXP-24 sweep
-    if args.exp25:
-        cmd.append("--workload-grid")
-    if args.exp27:
-        cmd.append("--scaling-grid")
-        if args.smoke:
-            # Mirror bench_rt's own --smoke shrink of the grid.
-            cmd += ["--grid-n=16384", "--grid-workers=1,2", "--grid-steps=32"]
+    if args.smoke and "exp27" in grids:
+        # Mirror bench_rt's own --smoke shrink of the grid.
+        cmd += ["--grid-n=16384", "--grid-workers=1,2", "--grid-steps=32"]
     if args.telemetry:
         cmd.append("--telemetry")
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True)
-    if proc.returncode != 0:
-        print(proc.stdout, file=sys.stderr)
-        fail(f"bench_rt exited {proc.returncode}")
+    return cmd
 
 
-def run_bench_transport(args: argparse.Namespace, metrics_path: str) -> dict:
-    cmd = [
-        args.bench_transport,
-        f"--seed={args.seed}",
-        f"--workers={args.exp26_workers}",
-        f"--metrics-json={metrics_path}",
-    ]
-    if args.smoke:
-        cmd.append("--smoke")
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True)
-    if proc.returncode != 0:
-        print(proc.stdout, file=sys.stderr)
-        fail(f"bench_transport exited {proc.returncode}")
-    try:
-        with open(metrics_path, encoding="utf-8") as f:
-            return json.load(f).get("gauges", {})
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot read bench_transport metrics: {e}")
+def bench_transport_cmd(args: argparse.Namespace) -> list:
+    cmd = [args.bench_transport, f"--seed={args.seed}",
+           f"--workers={args.exp26_workers}"]
+    return cmd + ["--smoke"] if args.smoke else cmd
 
 
-def assemble_exp26(gauges: dict) -> list:
-    if gauges.get("exp26.shadow_ok") != 1.0:
-        fail("bench_transport's shadow cross-check gauge is missing or not "
-             "1.0 — the transport run was not proven bit-identical")
-    rx = re.compile(r"^exp26\.([a-z]+)\.w(\d+)\.tasks_per_sec$")
-    points = sorted((m.group(1), int(m.group(2)))
-                    for name in gauges if (m := rx.match(name)))
-    if not points:
-        fail("--exp26 requested but bench_transport emitted no exp26.* "
-             "run gauges")
-    exp26 = []
-    for substrate, w in points:
-        prefix = f"exp26.{substrate}.w{w}."
-        point = {"substrate": substrate, "workers": w}
-        for field in EXP26_FIELDS:
+def assemble_section(sec: Section, gauges: dict) -> list:
+    rx = re.compile("^" + sec.pattern + re.escape(sec.fields[0]) + "$")
+    points = []
+    for name in gauges:
+        m = rx.match(name)
+        if not m:
+            continue
+        prefix = name[:-len(sec.fields[0])]
+        point = {k: int(v) if v.isdigit() else v
+                 for k, v in m.groupdict().items()}
+        for field in sec.fields:
+            if prefix + field not in gauges:
+                fail(f"{sec.grid}: no {prefix}{field} gauge")
             point[field] = gauges[prefix + field]
-        for field in EXP26_WIRE_FIELDS:
-            if prefix + field in gauges:
-                point[field.replace(".", "_")] = gauges[prefix + field]
-        exp26.append(point)
-    return exp26
+        for fields, _ in sec.optional:
+            for field in fields:
+                if prefix + field in gauges:
+                    point[doc_field(field)] = gauges[prefix + field]
+        points.append(point)
+    if not points:
+        fail(f"--grids {sec.grid} requested but no {sec.pattern} gauges "
+             "were emitted")
+    return sorted(points, key=lambda p: [p[k] for k in rx.groupindex])
 
 
 def assemble(gauges: dict, args: argparse.Namespace) -> dict:
-    hw = int(gauges.get("rt.hardware_concurrency", 0))
-    runs = []
+    doc = {
+        "schema": SCHEMA,
+        "host": {"hardware_concurrency":
+                 int(gauges.get("rt.hardware_concurrency", 0))},
+        "config": {
+            "n": args.n,
+            "steps": args.steps,
+            "spin": args.spin,
+            "seed": args.seed,
+            "workers": args.worker_list,
+            "models": args.model_list,
+            "policies": args.policy_list,
+            "smoke": bool(args.smoke),
+        },
+    }
+    for sec in SECTIONS:
+        if sec.grid in args.grid_list:
+            doc[sec.key] = assemble_section(sec, gauges)
+    runs = doc["runs"]
+    have = {(r["model"], r["policy"], r["workers"]) for r in runs}
     for model in args.model_list:
         for policy in args.policy_list:
             for w in args.worker_list:
-                prefix = f"rt.{model}.{policy}.w{w}."
-                if prefix + "tasks_per_sec" not in gauges:
-                    fail(f"bench_rt emitted no gauges for {prefix}*")
-                run = {"model": model, "policy": policy, "workers": w}
-                for field in RUN_FIELDS:
-                    run[field] = gauges[prefix + field]
-                if args.telemetry:
-                    for field in TELEMETRY_FIELDS:
-                        key = prefix + "telemetry." + field
-                        if key in gauges:
-                            run[field] = gauges[key]
-                runs.append(run)
-    if args.telemetry and runs and TELEMETRY_FIELDS[0] not in runs[0]:
+                if (model, policy, w) not in have:
+                    fail(f"bench_rt emitted no gauges for "
+                         f"rt.{model}.{policy}.w{w}.*")
+    if args.telemetry and "utilization_mean" not in runs[0]:
         print("perfbench: warning: --telemetry requested but bench_rt "
               "exported no telemetry gauges (CLB_TELEMETRY=OFF build?)",
               file=sys.stderr)
@@ -290,73 +236,7 @@ def assemble(gauges: dict, args: argparse.Namespace) -> dict:
             if base and base > 0:
                 derived[f"{model}.{policy}.speedup_at_max_workers"] = (
                     peak / base)
-
-    doc = {
-        "schema": SCHEMA,
-        "host": {"hardware_concurrency": hw},
-        "config": {
-            "n": args.n,
-            "steps": args.steps,
-            "spin": args.spin,
-            "seed": args.seed,
-            "workers": args.worker_list,
-            "models": args.model_list,
-            "policies": args.policy_list,
-            "smoke": bool(args.smoke),
-        },
-        "runs": runs,
-        "derived": derived,
-    }
-    if args.exp24:
-        rx = re.compile(r"^exp24\.loss(\d+)\.bw(\d+)\.phase_duration_mean$")
-        points = sorted((int(m.group(1)), int(m.group(2)))
-                        for name in gauges if (m := rx.match(name)))
-        if not points:
-            fail("--exp24 requested but bench_rt emitted no exp24.* gauges")
-        exp24 = []
-        for loss, bw in points:
-            prefix = f"exp24.loss{loss}.bw{bw}."
-            point = {"loss": loss, "bw": bw}
-            for field in EXP24_FIELDS:
-                point[field] = gauges[prefix + field]
-            exp24.append(point)
-        doc["exp24"] = exp24
-    if args.exp25:
-        rx = re.compile(r"^exp25\.([a-z-]+)\.([a-z-]+)\.max_load$")
-        points = sorted((m.group(1), m.group(2))
-                        for name in gauges if (m := rx.match(name)))
-        if not points:
-            fail("--exp25 requested but bench_rt emitted no exp25.* gauges")
-        exp25 = []
-        for model, policy in points:
-            prefix = f"exp25.{model}.{policy}."
-            point = {"model": model, "policy": policy}
-            for field in EXP25_FIELDS:
-                point[field] = gauges[prefix + field]
-            for field in ("rehomed_tasks", "rehomed_events"):
-                if prefix + field in gauges:
-                    point[field] = gauges[prefix + field]
-            exp25.append(point)
-        doc["exp25"] = exp25
-    if args.exp27:
-        rx = re.compile(
-            r"^exp27\.n(\d+)\.w(\d+)\.(arena|arena_steal)"
-            r"\.tasks_per_sec$")
-        points = sorted((int(m.group(1)), int(m.group(2)), m.group(3))
-                        for name in gauges if (m := rx.match(name)))
-        if not points:
-            fail("--exp27 requested but bench_rt emitted no exp27.* gauges")
-        exp27 = []
-        for gn, w, layout in points:
-            prefix = f"exp27.n{gn}.w{w}.{layout}."
-            point = {"n": gn, "workers": w, "layout": layout}
-            for field in EXP27_FIELDS:
-                point[field] = gauges[prefix + field]
-            for field in ("steal_events", "stolen_tasks"):
-                if prefix + field in gauges:
-                    point[field] = gauges[prefix + field]
-            exp27.append(point)
-        doc["exp27"] = exp27
+    doc["derived"] = derived
     return doc
 
 
@@ -366,72 +246,31 @@ def validate(doc: dict) -> None:
     hw = doc.get("host", {}).get("hardware_concurrency")
     if not isinstance(hw, int) or hw < 0:
         fail("host.hardware_concurrency missing or not an int")
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        fail("runs missing or empty")
-    for i, run in enumerate(runs):
-        for key in ("model", "policy", "workers", *RUN_FIELDS):
-            if key not in run:
-                fail(f"runs[{i}] missing {key!r}")
-        for field in RUN_FIELDS:
-            if not isinstance(run[field], (int, float)):
-                fail(f"runs[{i}].{field} is not numeric")
-        if run["tasks_per_sec"] < 0 or run["wall_seconds"] <= 0:
-            fail(f"runs[{i}] has nonsensical throughput/wall time")
+    if not isinstance(doc.get("runs"), list):
+        fail("runs missing")
     if not isinstance(doc.get("derived"), dict):
         fail("derived missing")
-    if "exp24" in doc:
-        points = doc["exp24"]
+    for sec in SECTIONS:
+        if sec.key not in doc:
+            continue
+        points = doc[sec.key]
         if not isinstance(points, list) or not points:
-            fail("exp24 present but not a non-empty list")
+            fail(f"{sec.key} present but not a non-empty list")
+        keys = re.compile(sec.pattern).groupindex
         for i, point in enumerate(points):
-            for key in ("loss", "bw", *EXP24_FIELDS):
+            for key in keys:
+                if not isinstance(point.get(key), (str, int)):
+                    fail(f"{sec.key}[{i}].{key} missing")
+            need = list(sec.fields)
+            for fields, when in sec.optional:
+                if when is not None and when(point):
+                    need += [doc_field(f) for f in fields]
+            for key in need:
                 if not isinstance(point.get(key), (int, float)):
-                    fail(f"exp24[{i}].{key} missing or not numeric")
-    if "exp25" in doc:
-        points = doc["exp25"]
-        if not isinstance(points, list) or not points:
-            fail("exp25 present but not a non-empty list")
-        for i, point in enumerate(points):
-            for key in ("model", "policy"):
-                if not isinstance(point.get(key), str):
-                    fail(f"exp25[{i}].{key} missing or not a string")
-            for key in EXP25_FIELDS:
-                if not isinstance(point.get(key), (int, float)):
-                    fail(f"exp25[{i}].{key} missing or not numeric")
-            if point["model"] == "crash":
-                for key in ("rehomed_tasks", "rehomed_events"):
-                    if not isinstance(point.get(key), (int, float)):
-                        fail(f"exp25[{i}].{key} missing on a crash row")
-    if "exp27" in doc:
-        points = doc["exp27"]
-        if not isinstance(points, list) or not points:
-            fail("exp27 present but not a non-empty list")
-        for i, point in enumerate(points):
-            if point.get("layout") not in ("arena", "arena_steal"):
-                fail(f"exp27[{i}].layout missing or unknown")
-            for key in ("n", "workers", *EXP27_FIELDS):
-                if not isinstance(point.get(key), (int, float)):
-                    fail(f"exp27[{i}].{key} missing or not numeric")
-            if point["layout"] == "arena_steal":
-                for key in ("steal_events", "stolen_tasks"):
-                    if not isinstance(point.get(key), (int, float)):
-                        fail(f"exp27[{i}].{key} missing on a steal row")
-    if "exp26" in doc:
-        points = doc["exp26"]
-        if not isinstance(points, list) or not points:
-            fail("exp26 present but not a non-empty list")
-        for i, point in enumerate(points):
-            if not isinstance(point.get("substrate"), str):
-                fail(f"exp26[{i}].substrate missing or not a string")
-            for key in ("workers", *EXP26_FIELDS):
-                if not isinstance(point.get(key), (int, float)):
-                    fail(f"exp26[{i}].{key} missing or not numeric")
-            if point["substrate"] != "inproc":
-                for key in EXP26_WIRE_FIELDS:
-                    flat = key.replace(".", "_")
-                    if not isinstance(point.get(flat), (int, float)):
-                        fail(f"exp26[{i}].{flat} missing on a socket row")
+                    fail(f"{sec.key}[{i}].{key} missing or not numeric")
+            if "wall_seconds" in point and (point["tasks_per_sec"] < 0 or
+                                            point["wall_seconds"] <= 0):
+                fail(f"{sec.key}[{i}] has nonsensical throughput/wall time")
 
 
 def gate(doc: dict, args: argparse.Namespace) -> None:
@@ -478,16 +317,6 @@ def compare(doc: dict, args: argparse.Namespace) -> None:
               f"runner with: {refresh}")
         return
 
-    tol = args.compare_tolerance
-    if tol is None:
-        env = os.environ.get("CLB_PERF_TOLERANCE", "")
-        try:
-            tol = float(env) if env else 0.35
-        except ValueError:
-            fail(f"CLB_PERF_TOLERANCE={env!r} is not a number")
-    if not 0.0 <= tol < 1.0:
-        fail(f"compare tolerance {tol} outside [0, 1)")
-
     baseline = {
         (r["model"], r["policy"], r["workers"]): r["tasks_per_sec"]
         for r in base.get("runs", [])
@@ -504,17 +333,16 @@ def compare(doc: dict, args: argparse.Namespace) -> None:
         label = f"{key[0]}.{key[1]}.w{key[2]}"
         if worst is None or ratio < worst[1]:
             worst = (label, ratio)
-        if ratio < 1.0 - tol:
+        if ratio < 1.0 - TOLERANCE:
             fail(f"throughput regression: {label} tasks_per_sec "
                  f"{run['tasks_per_sec']:.0f} is {ratio:.2f}x baseline "
-                 f"{old:.0f} (floor {1.0 - tol:.2f}x; raise the tolerance "
-                 f"via --compare-tolerance or CLB_PERF_TOLERANCE if this "
-                 f"host is known-noisy)")
+                 f"{old:.0f} (floor {1.0 - TOLERANCE:.2f}x: the tolerance is "
+                 f"{TOLERANCE})")
     if compared == 0:
         fail(f"baseline {args.compare!r} shares no (model, policy, workers) "
              f"runs with this configuration — nothing compared")
-    print(f"perfbench: compare ok — {compared} runs within {tol:.2f} of "
-          f"baseline (worst {worst[0]} at {worst[1]:.2f}x)")
+    print(f"perfbench: compare ok — {compared} runs within {TOLERANCE:.2f} "
+          f"of baseline (worst {worst[0]} at {worst[1]:.2f}x)")
 
 
 def main() -> int:
@@ -529,24 +357,13 @@ def main() -> int:
     ap.add_argument("--telemetry", action="store_true",
                     help="run bench_rt with --telemetry and record "
                          "utilization/stall/imbalance per run")
-    ap.add_argument("--exp24", action="store_true",
-                    help="also run the EXP-24 link-model sweep (loss x "
-                         "bandwidth grid) and record it under 'exp24'")
-    ap.add_argument("--exp25", action="store_true",
-                    help="also run the EXP-25 workload-zoo grid (zoo model "
-                         "x policy + crash pass) and record it under "
-                         "'exp25'")
-    ap.add_argument("--exp26", action="store_true",
-                    help="also run the EXP-26 cross-process transport sweep "
-                         "(bench_transport: in-proc vs UDS, shadow-checked) "
-                         "and record it under 'exp26'")
-    ap.add_argument("--exp27", action="store_true",
-                    help="also run the EXP-27 million-processor scaling grid "
-                         "(bench_rt --scaling-grid: n x workers x "
-                         "{arena, arena_steal}) and record it under "
-                         "'exp27'")
+    ap.add_argument("--grids", default="exp21",
+                    help="sections to record: exp21 (the gated 'runs', "
+                         "always recorded), exp24, exp25, exp27 (bench_rt "
+                         "grids), exp26 (bench_transport's in-proc vs "
+                         "UDS sweep, shadow-checked)")
     ap.add_argument("--bench-transport", default="build/bench/bench_transport",
-                    help="path to the bench_transport binary (--exp26)")
+                    help="path to the bench_transport binary (exp26)")
     ap.add_argument("--exp26-workers", default="2,4",
                     help="shard counts for the EXP-26 sweep")
     ap.add_argument("--n", type=int, default=4096)
@@ -564,11 +381,7 @@ def main() -> int:
                     help="arm the speedup gate only at this many real cores")
     ap.add_argument("--compare", default="",
                     help="baseline BENCH_rt.json; fail if any matching run's "
-                         "tasks_per_sec drops by more than the tolerance")
-    ap.add_argument("--compare-tolerance", type=float, default=None,
-                    help="allowed fractional throughput drop vs baseline "
-                         "(default 0.35; CLB_PERF_TOLERANCE overrides the "
-                         "default, the flag overrides both)")
+                         f"tasks_per_sec drops by more than {TOLERANCE}")
     args = ap.parse_args()
 
     if args.smoke:
@@ -594,23 +407,26 @@ def main() -> int:
         args.worker_list = ws
     args.model_list = [m for m in args.models.split(",") if m]
     args.policy_list = [p for p in args.policies.split(",") if p]
+    args.grid_list = ["exp21"] + [g for g in args.grids.split(",")
+                                  if g and g != "exp21"]
+    unknown = set(args.grid_list) - {sec.grid for sec in SECTIONS}
+    if unknown:
+        ap.error(f"unknown grid(s) in --grids: {', '.join(sorted(unknown))}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        metrics_path = os.path.join(tmp, "bench_rt.metrics.json")
-        run_bench(args.bench, args, metrics_path)
-        try:
-            with open(metrics_path, encoding="utf-8") as f:
-                gauges = json.load(f).get("gauges", {})
-        except (OSError, json.JSONDecodeError) as e:
-            fail(f"cannot read bench metrics: {e}")
-        transport_gauges = None
-        if args.exp26:
-            transport_gauges = run_bench_transport(
-                args, os.path.join(tmp, "bench_transport.metrics.json"))
+        gauges = run_tool("bench_rt", bench_rt_cmd(args),
+                          os.path.join(tmp, "bench_rt.metrics.json"))
+        if "exp26" in args.grid_list:
+            transport = run_tool(
+                "bench_transport", bench_transport_cmd(args),
+                os.path.join(tmp, "bench_transport.metrics.json"))
+            if transport.get("exp26.shadow_ok") != 1.0:
+                fail("bench_transport's shadow cross-check gauge is missing "
+                     "or not 1.0 — the transport run was not proven "
+                     "bit-identical")
+            gauges.update(transport)
 
     doc = assemble(gauges, args)
-    if transport_gauges is not None:
-        doc["exp26"] = assemble_exp26(transport_gauges)
     validate(doc)
     if not args.smoke:
         gate(doc, args)

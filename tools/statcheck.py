@@ -29,506 +29,430 @@ evaluated against the gauges a bench harness exported:
                        counters are worker-count invariant (deterministic),
                        arena rows report their footprint, and steal rows
                        actually steal.
+  EXP-20b (recovery)   worst-case recovery after a crash burst: local
+                       search re-enters its band fast, the control does not.
+
+Every band is one row of BANDS: a per-point comparison of a gauge against
+its limit (optionally scaled by a point key or another gauge) on the points
+its predicate selects, or a cross-point check over the whole sweep.
 
 Usage (ctest runs this against fixture-generated metrics):
 
   statcheck.py --exp03 exp03.metrics.json --exp07 exp07.metrics.json \\
                --exp13 exp13.metrics.json --exp22 exp22.metrics.json \\
                --exp24 exp24.metrics.json --exp25 exp25.metrics.json \\
-               --exp27 exp27.metrics.json
+               --exp27 exp27.metrics.json --recovery recovery.metrics.json
 
-Every band's limit can be perturbed with --override BAND=VALUE; the
-statcheck_selftest ctest entry uses an absurd override to prove a violated
-band actually fails the build.
+Every band's limit can be perturbed with --override BAND=VALUE. --selftest
+proves every limited band fires: with the given files it sets each limit in
+turn to a value the band's comparison must reject and requires that band to
+fail (and to pass unperturbed).
 
 Exit status: 0 iff every evaluated band passed and at least one file was
-checked.
+checked (with --selftest: iff every limited band fired).
 """
 
 import argparse
 import json
+import math
+import operator
 import re
 import sys
+from typing import Callable, NamedTuple
+
+# Each section's points are the gauge groups whose name matches the regex
+# and carries the marker gauge; the named groups become the point's keys.
+SECTIONS = {
+    "exp03": (r"exp03\.n(?P<n>\d+)\.", "T",
+              "bench_maxload_single metrics JSON"),
+    "exp07": (r"exp07\.n(?P<n>\d+)\.", "req_per_root_mean",
+              "bench_expected_requests metrics JSON"),
+    "exp13": (r"exp13\.", "threshold.msgs_per_task",
+              "bench_baselines metrics JSON"),
+    "exp22": (r"exp22\.lat(?P<lat>\d+)\.", "phase_duration_mean",
+              "bench_rt --grids=exp22 metrics JSON"),
+    "exp24": (r"exp24\.loss(?P<loss>\d+)\.bw(?P<bw>\d+)\.",
+              "phase_duration_mean", "bench_rt --grids=exp24 metrics JSON"),
+    "exp25": (r"exp25\.(?P<model>[a-z-]+)\.(?P<policy>[a-z-]+)\.",
+              "max_load", "bench_rt --grids=exp25 metrics JSON"),
+    "exp27": (r"exp27\.n(?P<n>\d+)\.w(?P<w>\d+)"
+              r"\.(?P<layout>arena|arena_steal)\.", "tasks_per_sec",
+              "bench_rt --grids=exp27 metrics JSON"),
+    "recovery": (r"recovery\.(?P<policy>[a-z-]+)\.", "steps",
+                 "bench_recovery --recovery-time metrics JSON"),
+}
+
+OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+# A limit each comparison rejects whatever was measured (gauges are
+# non-negative; inf times a zero scale is nan, which compares false).
+REJECT = {"<=": -math.inf, ">=": math.inf, "==": -1.0}
+
+
+class Band(NamedTuple):
+    name: str                # <section>.<band>
+    limit: float | None      # None: a cross-point check without a limit
+    op: str = ""             # value OP limit [* other]
+    field: str | tuple = ""  # point gauge suffix(es); every one must hold
+    other: str = ""          # the limit's scale: a point key, or a gauge
+                             # name formatted with the point ({p} = its own
+                             # prefix)
+    when: Callable | None = None   # the points the band applies to
+    cross: Callable | None = None  # cross(band, limit, gauges, points)
+
+
+RESULTS = []  # (band, ok) of the current evaluation
+ECHO = True
+
+
+def check(band, ok, detail):
+    RESULTS.append((band, ok))
+    if ECHO:
+        print(f"  [{'PASS' if ok else 'FAIL'}] {band}: {detail}")
+
+
+def holds(band, lim, value, scale=1.0):
+    return OPS[band.op](value, lim * scale)
+
+
+def tag(point):
+    keys = [f"{k}={v}" for k, v in point.items() if k != "p"]
+    return "/".join(keys) if keys else point["p"].rstrip(".")
+
+
+def flat(field, floor):
+    """A per-point gauge is flat across the sweep: max/min within limit."""
+    def cross(band, lim, g, points):
+        vals = [g[p["p"] + field] for p in points]
+        ratio = max(vals) / max(min(vals), floor)
+        check(band.name, holds(band, lim, ratio),
+              f"{field} across n [{', '.join(f'{v:g}' for v in vals)}]: "
+              f"max/min {ratio:.3f} {band.op} {lim:g}")
+    return cross
+
+
+def exp13_beats(band, lim, g, points):
+    thr = g.get("exp13.threshold.msgs_per_task", math.inf)
+    air = g.get("exp13.all_in_air.msgs_per_task", 0.0)
+    check(band.name, thr < air,
+          f"threshold {thr:.4f} < all-in-air {air:.4f} msgs/task")
+
+
+def exp22_slope(band, lim, g, points):
+    dur = {p["lat"]: g[p["p"] + "phase_duration_mean"] for p in points}
+    if len(dur) < 2:
+        check("exp22.present", False, "need gauges for at least two "
+              f"latencies, found {sorted(dur) or 'none'}")
+        return
+    lo, hi = min(dur), max(dur)
+    ratio = dur[hi] / max(dur[lo], 1e-9)
+    check(band.name, holds(band, lim, ratio, hi / lo),
+          f"duration(lat {hi})/duration(lat {lo}) = {ratio:.2f} {band.op} "
+          f"{lim:g} * latency ratio {hi / lo:g} (duration ∝ latency)")
+
+
+def exp24_stretch(axis, why):
+    """Duration at the top of one axis (loss or bw) over its 0 row, at
+    every value of the other axis."""
+    def cross(band, lim, g, points):
+        dur = {(p["loss"], p["bw"]): g[p["p"] + "phase_duration_mean"]
+               for p in points}
+        losses = sorted({k[0] for k in dur})
+        bws = sorted({k[1] for k in dur})
+        if len(losses) < 2 or len(bws) < 2 or 0 not in losses or 0 not in bws:
+            check("exp24.present", False,
+                  "need a loss x bandwidth grid including lossless/uncapped "
+                  f"rows, found losses={losses or 'none'} bws={bws or 'none'}")
+            return
+        if axis == "loss":
+            top = losses[-1]
+            rows = [(f"bw={bw}", (top, bw), (0, bw)) for bw in bws]
+        else:
+            top = bws[-1]
+            rows = [(f"loss={lo}", (lo, top), (lo, 0)) for lo in losses]
+        for label, at_top, at_zero in rows:
+            ratio = dur[at_top] / max(dur[at_zero], 1e-9)
+            check(band.name, holds(band, lim, ratio),
+                  f"{label}: duration({axis} {top})/duration({axis} 0) = "
+                  f"{ratio:.2f} {band.op} {lim:g} ({why})")
+    return cross
+
+
+def exp25_crash_present(band, lim, g, points):
+    if not any(p["model"] == "crash" for p in points):
+        check(band.name, False, "no exp25.crash.* gauges")
+
+
+def exp27_invariant(band, lim, g, points):
+    # Deterministic worker-count invariance: every layout's counters are
+    # identical at each worker count of the same n.
+    for gn in sorted({p["n"] for p in points}):
+        for layout in ("arena", "arena_steal"):
+            vals = sorted({g[p["p"] + "consumed"] for p in points
+                           if p["n"] == gn and p["layout"] == layout})
+            if vals:
+                check(band.name, len(vals) == 1,
+                      f"n={gn}/{layout}: consumed {vals} across worker "
+                      "counts")
+
+
+def recovery_ls_vs_none(band, lim, g, points):
+    steps = {p["policy"]: g[p["p"] + "steps"] for p in points}
+    if "local-search" in steps and "none" in steps:
+        ls, none = steps["local-search"], steps["none"]
+        check(band.name, holds(band, lim, ls, none),
+              f"local-search {ls:g} {band.op} {lim:g} * control {none:g} "
+              "steps")
+
+
+def zoo(policy=None, negate=False):
+    """exp25 points off the crash pass, of (or not of) one policy."""
+    def when(p):
+        if p["model"] == "crash":
+            return False
+        return policy is None or (p["policy"] == policy) != negate
+    return when
+
 
 # Band limits distilled from EXPERIMENTS.md (measured at the reduced ctest
 # fixture sizes: EXP-03/07 sweep n=1024,4096 at 1500 steps; EXP-13 runs
 # n=2048). Margins are ~2-3x the observed values so seed-to-seed noise
 # cannot flake the build, while regressions of the *shape* still trip.
-DEFAULT_LIMITS = {
+BANDS = [
     # balanced_max_worst <= limit * T, per size  (measured 7 vs T=16)
-    "exp03.balanced_max_le_T": 1.0,
-    # max/min of balanced_max_worst across sizes (measured 1.0)
-    "exp03.balanced_flat": 1.6,
+    Band("exp03.balanced_max_le_T", 1.0, "<=", "balanced_max_worst", "{p}T"),
     # unbalanced control must exceed balanced max (measured 26-30 vs 7)
-    "exp03.unbalanced_above": 1.5,
+    Band("exp03.unbalanced_above", 1.5, ">=", "unbalanced_max",
+         "{p}balanced_max_worst"),
+    # max/min of balanced_max_worst across sizes (measured 1.0)
+    Band("exp03.balanced_flat", 1.6, "<=",
+         cross=flat("balanced_max_worst", 1.0)),
     # mean requests per heavy root, per size     (measured ~1.52-1.54)
-    "exp07.req_per_root_lo": 1.0,
-    "exp07.req_per_root_hi": 2.5,
-    # max/min across sizes                       (measured ~1.02)
-    "exp07.req_per_root_flat": 1.3,
+    Band("exp07.req_per_root_lo", 1.0, ">=", "req_per_root_mean"),
+    Band("exp07.req_per_root_hi", 2.5, "<=", "req_per_root_mean"),
+    # max/min across sizes (Lemma 7 constant)    (measured ~1.02)
+    Band("exp07.req_per_root_flat", 1.3, "<=",
+         cross=flat("req_per_root_mean", 1e-9)),
     # threshold protocol messages per task       (measured ~0.095)
-    "exp13.threshold_msgs_hi": 0.3,
+    Band("exp13.threshold_msgs_hi", 0.3, "<=", "threshold.msgs_per_task"),
     # all-in-air pays >= 1 message per task by construction (measured ~1.02)
-    "exp13.allinair_msgs_lo": 0.5,
+    Band("exp13.allinair_msgs_lo", 0.5, ">=", "all_in_air.msgs_per_task"),
+    Band("exp13.threshold_beats_allinair", None, cross=exp13_beats),
     # threshold locality                         (measured ~0.979)
-    "exp13.threshold_locality_lo": 0.9,
+    Band("exp13.threshold_locality_lo", 0.9, ">=", "threshold.locality"),
     # all-in-air scatters tasks                  (measured ~0.33)
-    "exp13.allinair_locality_hi": 0.6,
+    Band("exp13.allinair_locality_hi", 0.6, "<=", "all_in_air.locality"),
     # threshold max load stays within T          (measured 7 vs T=16)
-    "exp13.threshold_max_load_hi": 16.0,
-    # EXP-22 slope: duration(max lat) / duration(min lat) must reach this
-    # fraction of the latency ratio itself       (measured 0.94 of ideal)
-    "exp22.duration_ratio_lo": 0.5,
-    # per-latency normalised duration, steps/lat (measured ~3.0-3.2)
-    "exp22.duration_per_latency_lo": 1.5,
-    "exp22.duration_per_latency_hi": 8.0,
+    Band("exp13.threshold_max_load_hi", 16.0, "<=", "threshold.max_load"),
     # phases doing heavy work per sweep point    (measured 19-26)
-    "exp22.phases_min": 8.0,
+    Band("exp22.phases_min", 8.0, ">=", "phases"),
+    # per-latency normalised duration, steps/lat (measured ~3.0-3.2)
+    Band("exp22.duration_per_latency_lo", 1.5, ">=", "phase_duration_mean",
+         "lat"),
+    Band("exp22.duration_per_latency_hi", 8.0, "<=", "phase_duration_mean",
+         "lat"),
     # heavy-processor match rate, percent        (measured 100)
-    "exp22.match_pct_lo": 60.0,
+    Band("exp22.match_pct_lo", 60.0, ">=", "match_pct"),
     # failsafe-forced phase ends                 (measured 0)
-    "exp22.forced_hi": 0.0,
+    Band("exp22.forced_hi", 0.0, "<=", "forced"),
+    # duration(max lat) / duration(min lat) must reach this fraction of the
+    # latency ratio itself                       (measured 0.94 of ideal)
+    Band("exp22.duration_ratio_lo", 0.5, ">=", cross=exp22_slope),
     # EXP-24 (fixture: n=128, lat-steps=512, latency 2, jitter 1,
     # loss grid 0,4096,16384 /64k, bandwidth grid 0,1):
     # phases doing heavy work per grid point     (measured 22-25)
-    "exp24.phases_min": 8.0,
+    Band("exp24.phases_min", 8.0, ">=", "phases"),
     # heavy-processor match rate, percent        (measured 100)
-    "exp24.match_pct_lo": 60.0,
+    Band("exp24.match_pct_lo", 60.0, ">=", "match_pct"),
     # failsafe-forced phase ends                 (measured 0)
-    "exp24.forced_hi": 0.0,
+    Band("exp24.forced_hi", 0.0, "<=", "forced"),
     # lossless rows must not retransmit or schedule duplicates (measured 0)
-    "exp24.lossless_retransmits_hi": 0.0,
+    Band("exp24.lossless_retransmits_hi", 0.0, "<=",
+         ("retransmits", "dup_suppressed"), when=lambda p: p["loss"] == 0),
     # every lossy row must actually retransmit   (measured 24-119)
-    "exp24.lossy_retransmits_min": 1.0,
+    Band("exp24.lossy_retransmits_min", 1.0, ">=", "retransmits",
+         when=lambda p: p["loss"] != 0),
     # uncapped rows must not queue behind links  (measured 0)
-    "exp24.uncapped_queued_hi": 0.0,
+    Band("exp24.uncapped_queued_hi", 0.0, "<=", "queued_delay",
+         when=lambda p: p["bw"] == 0),
     # every capped row must actually queue       (measured 93-101)
-    "exp24.capped_queued_min": 1.0,
+    Band("exp24.capped_queued_min", 1.0, ">=", "queued_delay",
+         when=lambda p: p["bw"] != 0),
     # duration(max loss) / duration(lossless), same cap (measured 2.5-2.9)
-    "exp24.loss_duration_ratio_lo": 1.3,
+    Band("exp24.loss_duration_ratio_lo", 1.3, ">=",
+         cross=exp24_stretch("loss", "retransmit RTOs stretch phases")),
     # duration(capped) / duration(uncapped), same loss  (measured 1.05-1.24)
-    "exp24.bw_duration_ratio_lo": 1.0,
+    Band("exp24.bw_duration_ratio_lo", 1.0, ">=",
+         cross=exp24_stretch("bw", "link queueing stretches phases")),
     # EXP-25 (fixture: n=256, zoo-steps=192, staleness 8; deterministic, so
     # the measured values are exact constants, not noisy samples):
+    # every zoo run consumes work                  (measured 5249-17936)
+    Band("exp25.consumed_min", 1.0, ">=", "consumed", when=zoo()),
+    # the unbalanced control moves none            (measured 0)
+    Band("exp25.none_moved_hi", 0.0, "<=", "tasks_moved", when=zoo("none")),
+    # every balancing policy actually moves tasks  (measured 1340-113261)
+    Band("exp25.balancer_moved_min", 1.0, ">=", "tasks_moved",
+         when=zoo("none", negate=True)),
     # local-search max load / unbalanced max load  (measured 0.01-0.56)
-    "exp25.ls_improves_max_load": 0.8,
+    Band("exp25.ls_improves_max_load", 0.8, "<=", "max_load",
+         "exp25.{model}.none.max_load", zoo("local-search")),
     # threshold max load / unbalanced max load     (measured 0.12-0.80)
-    "exp25.threshold_improves_max_load": 0.95,
+    Band("exp25.threshold_improves_max_load", 0.95, "<=", "max_load",
+         "exp25.{model}.none.max_load", zoo("threshold")),
     # stale-SQ max load / unbalanced max load: herding onto the stale
     # minimum must blow the max load UP            (measured 3.5-233)
-    "exp25.stale_herds_min": 2.0,
-    # every balancing policy actually moves tasks  (measured 1340-113261)
-    "exp25.balancer_moved_min": 1.0,
-    # the unbalanced control moves none            (measured 0)
-    "exp25.none_moved_hi": 0.0,
+    Band("exp25.stale_herds_min", 2.0, ">=", "max_load",
+         "exp25.{model}.none.max_load", zoo("stale-sq")),
     # threshold protocol messages per task         (measured 0.46-2.94)
-    "exp25.threshold_msgs_hi": 6.0,
+    Band("exp25.threshold_msgs_hi", 6.0, "<=", "msgs_per_task",
+         when=zoo("threshold")),
+    Band("exp25.crash_present", None, cross=exp25_crash_present),
     # crash pass: both scheduled crash events re-home (measured 2 exactly)
-    "exp25.crash_rehomed_events": 2.0,
+    Band("exp25.crash_rehomed_events", 2.0, "==", "rehomed_events",
+         when=lambda p: p["model"] == "crash"),
     # crash pass: re-homed queues carry tasks      (measured 2-9)
-    "exp25.crash_rehomed_tasks_min": 1.0,
-    # every zoo run consumes work                  (measured 5249-17936)
-    "exp25.consumed_min": 1.0,
-    # EXP-27 (fixture: bench_rt --scaling-grid --smoke, so the grid runs
-    # n=16384 at workers 1,2 for 32 steps; deterministic, so every counter
+    Band("exp25.crash_rehomed_tasks_min", 1.0, ">=", "rehomed_tasks",
+         when=lambda p: p["model"] == "crash"),
+    # EXP-27 (fixture: bench_rt --grids=exp27 --grid-n=16384
+    # --grid-workers=1,2 --grid-steps=32; deterministic, so every counter
     # is an exact constant):
     # every grid run consumes work                 (measured 107500-108279)
-    "exp27.consumed_min": 1.0,
-    # steal rows actually steal                    (measured 256 events)
-    "exp27.steal_events_min": 1.0,
-    # each steal event carries at least this many tasks (measured 4.0)
-    "exp27.stolen_per_event_min": 1.0,
+    Band("exp27.consumed_min", 1.0, ">=", "consumed"),
     # every row reports a non-zero arena footprint (measured ~5.2 MB)
-    "exp27.arena_bytes_min": 1.0,
+    Band("exp27.arena_bytes_min", 1.0, ">=", "arena_bytes"),
+    # steal rows actually steal                    (measured 256 events)
+    Band("exp27.steal_events_min", 1.0, ">=", "steal_events",
+         when=lambda p: p["layout"] == "arena_steal"),
+    # each steal event carries at least this many tasks (measured 4.0)
+    Band("exp27.stolen_per_event_min", 1.0, ">=", "stolen_tasks",
+         "{p}steal_events", lambda p: p["layout"] == "arena_steal"),
+    Band("exp27.worker_invariant", None, cross=exp27_invariant),
     # EXP-20b --recovery-time (fixture: n=1024, crash-step 64, crash-down
     # 128, 8 crashed procs x 48 pre-loaded tasks; deterministic):
     # every crashed processor re-homes exactly once (measured 8)
-    "recovery.rehomed_events": 8.0,
+    Band("recovery.rehomed_events", 8.0, "==", "rehomed_events"),
     # re-homed queues carry at least the pre-loaded tasks (measured 390-5396)
-    "recovery.rehomed_tasks_min": 384.0,
+    Band("recovery.rehomed_tasks_min", 384.0, ">=", "rehomed_tasks"),
     # the burst actually spikes: peak >= this multiple of the pre-crash band
-    # for the non-herding policies              (measured 197/4 and 397/16)
-    "recovery.peak_over_band_min": 2.0,
+    # for the non-herding policies (herding inflates the stale-SQ band)
+    #                                           (measured 197/4 and 397/16)
+    Band("recovery.peak_over_band_min", 2.0, ">=", "peak", "{p}band",
+         lambda p: p["policy"] != "stale-sq"),
     # local-search re-enters its band fast         (measured 9 steps)
-    "recovery.ls_steps_hi": 64.0,
+    Band("recovery.ls_steps_hi", 64.0, "<=", "steps",
+         when=lambda p: p["policy"] == "local-search"),
     # the unbalanced control drains only at eps/step (measured 3734 steps)
-    "recovery.none_steps_min": 500.0,
+    Band("recovery.none_steps_min", 500.0, ">=", "steps",
+         when=lambda p: p["policy"] == "none"),
     # local-search beats the control by an order of magnitude
     # (measured 9/3734 ~= 0.0024)
-    "recovery.ls_vs_none_hi": 0.1,
-}
-
-RESULTS = []
+    Band("recovery.ls_vs_none_hi", 0.1, "<=", cross=recovery_ls_vs_none),
+]
 
 
-def check(band, ok, detail):
-    RESULTS.append(ok)
-    print(f"  [{'PASS' if ok else 'FAIL'}] {band}: {detail}")
-
-
-def gauges(path):
-    with open(path) as f:
-        return json.load(f).get("gauges", {})
-
-
-def sweep_sizes(g, pattern):
-    """Sizes n for which a gauge matching pattern % n exists, ascending."""
-    sizes = []
-    rx = re.compile("^" + pattern.replace("%d", r"(\d+)") + "$")
+def points_of(g, section):
+    pattern, marker, _ = SECTIONS[section]
+    rx = re.compile("^" + pattern + re.escape(marker) + "$")
+    points = []
     for name in g:
-        m = rx.match(name)
-        if m:
-            sizes.append(int(m.group(1)))
-    return sorted(sizes)
+        if m := rx.match(name):
+            point = {k: int(v) if v.isdigit() else v
+                     for k, v in m.groupdict().items()}
+            point["p"] = name[:-len(marker)]
+            points.append(point)
+    return sorted(points, key=lambda p: [p[k] for k in rx.groupindex])
 
 
-def check_exp03(g, limit):
-    sizes = sweep_sizes(g, r"exp03\.n%d\.T")
-    if not sizes:
-        check("exp03.present", False, "no exp03.* gauges found")
-        return
-    worst = []
-    for n in sizes:
-        bal = g[f"exp03.n{n}.balanced_max_worst"]
-        t = g[f"exp03.n{n}.T"]
-        unbal = g[f"exp03.n{n}.unbalanced_max"]
-        lim = limit("exp03.balanced_max_le_T")
-        check("exp03.balanced_max_le_T", bal <= lim * t,
-              f"n={n}: balanced max {bal:g} <= {lim:g} * T({t:g})")
-        lim = limit("exp03.unbalanced_above")
-        check("exp03.unbalanced_above", unbal >= lim * bal,
-              f"n={n}: unbalanced max {unbal:g} >= {lim:g} * balanced {bal:g}")
-        worst.append(bal)
-    lim = limit("exp03.balanced_flat")
-    ratio = max(worst) / max(min(worst), 1.0)
-    check("exp03.balanced_flat", ratio <= lim,
-          f"balanced max across n {worst}: max/min {ratio:.3f} <= {lim:g}")
-
-
-def check_exp07(g, limit):
-    sizes = sweep_sizes(g, r"exp07\.n%d\.req_per_root_mean")
-    if not sizes:
-        check("exp07.present", False, "no exp07.* gauges found")
-        return
-    means = []
-    for n in sizes:
-        mean = g[f"exp07.n{n}.req_per_root_mean"]
-        lo = limit("exp07.req_per_root_lo")
-        hi = limit("exp07.req_per_root_hi")
-        check("exp07.req_per_root_lo", mean >= lo,
-              f"n={n}: mean req/root {mean:.3f} >= {lo:g}")
-        check("exp07.req_per_root_hi", mean <= hi,
-              f"n={n}: mean req/root {mean:.3f} <= {hi:g}")
-        means.append(mean)
-    lim = limit("exp07.req_per_root_flat")
-    ratio = max(means) / min(means)
-    check("exp07.req_per_root_flat", ratio <= lim,
-          f"req/root across n: max/min {ratio:.3f} <= {lim:g} (Lemma 7 "
-          "constant)")
-
-
-def check_exp13(g, limit):
-    need = ["exp13.threshold.msgs_per_task", "exp13.all_in_air.msgs_per_task",
-            "exp13.threshold.locality", "exp13.all_in_air.locality",
-            "exp13.threshold.max_load"]
-    missing = [k for k in need if k not in g]
+def check_point(band, lim, g, point):
+    fields = band.field if isinstance(band.field, tuple) else (band.field,)
+    names = [point["p"] + f for f in fields]
+    scale, scale_name = 1.0, ""
+    if band.other in point:
+        scale, scale_name = float(point[band.other]), band.other
+    elif band.other:
+        scale_name = band.other.format(**point)
+        names.append(scale_name)
+    missing = [n for n in names if n not in g]
     if missing:
-        check("exp13.present", False, f"missing gauges: {missing}")
+        check(band.name, False, f"{tag(point)}: missing gauges {missing}")
         return
-    thr_msgs = g["exp13.threshold.msgs_per_task"]
-    air_msgs = g["exp13.all_in_air.msgs_per_task"]
-    lim = limit("exp13.threshold_msgs_hi")
-    check("exp13.threshold_msgs_hi", thr_msgs <= lim,
-          f"threshold {thr_msgs:.4f} msgs/task <= {lim:g}")
-    lim = limit("exp13.allinair_msgs_lo")
-    check("exp13.allinair_msgs_lo", air_msgs >= lim,
-          f"all-in-air {air_msgs:.4f} msgs/task >= {lim:g}")
-    check("exp13.threshold_beats_allinair", thr_msgs < air_msgs,
-          f"threshold {thr_msgs:.4f} < all-in-air {air_msgs:.4f} msgs/task")
-    lim = limit("exp13.threshold_locality_lo")
-    loc = g["exp13.threshold.locality"]
-    check("exp13.threshold_locality_lo", loc >= lim,
-          f"threshold locality {loc:.3f} >= {lim:g}")
-    lim = limit("exp13.allinair_locality_hi")
-    loc = g["exp13.all_in_air.locality"]
-    check("exp13.allinair_locality_hi", loc <= lim,
-          f"all-in-air locality {loc:.3f} <= {lim:g}")
-    lim = limit("exp13.threshold_max_load_hi")
-    ml = g["exp13.threshold.max_load"]
-    check("exp13.threshold_max_load_hi", ml <= lim,
-          f"threshold max load {ml:g} <= {lim:g}")
+    if band.other and band.other not in point:
+        scale = g[scale_name]
+    vals = [g[n] for n in names[:len(fields)]]
+    detail = " / ".join(f"{f} {v:g}" for f, v in zip(fields, vals))
+    detail += f" {band.op} {lim:g}"
+    if band.other:
+        detail += f" * {scale_name} {scale:g}"
+    check(band.name, all(holds(band, lim, v, scale) for v in vals),
+          f"{tag(point)}: {detail}")
 
 
-def check_exp22(g, limit):
-    lats = sweep_sizes(g, r"exp22\.lat%d\.phase_duration_mean")
-    if len(lats) < 2:
-        check("exp22.present", False,
-              "need gauges for at least two latencies, found "
-              f"{lats or 'none'}")
-        return
-    durs = {}
-    for lat in lats:
-        dur = g[f"exp22.lat{lat}.phase_duration_mean"]
-        durs[lat] = dur
-        phases = g[f"exp22.lat{lat}.phases"]
-        lim = limit("exp22.phases_min")
-        check("exp22.phases_min", phases >= lim,
-              f"lat={lat}: {phases:g} heavy phases >= {lim:g}")
-        per = dur / lat
-        lo = limit("exp22.duration_per_latency_lo")
-        hi = limit("exp22.duration_per_latency_hi")
-        check("exp22.duration_per_latency_lo", per >= lo,
-              f"lat={lat}: duration/latency {per:.2f} >= {lo:g}")
-        check("exp22.duration_per_latency_hi", per <= hi,
-              f"lat={lat}: duration/latency {per:.2f} <= {hi:g}")
-        lim = limit("exp22.match_pct_lo")
-        match = g[f"exp22.lat{lat}.match_pct"]
-        check("exp22.match_pct_lo", match >= lim,
-              f"lat={lat}: match rate {match:.1f}% >= {lim:g}%")
-        lim = limit("exp22.forced_hi")
-        forced = g[f"exp22.lat{lat}.forced"]
-        check("exp22.forced_hi", forced <= lim,
-              f"lat={lat}: {forced:g} forced phase ends <= {lim:g}")
-    lo_lat, hi_lat = min(lats), max(lats)
-    ratio = durs[hi_lat] / max(durs[lo_lat], 1e-9)
-    lat_ratio = hi_lat / lo_lat
-    lim = limit("exp22.duration_ratio_lo")
-    check("exp22.duration_ratio_lo", ratio >= lim * lat_ratio,
-          f"duration(lat {hi_lat})/duration(lat {lo_lat}) = {ratio:.2f} >= "
-          f"{lim:g} * latency ratio {lat_ratio:g} (duration ∝ latency)")
+def evaluate(files, limits):
+    """Runs every band of every section in `files` ({section: path});
+    returns the [(band, ok)] results."""
+    RESULTS.clear()
+    for section, path in files.items():
+        if ECHO:
+            print(f"{section} bands ({path}):")
+        with open(path) as f:
+            g = json.load(f).get("gauges", {})
+        points = points_of(g, section)
+        if not points:
+            check(f"{section}.present", False,
+                  f"no {section}.* gauges found")
+            continue
+        bands = [b for b in BANDS if b.name.split(".")[0] == section]
+        for point in points:
+            for band in bands:
+                if band.cross is None and (band.when is None or
+                                           band.when(point)):
+                    check_point(band, limits.get(band.name), g, point)
+        for band in bands:
+            if band.cross is not None:
+                band.cross(band, limits.get(band.name), g, points)
+    return list(RESULTS)
 
 
-def check_exp24(g, limit):
-    rx = re.compile(r"^exp24\.loss(\d+)\.bw(\d+)\.phase_duration_mean$")
-    points = sorted((int(m.group(1)), int(m.group(2)))
-                    for name in g if (m := rx.match(name)))
-    losses = sorted({p[0] for p in points})
-    bws = sorted({p[1] for p in points})
-    if len(losses) < 2 or len(bws) < 2 or 0 not in losses or 0 not in bws:
-        check("exp24.present", False,
-              "need a loss x bandwidth grid including lossless/uncapped "
-              f"rows, found losses={losses or 'none'} bws={bws or 'none'}")
-        return
-    for loss, bw in points:
-        p = f"exp24.loss{loss}.bw{bw}."
-        tag = f"loss={loss}/bw={bw}"
-        lim = limit("exp24.phases_min")
-        phases = g[p + "phases"]
-        check("exp24.phases_min", phases >= lim,
-              f"{tag}: {phases:g} heavy phases >= {lim:g}")
-        lim = limit("exp24.match_pct_lo")
-        match = g[p + "match_pct"]
-        check("exp24.match_pct_lo", match >= lim,
-              f"{tag}: match rate {match:.1f}% >= {lim:g}%")
-        lim = limit("exp24.forced_hi")
-        forced = g[p + "forced"]
-        check("exp24.forced_hi", forced <= lim,
-              f"{tag}: {forced:g} forced phase ends <= {lim:g}")
-        retrans = g[p + "retransmits"]
-        dups = g[p + "dup_suppressed"]
-        queued = g[p + "queued_delay"]
-        if loss == 0:
-            lim = limit("exp24.lossless_retransmits_hi")
-            check("exp24.lossless_retransmits_hi",
-                  retrans <= lim and dups <= lim,
-                  f"{tag}: lossless retransmits {retrans:g} / dups "
-                  f"{dups:g} <= {lim:g}")
+def selftest(files, limits):
+    """Every limited band passes as measured and fails at a limit its
+    comparison must reject."""
+    global ECHO
+    ECHO = False
+    base = evaluate(files, limits)
+    fired = 0
+    limited = [b for b in BANDS if b.limit is not None]
+    for band in limited:
+        ours = [ok for name, ok in base if name == band.name]
+        rejected = evaluate(files, {**limits, band.name: REJECT[band.op]})
+        fires = [ok for name, ok in rejected if name == band.name]
+        if not ours or not all(ours):
+            print(f"  [FAIL] {band.name}: not passing as measured "
+                  f"({len(ours)} checks)")
+        elif all(fires):
+            print(f"  [FAIL] {band.name}: still passes at limit "
+                  f"{REJECT[band.op]:g}")
         else:
-            lim = limit("exp24.lossy_retransmits_min")
-            check("exp24.lossy_retransmits_min", retrans >= lim,
-                  f"{tag}: lossy retransmits {retrans:g} >= {lim:g}")
-        if bw == 0:
-            lim = limit("exp24.uncapped_queued_hi")
-            check("exp24.uncapped_queued_hi", queued <= lim,
-                  f"{tag}: uncapped queued delay {queued:g} <= {lim:g}")
-        else:
-            lim = limit("exp24.capped_queued_min")
-            check("exp24.capped_queued_min", queued >= lim,
-                  f"{tag}: capped queued delay {queued:g} >= {lim:g}")
-    hi_loss, hi_bw = max(losses), max(bws)
-    for bw in bws:
-        base = g[f"exp24.loss0.bw{bw}.phase_duration_mean"]
-        dur = g[f"exp24.loss{hi_loss}.bw{bw}.phase_duration_mean"]
-        ratio = dur / max(base, 1e-9)
-        lim = limit("exp24.loss_duration_ratio_lo")
-        check("exp24.loss_duration_ratio_lo", ratio >= lim,
-              f"bw={bw}: duration(loss {hi_loss})/duration(lossless) = "
-              f"{ratio:.2f} >= {lim:g} (retransmit RTOs stretch phases)")
-    for loss in losses:
-        base = g[f"exp24.loss{loss}.bw0.phase_duration_mean"]
-        dur = g[f"exp24.loss{loss}.bw{hi_bw}.phase_duration_mean"]
-        ratio = dur / max(base, 1e-9)
-        lim = limit("exp24.bw_duration_ratio_lo")
-        check("exp24.bw_duration_ratio_lo", ratio >= lim,
-              f"loss={loss}: duration(bw {hi_bw})/duration(uncapped) = "
-              f"{ratio:.2f} >= {lim:g} (link queueing stretches phases)")
-
-
-def check_exp25(g, limit):
-    rx = re.compile(r"^exp25\.([a-z-]+)\.([a-z-]+)\.max_load$")
-    models = sorted({m.group(1) for name in g
-                     if (m := rx.match(name)) and m.group(1) != "crash"})
-    crash_policies = sorted({m.group(2) for name in g
-                             if (m := rx.match(name))
-                             and m.group(1) == "crash"})
-    if not models:
-        check("exp25.present", False, "no exp25.<model>.<policy>.* gauges")
-        return
-    for model in models:
-        p = f"exp25.{model}."
-        none_max = g[p + "none.max_load"]
-        for policy in ("none", "stale-sq", "local-search", "threshold"):
-            lim = limit("exp25.consumed_min")
-            consumed = g[p + policy + ".consumed"]
-            check("exp25.consumed_min", consumed >= lim,
-                  f"{model}/{policy}: consumed {consumed:g} >= {lim:g}")
-            moved = g[p + policy + ".tasks_moved"]
-            if policy == "none":
-                lim = limit("exp25.none_moved_hi")
-                check("exp25.none_moved_hi", moved <= lim,
-                      f"{model}/none: moved {moved:g} <= {lim:g}")
-            else:
-                lim = limit("exp25.balancer_moved_min")
-                check("exp25.balancer_moved_min", moved >= lim,
-                      f"{model}/{policy}: moved {moved:g} >= {lim:g}")
-        lim = limit("exp25.ls_improves_max_load")
-        ls = g[p + "local-search.max_load"]
-        check("exp25.ls_improves_max_load", ls <= lim * none_max,
-              f"{model}: local-search max {ls:g} <= {lim:g} * "
-              f"unbalanced {none_max:g}")
-        lim = limit("exp25.threshold_improves_max_load")
-        thr = g[p + "threshold.max_load"]
-        check("exp25.threshold_improves_max_load", thr <= lim * none_max,
-              f"{model}: threshold max {thr:g} <= {lim:g} * "
-              f"unbalanced {none_max:g}")
-        lim = limit("exp25.stale_herds_min")
-        stale = g[p + "stale-sq.max_load"]
-        check("exp25.stale_herds_min", stale >= lim * none_max,
-              f"{model}: stale-SQ max {stale:g} >= {lim:g} * unbalanced "
-              f"{none_max:g} (herding onto the stale minimum)")
-        lim = limit("exp25.threshold_msgs_hi")
-        msgs = g[p + "threshold.msgs_per_task"]
-        check("exp25.threshold_msgs_hi", msgs <= lim,
-              f"{model}: threshold {msgs:.4f} msgs/task <= {lim:g}")
-    if not crash_policies:
-        check("exp25.crash_present", False, "no exp25.crash.* gauges")
-        return
-    for policy in crash_policies:
-        p = f"exp25.crash.{policy}."
-        lim = limit("exp25.crash_rehomed_events")
-        events = g[p + "rehomed_events"]
-        check("exp25.crash_rehomed_events", events == lim,
-              f"crash/{policy}: {events:g} re-home events == {lim:g}")
-        lim = limit("exp25.crash_rehomed_tasks_min")
-        tasks = g[p + "rehomed_tasks"]
-        check("exp25.crash_rehomed_tasks_min", tasks >= lim,
-              f"crash/{policy}: {tasks:g} re-homed tasks >= {lim:g}")
-
-
-def check_exp27(g, limit):
-    rx = re.compile(
-        r"^exp27\.n(\d+)\.w(\d+)\.(arena|arena_steal)\.tasks_per_sec$")
-    points = sorted((int(m.group(1)), int(m.group(2)), m.group(3))
-                    for name in g if (m := rx.match(name)))
-    if not points:
-        check("exp27.present", False, "no exp27.* gauges found")
-        return
-    for gn, w, layout in points:
-        p = f"exp27.n{gn}.w{w}.{layout}."
-        tag = f"n={gn}/w={w}/{layout}"
-        lim = limit("exp27.consumed_min")
-        consumed = g[p + "consumed"]
-        check("exp27.consumed_min", consumed >= lim,
-              f"{tag}: consumed {consumed:g} >= {lim:g}")
-        lim = limit("exp27.arena_bytes_min")
-        ab = g[p + "arena_bytes"]
-        check("exp27.arena_bytes_min", ab >= lim,
-              f"{tag}: arena bytes {ab:g} >= {lim:g}")
-        if layout == "arena_steal":
-            lim = limit("exp27.steal_events_min")
-            events = g[p + "steal_events"]
-            check("exp27.steal_events_min", events >= lim,
-                  f"{tag}: {events:g} steal events >= {lim:g}")
-            lim = limit("exp27.stolen_per_event_min")
-            stolen = g[p + "stolen_tasks"]
-            check("exp27.stolen_per_event_min", stolen >= lim * events,
-                  f"{tag}: {stolen:g} stolen tasks >= {lim:g} * "
-                  f"{events:g} events")
-    # Deterministic worker-count invariance: every layout's counters are
-    # identical at each worker count of the same n.
-    for gn in sorted({p[0] for p in points}):
-        for layout in ("arena", "arena_steal"):
-            vals = sorted({g[f"exp27.n{gn}.w{w}.{layout}.consumed"]
-                           for pn, w, pl in points
-                           if pn == gn and pl == layout})
-            if len(vals) > 1:
-                check("exp27.worker_invariant", False,
-                      f"n={gn}/{layout}: consumed varies with workers "
-                      f"{vals}")
-            elif vals:
-                check("exp27.worker_invariant", True,
-                      f"n={gn}/{layout}: consumed {vals[0]:g} at every "
-                      "worker count")
-
-
-def check_recovery(g, limit):
-    policies = sorted({m.group(1) for name in g
-                       if (m := re.match(r"^recovery\.([a-z-]+)\.steps$",
-                                         name))})
-    if not policies:
-        check("recovery.present", False, "no recovery.<policy>.* gauges")
-        return
-    for policy in policies:
-        p = f"recovery.{policy}."
-        lim = limit("recovery.rehomed_events")
-        events = g[p + "rehomed_events"]
-        check("recovery.rehomed_events", events == lim,
-              f"{policy}: {events:g} re-home events == {lim:g}")
-        lim = limit("recovery.rehomed_tasks_min")
-        tasks = g[p + "rehomed_tasks"]
-        check("recovery.rehomed_tasks_min", tasks >= lim,
-              f"{policy}: {tasks:g} re-homed tasks >= {lim:g}")
-        if policy != "stale-sq":  # herding inflates the pre-crash band
-            lim = limit("recovery.peak_over_band_min")
-            peak, band = g[p + "peak"], g[p + "band"]
-            check("recovery.peak_over_band_min", peak >= lim * band,
-                  f"{policy}: peak {peak:g} >= {lim:g} * band {band:g}")
-    if "local-search" in policies:
-        lim = limit("recovery.ls_steps_hi")
-        ls = g["recovery.local-search.steps"]
-        check("recovery.ls_steps_hi", ls <= lim,
-              f"local-search recovers in {ls:g} steps <= {lim:g}")
-    if "none" in policies:
-        lim = limit("recovery.none_steps_min")
-        none = g["recovery.none.steps"]
-        check("recovery.none_steps_min", none >= lim,
-              f"unbalanced control needs {none:g} steps >= {lim:g}")
-        if "local-search" in policies:
-            lim = limit("recovery.ls_vs_none_hi")
-            ls = g["recovery.local-search.steps"]
-            check("recovery.ls_vs_none_hi", ls <= lim * none,
-                  f"local-search {ls:g} <= {lim:g} * control {none:g} steps")
+            fired += 1
+            print(f"  [PASS] {band.name}: fires at limit "
+                  f"{REJECT[band.op]:g}")
+    print(f"statcheck --selftest: {fired} of {len(limited)} limited bands "
+          "fire")
+    return 0 if fired == len(limited) else 1
 
 
 def main():
     ap = argparse.ArgumentParser(
         description="Evaluate EXPERIMENTS.md tolerance bands against bench "
                     "--metrics-json output.")
-    ap.add_argument("--exp03", help="bench_maxload_single metrics JSON")
-    ap.add_argument("--exp07", help="bench_expected_requests metrics JSON")
-    ap.add_argument("--exp13", help="bench_baselines metrics JSON")
-    ap.add_argument("--exp22", help="bench_rt latency-sweep metrics JSON")
-    ap.add_argument("--exp24", help="bench_rt link-model-sweep metrics JSON")
-    ap.add_argument("--exp25", help="bench_rt workload-grid metrics JSON")
-    ap.add_argument("--exp27", help="bench_rt scaling-grid metrics JSON")
-    ap.add_argument("--recovery",
-                    help="bench_recovery --recovery-time metrics JSON")
+    for section, (_, _, what) in SECTIONS.items():
+        ap.add_argument(f"--{section}", help=what)
     ap.add_argument("--override", action="append", default=[],
                     metavar="BAND=VALUE",
                     help="perturb a band limit (self-test hook)")
+    ap.add_argument("--selftest", action="store_true",
+                    help="prove every limited band fires on these files")
     args = ap.parse_args()
 
-    limits = dict(DEFAULT_LIMITS)
+    limits = {b.name: b.limit for b in BANDS if b.limit is not None}
     for ov in args.override:
         band, _, value = ov.partition("=")
         if band not in limits:
@@ -537,43 +461,18 @@ def main():
             return 2
         limits[band] = float(value)
 
-    def limit(band):
-        return limits[band]
+    files = {s: getattr(args, s) for s in SECTIONS if getattr(args, s)}
+    if not files:
+        ap.error("at least one of "
+                 f"{'/'.join('--' + s for s in SECTIONS)} is required")
+    if args.selftest:
+        return selftest(files, limits)
 
-    if not (args.exp03 or args.exp07 or args.exp13 or args.exp22 or
-            args.exp24 or args.exp25 or args.exp27 or args.recovery):
-        ap.error("at least one of --exp03/--exp07/--exp13/--exp22/--exp24/"
-                 "--exp25/--exp27/--recovery is required")
-
-    if args.exp03:
-        print(f"exp03 bands ({args.exp03}):")
-        check_exp03(gauges(args.exp03), limit)
-    if args.exp07:
-        print(f"exp07 bands ({args.exp07}):")
-        check_exp07(gauges(args.exp07), limit)
-    if args.exp13:
-        print(f"exp13 bands ({args.exp13}):")
-        check_exp13(gauges(args.exp13), limit)
-    if args.exp22:
-        print(f"exp22 bands ({args.exp22}):")
-        check_exp22(gauges(args.exp22), limit)
-    if args.exp24:
-        print(f"exp24 bands ({args.exp24}):")
-        check_exp24(gauges(args.exp24), limit)
-    if args.exp25:
-        print(f"exp25 bands ({args.exp25}):")
-        check_exp25(gauges(args.exp25), limit)
-    if args.exp27:
-        print(f"exp27 bands ({args.exp27}):")
-        check_exp27(gauges(args.exp27), limit)
-    if args.recovery:
-        print(f"recovery bands ({args.recovery}):")
-        check_recovery(gauges(args.recovery), limit)
-
-    passed = sum(RESULTS)
-    failed = len(RESULTS) - passed
+    results = evaluate(files, limits)
+    passed = sum(ok for _, ok in results)
+    failed = len(results) - passed
     print(f"statcheck: {passed} bands passed, {failed} failed")
-    return 0 if failed == 0 and RESULTS else 1
+    return 0 if failed == 0 and results else 1
 
 
 if __name__ == "__main__":
