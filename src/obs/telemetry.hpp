@@ -101,7 +101,6 @@ enum class Stage : std::uint8_t {
   kTreeChildren,
   kTreeIds,
   kTreeTransfers,
-  kTreeForwards,
   kEndStep,
   kOther,
 };
@@ -110,8 +109,8 @@ inline constexpr std::size_t kStageCount =
 /// Export names, indexed by Stage (`<prefix>stage.<name>_ns`).
 inline constexpr const char* kStageNames[kStageCount] = {
     "gen_consume",   "steal",    "classify",       "collision_rounds",
-    "tree_children", "tree_ids", "tree_transfers", "tree_forwards",
-    "end_step",      "other",
+    "tree_children", "tree_ids", "tree_transfers", "end_step",
+    "other",
 };
 
 /// One worker thread's hot-path counters and distributions. Single-writer:

@@ -37,6 +37,17 @@ void check_processor(std::uint64_t p, std::uint64_t n, const char* who) {
   CLB_CHECK(p < n, msg);
 }
 
+void check_deposit(std::uint64_t p, std::uint64_t n, std::uint64_t birth_step,
+                   std::uint64_t step, const char* who) {
+  check_processor(p, n, who);
+  if (birth_step <= step) return;
+  const std::string msg = std::string(who) + ": task for processor " +
+                          std::to_string(p) + " born at step " +
+                          std::to_string(birth_step) + ", after step " +
+                          std::to_string(step);
+  CLB_CHECK(false, msg.c_str());
+}
+
 namespace {
 
 /// The fault-injection rules: the ordinal fits the kind (sim/mutation.hpp),

@@ -65,7 +65,8 @@ struct RtConfig {
   /// Record step-counted sojourn (consume step - birth step) per task.
   bool track_sojourn = false;
   /// Record wall-clock sojourn in microseconds per task (one steady_clock
-  /// read per generated and consumed task; meant for free-running benches).
+  /// read per block of 256 processors in generate/consume, which stamps
+  /// every birth and consume of the block; meant for free-running benches).
   bool time_sojourn = false;
   /// Optional trace sink (borrowed); emits kPhaseBegin/kPhaseEnd/kTransfer.
   /// In-proc only: a pointer cannot cross a process boundary.
@@ -216,6 +217,11 @@ struct RtProcessor {
 
 /// Aborts naming `who`, p and n unless processor p exists (p < n).
 void check_processor(std::uint64_t p, std::uint64_t n, const char* who);
+
+/// check_processor, then aborts naming `who`, p, `birth_step` and `step` if
+/// the task was born after `step`, the next to run (a negative sojourn).
+void check_deposit(std::uint64_t p, std::uint64_t n, std::uint64_t birth_step,
+                   std::uint64_t step, const char* who);
 
 /// Every rule `cfg` breaks, one line each; empty when the config is valid.
 /// Substrate-independent: each constructor appends what its own substrate

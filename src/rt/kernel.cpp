@@ -769,6 +769,12 @@ void ShardKernel::run_phase(std::uint64_t step) {
     ++level;
     node_count = run_level(step, phase_index, level, node_count);
   }
+  if (level > 0) {  // deliver the last level's transfers
+    (void)exchange({});
+    drain();
+    CLB_DCHECK(batch_.empty(), "only transfers may be in flight after a phase");
+    lap(obs::Stage::kTreeTransfers);
+  }
 
   for (const std::uint32_t h : heavy_local_) {
     if (stamps(h).matched_epoch == phase_epoch_) ++phase_matched_;
@@ -795,7 +801,6 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
     node.accept_count = 0;
     node.round_replies = 0;
     node.active = true;
-    node.pending_children = 0;
     node.status_nonapp = 0;
   }
   const auto node_at = [&](std::uint64_t slot) -> Node& {
@@ -823,7 +828,7 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
         m.kind = MsgKind::kQuery;
         m.key = (node.slot << 4) | j;
         m.a = node.targets[j];
-        m.b = node.proc;
+        m.b = node.root;
         comm_.send(node.targets[j], m);
         ++out_.msg.queries;
       }
@@ -861,8 +866,7 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
         Msg r;
         r.kind = MsgKind::kAccept;
         r.key = m.key;
-        r.a = m.b;  // route back to the requesting node's processor
-        comm_.send(m.b, r);
+        comm_.send(m.b, r);  // to the requesting node's root
       }
     }
     (void)exchange({});
@@ -898,17 +902,14 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
   lap(obs::Stage::kCollisionRounds);
 
   // ---- children announcement (first two accepts become tree children) ----
-  for (Node& node : nodes_) {
-    const auto k = static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(node.accept_count, 2));
-    node.pending_children = k;
-    for (std::uint8_t s = 0; s < k; ++s) {
+  for (const Node& node : nodes_) {
+    const std::uint32_t k = std::min<std::uint32_t>(node.accept_count, 2);
+    for (std::uint32_t s = 0; s < k; ++s) {
       Msg m;
       m.kind = MsgKind::kChild;
       m.key = (node.slot << 1) | s;
       m.a = node.accepted[s];
       m.b = node.root;
-      m.c = node.proc;
       comm_.send(node.accepted[s], m);
     }
   }
@@ -919,7 +920,8 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
   // ---- applicative decision at the children (the balancer's set_assigned
   // walk). Sorted by (g, s): the first edge in global (request, child)
   // order reserves a still-light, still-unassigned processor — exactly the
-  // simulator's iteration order.
+  // simulator's iteration order. One report per edge goes to the root's
+  // shard; an applicative one is the paper's id message.
   if (cfg_.deterministic) {
     std::sort(batch_.msgs.begin(), batch_.msgs.end(), key_less);
   }
@@ -930,45 +932,37 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
                              qp.assigned_epoch != phase_epoch_;
     if (applicative) {
       qp.assigned_epoch = phase_epoch_;
-      Msg id;
-      id.kind = MsgKind::kId;
-      id.key = m.key;
-      id.a = m.b;  // root
-      id.b = m.a;
-      comm_.send(m.b, id);
       ++out_.msg.id_messages;
     }
-    Msg st;
+    Msg st = m;  // the edge's key and child
     st.kind = MsgKind::kChildStatus;
-    st.key = m.key;
-    st.a = m.c;  // parent
     st.b = applicative ? 1 : 0;
-    comm_.send(m.c, st);
+    comm_.send(m.b, st);
   }
   (void)exchange({});
   drain();
 
-  // ---- roots match on the first id (sorted: lowest (g, s) edge wins, as
-  // in the simulator); parents apply the sibling rule and stage forwards.
+  // ---- at the root's shard, in (g, s) order: the first applicative edge
+  // matches the root (lowest edge wins, as in the simulator); every
+  // non-applicative edge counts toward its parent's sibling rule.
   if (cfg_.deterministic) {
     std::sort(batch_.msgs.begin(), batch_.msgs.end(), key_less);
   }
   for (const Msg& m : batch_.msgs) {
-    if (m.kind == MsgKind::kId) {
-      Stamps& root = stamps(m.a);
-      if (root.matched_epoch != phase_epoch_) {
-        root.matched_epoch = phase_epoch_;
-        // Staged; shipped below under the canonical (step, source) numbering.
-        staged_.push_back(Staged{m.a, m.b});
-      }
-    } else {
-      CLB_DCHECK(m.kind == MsgKind::kChildStatus, "unexpected message in L3");
-      if (m.b == 0) ++node_at(m.key >> 1).status_nonapp;
+    CLB_DCHECK(m.kind == MsgKind::kChildStatus, "unexpected message in L3");
+    Node& parent = node_at(m.key >> 1);
+    Stamps& root = stamps(parent.root);
+    if (m.b == 0) {
+      ++parent.status_nonapp;
+    } else if (root.matched_epoch != phase_epoch_) {
+      root.matched_epoch = phase_epoch_;
+      // Staged; shipped below under the canonical (step, source) numbering.
+      staged_.push_back(Staged{parent.root, m.a});
     }
   }
   scan_.clear();
-  for (Node& node : nodes_) {
-    const std::uint8_t k = node.pending_children;
+  for (const Node& node : nodes_) {
+    const std::uint32_t k = std::min<std::uint32_t>(node.accept_count, 2);
     std::uint32_t forward = 0;
     if (k == 2 && node.status_nonapp == 2) {
       // Sibling rule: both children learn (two control messages) that
@@ -1005,7 +999,8 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
     staged_total += all[i][0];
   }
   // Dense global numbering for next-level nodes: merge the per-shard
-  // (g, count) lists by parent slot g.
+  // (g, count) lists by parent slot g (each ascends in g, so nodes_ stays
+  // sorted by slot).
   std::vector<std::size_t> pos(shards_, 1);
   std::uint64_t base = 0;
   for (;;) {
@@ -1025,41 +1020,24 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
     pos[best] += 2;
   }
   const std::uint64_t next_node_count = base;
-  lap(obs::Stage::kTreeIds);
-
-  // ---- staged transfers under the replicated (step, source) numbering ----
-  apply_staged_transfers(step, staged_base, staged_total);
-  (void)exchange({});
-  drain();
-  CLB_DCHECK(batch_.empty(), "only transfers may be in flight after L3");
-  lap(obs::Stage::kTreeTransfers);
-
-  // ---- forward children into next-level nodes ----
+  // The next level's nodes stay with their root, on this shard.
+  nodes_.clear();
   for (const ScanEntry& e : scan_) {
     for (std::uint32_t s = 0; s < e.count; ++s) {
-      Msg m;
-      m.kind = MsgKind::kForward;
-      m.key = e.base + s;
-      m.a = e.child[s];
-      m.b = e.root;
-      comm_.send(e.child[s], m);
+      Node node;
+      node.slot = e.base + s;
+      node.proc = e.child[s];
+      node.root = e.root;
+      nodes_.push_back(node);
     }
   }
-  (void)exchange({});
-  drain();
-  next_nodes_.clear();
-  for (const Msg& m : batch_.msgs) {
-    CLB_DCHECK(m.kind == MsgKind::kForward, "unexpected message in L5");
-    Node node;
-    node.slot = m.key;
-    node.proc = m.a;
-    node.root = m.b;
-    next_nodes_.push_back(std::move(node));
-  }
-  std::sort(next_nodes_.begin(), next_nodes_.end(),
-            [](const Node& a, const Node& b) { return a.slot < b.slot; });
-  nodes_.swap(next_nodes_);
-  lap(obs::Stage::kTreeForwards);
+  lap(obs::Stage::kTreeIds);
+
+  // ---- staged transfers under the replicated (step, source) numbering;
+  // the next exchange (the next level's R1 or the phase's closing one)
+  // delivers them, and its drain applies them.
+  apply_staged_transfers(step, staged_base, staged_total);
+  lap(obs::Stage::kTreeTransfers);
   return next_node_count;
 }
 

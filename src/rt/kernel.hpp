@@ -7,13 +7,15 @@
 //
 // One step: crash re-home (crash steps only), generate/consume over the own
 // shard (identical code path and per-processor Philox streams as the
-// engine), the steal pass, then the balancing policy as message exchanges —
-// for the threshold balancer on a phase boundary: classify heavy/light from
-// post-generation loads, run the query tree level by level (each collision
-// round = query, accept and count exchanges), deliver id messages to roots,
-// move T/4 tasks per match — then one closing exchange that doubles as the
-// total-load reduction (every shard sums every blob, which reproduces the
-// engine's start-of-step system_load snapshot).
+// engine), the steal pass, then the balancing policy as message exchanges,
+// then one closing exchange that doubles as the total-load reduction (every
+// shard sums every blob, which reproduces the engine's start-of-step
+// system_load snapshot). A threshold phase (instant fabric) classifies in
+// one exchange, then runs each query-tree level on its roots' shards: three
+// exchanges per collision round (queries, accepts, active count), then
+// three more (children, child reports to the root, the scan numbering the
+// next level); transfers ride the next exchange, the last level's on one
+// closing exchange.
 //
 // Determinism contract (RtConfig::deterministic): drained batches whose
 // processing order matters (child assignment, id matching, scatter arrival,
@@ -84,10 +86,10 @@ class ShardKernel {
   std::function<void(std::uint64_t step)> on_snapshot;
 
  private:
-  /// One query-tree node hosted at owner(proc). `slot` is the node's global
-  /// index at its level (dense, ascending across shards), which keys the
-  /// collision game's target draws exactly like the simulator's requesters
-  /// vector index.
+  /// One query-tree node of processor `proc`, hosted at owner(root) like its
+  /// whole tree. `slot` is its global index at its level (dense over the
+  /// level, ascending in nodes_), which keys the collision game's target
+  /// draws exactly like the simulator's requesters vector index.
   struct Node {
     std::uint64_t slot = 0;
     std::uint32_t proc = 0;
@@ -97,7 +99,6 @@ class ShardKernel {
     std::uint32_t accept_count = 0;
     std::uint32_t round_replies = 0;
     bool active = false;
-    std::uint8_t pending_children = 0;
     std::uint8_t status_nonapp = 0;
     std::uint32_t accepted[16] = {};  // [0, accept_count): round, then j
   };
@@ -224,7 +225,7 @@ class ShardKernel {
   Batch batch_;
   std::vector<RtTask> send_tasks_;  // payload of the message being sent
   std::vector<std::uint64_t> blob_;
-  std::vector<Node> nodes_, next_nodes_;
+  std::vector<Node> nodes_;
   std::vector<std::uint32_t> heavy_local_;
   std::vector<ScanEntry> scan_;
   std::vector<Staged> staged_;

@@ -26,10 +26,10 @@ struct RtTask {
 enum class MsgKind : std::uint8_t {
   kQuery,        ///< collision game: request slot queries a target
   kAccept,       ///< collision game: target accepted the query
-  kChild,        ///< tree: parent node announces child q (coordination)
-  kChildStatus,  ///< tree: child reports applicative / non-applicative
-  kId,           ///< an applicative light sends its id to the root
-  kForward,      ///< tree: child becomes a node at the next level
+  kChild,        ///< tree: node announces child q to q's shard
+  kChildStatus,  ///< tree: child reports applicative or not to the root
+  kId,           ///< latency fabric: an applicative light's id to the root
+  kForward,      ///< latency fabric: child becomes a next-level node
   kTransfer,     ///< T/4 tasks moving from a matched root to its light
   kScatter,      ///< all-in-air: one task thrown to a random processor
   kTransferCmd,  ///< latency fabric: delayed "ship the block" command,
@@ -44,22 +44,23 @@ enum class MsgKind : std::uint8_t {
 /// partition-invariant order. Payload tasks do not live in the record: they
 /// travel in the task lane of the Batch that carries it, and
 /// [task_offset, task_offset + task_count) indexes that lane. Field use per
-/// kind (slots/edges are recovered from `key`):
+/// kind (slots/edges are recovered from `key`; accepts and child reports go
+/// to the root's shard, which hosts every node of its query tree):
 ///
-///   kind          key                    a          b            c       tasks
-///   kQuery        slot<<4 | j            target     requester    -       -
-///   kAccept       slot<<4 | j            requester  -            -       -
-///   kChild        g<<1 | s               child q    root         parent  -
-///   kChildStatus  g<<1 | s               parent     applicative  -       -
-///   kId           g<<1 | s               root       partner      -       -
-///   kForward      child slot             child      root         -       -
-///   kTransfer     from                   from       to           -       T/4
-///   kScatter      from<<32 | seq         from       to           -       1
-///   kRehome       crash ordinal          crashed    heir         -       queue
+///   kind          key                    a          b            tasks
+///   kQuery        slot<<4 | j            target     root         -
+///   kAccept       slot<<4 | j            -          -            -
+///   kChild        g<<1 | s               child q    root         -
+///   kChildStatus  g<<1 | s               child q    applicative  -
+///   kTransfer     from                   from       to           T/4
+///   kScatter      from<<32 | seq         from       to           1
+///   kRehome       crash ordinal          crashed    heir         queue
 ///
-/// Latency mode (RtConfig::latency >= 1) runs the dist:: protocol instead;
-/// its messages travel as Envelopes (below), with `a`/`b` carrying the dist
-/// Message payloads (root/count, level/applicative).
+/// An applicative kChildStatus is the paper's id message; no kind uses `c`.
+/// Latency mode (RtConfig::latency >= 1) runs the dist:: protocol instead,
+/// kId and kForward included; its messages travel as Envelopes (below),
+/// with `a`/`b` carrying the dist Message payloads (root/count,
+/// level/applicative).
 struct Msg {
   std::uint64_t key = 0;
   std::uint32_t a = 0;

@@ -117,7 +117,7 @@ void Runtime::worker_main(Worker& w) {
 }
 
 void Runtime::deposit(std::uint32_t p, sim::Task t) {
-  CLB_CHECK(p < cfg_.n, "deposit target out of range");
+  check_deposit(p, cfg_.n, t.birth_step, step_base_, "Runtime::deposit");
   workers_[part_.owner_of(p)]->kernel.deposit(p, t);
   result_fresh_ = false;
 }

@@ -148,6 +148,7 @@ class Runtime {
 
   /// Appends a task to p's queue (main thread, between runs) — the fault
   /// hook the fuzzer's load spikes use, mirroring sim::Engine::deposit.
+  /// Aborts unless p < n and t was born no later than step().
   void deposit(std::uint32_t p, sim::Task t);
 
   // ---- queue storage ---------------------------------------------------

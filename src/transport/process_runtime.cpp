@@ -170,7 +170,8 @@ void ProcessRuntime::run(std::uint64_t steps) {
 
 void ProcessRuntime::deposit(std::uint32_t p, sim::Task t) {
   CLB_CHECK(!collected_, "transport: deposit() after collect()");
-  CLB_CHECK(p < cfg_.n, "deposit target out of range");
+  rt::check_deposit(p, cfg_.n, t.birth_step, step_base_,
+                    "ProcessRuntime::deposit");
   Writer w;
   w.u64(p);
   serialize_task(w, rt::RtTask{t, 0});

@@ -67,7 +67,7 @@ class ProcessRuntime {
   void run(std::uint64_t steps);
 
   /// Appends a task to p's queue (routed to the owning child). Mirrors
-  /// rt::Runtime::deposit; recorded in the command log.
+  /// rt::Runtime::deposit, refusals included; recorded in the command log.
   void deposit(std::uint32_t p, sim::Task t);
 
   /// Ships every child's final state to the coordinator and merges it.

@@ -331,6 +331,99 @@ TEST(SubstrateInspectionDeathTest, ProcessRuntimeProcessorOutOfRange) {
                "\\(n = 64\\)");
 }
 
+// A task born after the next step to run would book a negative sojourn when
+// consumed; both deposits refuse it, naming p, its birth step and the step.
+TEST(SubstrateInspectionDeathTest, RuntimeRefusesFutureBornDeposit) {
+  rt::RtConfig cfg;
+  cfg.n = 8;
+  cfg.workers = 1;
+  cfg.policy = rt::RtPolicy::kNone;
+  cfg.track_sojourn = true;
+  models::SingleModel model(0.45, 0.1);
+  rt::Runtime r(cfg, &model);
+  r.run(4);
+  r.deposit(3, sim::Task{4, 3, 1});  // born at the next step: accepted
+  EXPECT_DEATH(r.deposit(3, sim::Task{100, 3, 1}),
+               "Runtime::deposit: task for processor 3 born at step 100, "
+               "after step 4");
+  EXPECT_DEATH(r.deposit(8, sim::Task{0, 8, 1}),
+               "Runtime::deposit: processor 8 out of range \\(n = 8\\)");
+}
+
+TEST(SubstrateInspectionDeathTest, ProcessRuntimeRefusesFutureBornDeposit) {
+  rt::RtConfig cfg;
+  cfg.n = 8;
+  cfg.workers = 2;
+  cfg.policy = rt::RtPolicy::kNone;
+  cfg.track_sojourn = true;
+  cfg.transport = rt::Transport::kUds;
+  ProcessRuntime pr(cfg, ModelSpec::single(0.45, 0.1));
+  pr.run(4);
+  pr.deposit(3, sim::Task{4, 3, 1});
+  // The refusal comes before any frame is sent, so the forked death-test
+  // child never writes to the shard sockets it shares with this process.
+  EXPECT_DEATH(pr.deposit(3, sim::Task{100, 3, 1}),
+               "ProcessRuntime::deposit: task for processor 3 born at step "
+               "100, after step 4");
+  pr.run(2);
+  EXPECT_EQ(pr.result().out.deposited, 1u);
+}
+
+// Both substrates run one superstep schedule. On the threshold-burst shape
+// (the repository benchmark's burst model, n = 2^16, seed 1, 64 steps) a
+// step costs the classify and closing exchanges, a phase's level costs
+// 3 exchanges per collision round plus children, reports and scan, and a
+// phase that ran a level one more to deliver its last transfers.
+TEST(SubstrateSchedule, ThresholdExchangesPerStepRoundAndLevel) {
+  models::BurstConfig bc;
+  bc.p_base = 0.2;
+  bc.p_consume = 0.5;
+  bc.period = 64;
+  bc.burst_len = 16;
+  bc.hot_fraction = 0.05;
+  bc.burst_rate = 8;
+  bc.rotate_hotspot = true;
+  constexpr std::uint64_t kSteps = 64;
+  rt::RtConfig cfg;
+  cfg.n = 1u << 16;
+  cfg.seed = 1;
+  cfg.deterministic = true;
+  cfg.policy = rt::RtPolicy::kThreshold;
+  cfg.params = core::PhaseParams::from_n(cfg.n);
+  cfg.telemetry = true;
+  ASSERT_EQ(cfg.params.phase_len, 1u);  // every step classifies
+
+  std::uint64_t expected = 0;
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    cfg.workers = workers;
+    models::BurstModel model(bc, cfg.n);
+    rt::Runtime r(cfg, &model);
+    r.run(kSteps);
+    const std::vector<rt::RtPhaseSummary>& phases = r.result().out.phases;
+    ASSERT_EQ(phases.size(), kSteps);
+    std::uint64_t count = 2 * kSteps;
+    for (const rt::RtPhaseSummary& ps : phases) {
+      count += 3 * std::uint64_t{ps.collision_rounds} +
+               3 * std::uint64_t{ps.levels_used} + (ps.levels_used > 0);
+    }
+    if (expected == 0) expected = count;
+    EXPECT_EQ(count, expected) << workers << " workers";
+    if (!obs::kTelemetryCompiled) continue;
+    for (unsigned i = 0; i < workers; ++i) {
+      EXPECT_EQ(r.worker_telemetry(i).barrier_waits, count)
+          << "worker " << i << " of " << workers;
+    }
+  }
+  EXPECT_EQ(expected, 1154u);  // 18.03 exchanges per step
+
+  cfg.workers = 2;
+  cfg.telemetry = false;
+  cfg.transport = rt::Transport::kUds;
+  ProcessRuntime pr(cfg, ModelSpec::bursty(bc));
+  pr.run(kSteps);
+  EXPECT_EQ(pr.wire_stats().barriers, 2 * expected);
+}
+
 // The wire form carries every RtConfig field the kernel reads, the clock
 // origin included, and the shard state every output the kernel books.
 TEST(PayloadCodecLifted, ConfigAndStateCarryEveryKernelField) {

@@ -265,7 +265,7 @@ TEST(TelemetryRuntime, StagesPartitionTheStep) {
        {obs::Stage::kGenConsume, obs::Stage::kClassify,
         obs::Stage::kCollisionRounds, obs::Stage::kTreeChildren,
         obs::Stage::kTreeIds, obs::Stage::kTreeTransfers,
-        obs::Stage::kTreeForwards, obs::Stage::kEndStep}) {
+        obs::Stage::kEndStep}) {
     EXPECT_GT(ns(s), 0u) << obs::kStageNames[static_cast<std::size_t>(s)];
   }
   EXPECT_EQ(ns(obs::Stage::kSteal), 0u);  // stealing is off

@@ -35,7 +35,7 @@ COUNTER_FIELDS = (
 # obs::kStageNames, in the step's schedule order.
 STAGES = (
     "gen_consume", "steal", "classify", "collision_rounds", "tree_children",
-    "tree_ids", "tree_transfers", "tree_forwards", "end_step", "other",
+    "tree_ids", "tree_transfers", "end_step", "other",
 )
 
 
@@ -117,9 +117,10 @@ def report_tag(tag: str, entry: dict) -> None:
             r["shard_load"],
             f"{ratio(r['deq'], r['drains']):.2f}",
             f"{ratio(r['stall_ns'], r['barrier_waits']) / 1e3:.1f}",
+            f"{ratio(r['barrier_waits'], r['steps']):.2f}",
         ])
     print_table(["worker", "steps", "util", "stall", "consumed", "load",
-                 "drain mean", "wait us/barrier"], rows)
+                 "drain mean", "wait us/barrier", "exchanges/step"], rows)
 
     consumed = [last[w]["consumed"] for w in workers]
     step_ns = sum(last[w]["step_ns"] for w in workers)
