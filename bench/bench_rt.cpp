@@ -9,13 +9,14 @@
 // name is also the BENCH_rt.json section tools/perfbench.py records and the
 // tools/statcheck.py section that bands it.
 //
-// exp21 (gauges rt.*) — free-running scaling: no determinism sequencing,
-// spin work attached to every consumed task so "consume" costs real CPU,
-// worker counts swept for Threshold vs NoBalancing vs AllInAir under the
-// Single and Burst models. Measured: wall-clock throughput (tasks/sec),
-// speedup over the 1-worker run of the same configuration, task sojourn
-// latency (p50/p95/p99 in microseconds), and contention exposure (fraction
-// of messages addressed to another worker's shard). tools/perfbench.py
+// exp21 (gauges rt.*) — runtime scaling: spin work attached to every
+// consumed task so "consume" costs real CPU, worker counts swept for
+// Threshold vs NoBalancing vs AllInAir under the Single and Burst models.
+// Measured: wall-clock throughput (tasks/sec), speedup over the 1-worker run
+// of the same configuration, task sojourn latency (p50/p95/p99 in
+// microseconds), and contention exposure (fraction of messages addressed to
+// another worker's shard). Every (model, policy) row gives the same
+// counters at every worker count (FATAL-checked). tools/perfbench.py
 // distils it into BENCH_rt.json's "runs".
 //
 // exp22 — the latency fabric on real threads. Deterministic runs with a
@@ -121,10 +122,10 @@ std::vector<unsigned> auto_workers() {
   return w;
 }
 
-// Fixed shape of the deterministic grids: the worker threads of the
-// latency, link and zoo grids, the link model's base latency, per-link
-// jitter and bandwidth caps (msgs/step, 0 = uncapped), and the stale-SQ
-// broadcast interval of the zoo.
+// Fixed shape of the latency, link and zoo grids: their worker threads,
+// the link model's base latency, per-link jitter and bandwidth caps
+// (msgs/step, 0 = uncapped), and the stale-SQ broadcast interval of the
+// zoo.
 constexpr unsigned kGridWorkers = 4;
 constexpr std::uint32_t kLinkLatency = 2;
 constexpr std::uint32_t kLinkJitter = 1;
@@ -250,6 +251,29 @@ struct Point {
   std::function<std::unique_ptr<sim::LoadModel>()> model;
 };
 
+/// An extra per-point invariant: "" or what it found violated.
+using Post = std::function<std::string(const Point&, const rt::RunResult&)>;
+
+/// The Grid::post of the grids that sweep worker counts. A run's outputs
+/// do not depend on its worker count, so a point whose consumed, max load,
+/// final load or protocol message count differs from the first point with
+/// the same keys (column `workers_col` left out) has diverged.
+Post same_at_every_worker_count(std::size_t workers_col) {
+  auto sigs = std::make_shared<std::map<std::vector<std::string>,
+                                        std::array<std::uint64_t, 4>>>();
+  return [sigs, workers_col](const Point& p, const rt::RunResult& res) {
+    std::vector<std::string> key = p.keys;
+    key.erase(key.begin() + static_cast<std::ptrdiff_t>(workers_col));
+    const std::array<std::uint64_t, 4> sig = {
+        res.total_consumed(), res.out.running_max, res.total_load(),
+        res.out.msg.protocol_total()};
+    const bool same = sigs->try_emplace(key, sig).first->second == sig;
+    return same ? std::string()
+                : std::string("worker counts diverged (consumed, max load, "
+                              "final load or protocol messages)");
+  };
+}
+
 /// One experiment: named once, run by the one loop in main().
 struct Grid {
   std::string name;    // --grids selector
@@ -262,8 +286,7 @@ struct Grid {
   /// plain run(steps).
   bool spiked;
   std::vector<Column> columns;
-  /// An extra per-point invariant: "" or what it found violated.
-  std::function<std::string(const rt::Runtime&, const rt::RunResult&)> post;
+  Post post;
 };
 
 }  // namespace
@@ -359,7 +382,6 @@ int main(int argc, char** argv) {
           rt::RtConfig cfg;
           cfg.n = *n;
           cfg.workers = w;
-          cfg.deterministic = false;  // free-running: arrival order wins
           cfg.policy = policy_of(p);
           if (cfg.policy == rt::RtPolicy::kThreshold) {
             cfg.params = core::PhaseParams::from_n(*n);
@@ -402,10 +424,11 @@ int main(int argc, char** argv) {
         {"msgs/task", "msgs_per_task", 4, msgs_per_task},
         {"", "consumed", 0, counter(&rt::RunResult::total_consumed)},
     };
+    g.post = same_at_every_worker_count(2);
     grids.push_back(std::move(g));
   }
 
-  // The latency and link grids share one deterministic threshold setup.
+  // The latency and link grids share one threshold setup.
   core::Fractions lat_fr;
   lat_fr.t_min = 64;
   const core::PhaseParams lat_params = core::PhaseParams::from_n(*n, lat_fr);
@@ -413,7 +436,6 @@ int main(int argc, char** argv) {
     rt::RtConfig cfg;
     cfg.n = *n;
     cfg.workers = kGridWorkers;
-    cfg.deterministic = true;
     cfg.policy = rt::RtPolicy::kThreshold;
     cfg.params = lat_params;
     cfg.latency = latency;
@@ -489,7 +511,6 @@ int main(int argc, char** argv) {
       rt::RtConfig cfg;
       cfg.n = *n;
       cfg.workers = kGridWorkers;
-      cfg.deterministic = true;
       cfg.policy = zoo_policy_of(policy);
       if (cfg.policy == rt::RtPolicy::kThreshold) {
         cfg.params = core::PhaseParams::from_n(*n);
@@ -559,7 +580,6 @@ int main(int argc, char** argv) {
           rt::RtConfig cfg;
           cfg.n = gn;
           cfg.workers = static_cast<unsigned>(gw);
-          cfg.deterministic = true;
           cfg.policy = rt::RtPolicy::kNone;
           cfg.spin_work = 0;
           cfg.steal.enabled = steal;
@@ -594,19 +614,7 @@ int main(int argc, char** argv) {
          }},
         {"", "arena_bytes", 0, arena_bytes},
     };
-    // Deterministic runs: every counter of one (n, layout) pair is the
-    // same at every worker count.
-    auto sigs = std::make_shared<
-        std::map<std::pair<std::uint64_t, bool>,
-                 std::array<std::uint64_t, 3>>>();
-    g.post = [sigs](const rt::Runtime& run, const rt::RunResult& res) {
-      const std::array<std::uint64_t, 3> sig = {
-          res.total_consumed(), res.out.running_max, res.total_load()};
-      const bool same =
-          sigs->try_emplace({run.n(), run.config().steal.enabled}, sig)
-              .first->second == sig;
-      return same ? std::string() : std::string("worker counts diverged");
-    };
+    g.post = same_at_every_worker_count(1);
     grids.push_back(std::move(g));
   }
 
@@ -625,10 +633,6 @@ int main(int argc, char** argv) {
   util::Table ttable({"model", "policy", "workers", "util mean", "stall %",
                       "imbalance", "drain mean", "barrier p99 us"});
   std::string telemetry_timeline;
-  if (*telemetry && !obs::kTelemetryCompiled) {
-    util::print_note("--telemetry requested but the binary was built with "
-                     "-DCLB_TELEMETRY=OFF; telemetry output will be empty");
-  }
 
   // Runs share one trace timeline; each gets its own step window so the
   // JSONL steps stay globally non-decreasing (same idiom as the sim benches).
@@ -705,7 +709,7 @@ int main(int argc, char** argv) {
       } else if (g.spiked && res.fabric_in_flight() != 0) {
         broken = "fabric not drained";
       } else if (g.post) {
-        broken = g.post(run, res);
+        broken = g.post(p, res);
       }
       if (!broken.empty()) {
         std::fprintf(stderr, "FATAL: %s: %s (%s)\n", g.name.c_str(),
@@ -730,8 +734,6 @@ int main(int argc, char** argv) {
                        " (feed to tools/rt_report.py --snapshots)");
     }
   }
-  rec.metrics().gauge("rt.telemetry_compiled") =
-      obs::kTelemetryCompiled ? 1.0 : 0.0;
   rec.metrics().gauge("rt.hardware_concurrency") =
       static_cast<double>(std::thread::hardware_concurrency());
   util::print_note("speedup is relative to the first worker count of the "

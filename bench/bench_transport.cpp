@@ -58,7 +58,6 @@ transport::ShardRunConfig shard_cfg(std::uint64_t n, std::uint64_t seed,
   c.n = n;
   c.seed = seed;
   c.workers = workers;
-  c.deterministic = true;
   c.policy = rt::RtPolicy::kThreshold;
   c.params = params;
   c.spin_work = static_cast<std::uint32_t>(spin);
@@ -94,7 +93,6 @@ Outcome run_inproc(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
   cfg.n = n;
   cfg.seed = seed;
   cfg.workers = workers;
-  cfg.deterministic = true;
   cfg.policy = rt::RtPolicy::kThreshold;
   cfg.params = params;
   cfg.spin_work = static_cast<std::uint32_t>(spin);

@@ -47,7 +47,6 @@ Row run_policy(const std::string& policy, std::uint64_t n,
   cfg.n = n;
   cfg.seed = seed;
   cfg.workers = workers;
-  cfg.deterministic = false;  // free-running: measure, don't replay
   cfg.spin_work = spin;
   cfg.time_sojourn = true;
   if (policy == "threshold") {

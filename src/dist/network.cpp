@@ -38,8 +38,7 @@ const std::vector<Message>& Network::deliver(std::uint64_t now) {
   fabric_.take_due(now, due_);
   net::sort_due_batch(
       due_, [](const Message& m) { return m.to; },
-      [](const Message& m) -> const net::SeqKey& { return m.seq; },
-      /*canonical=*/true);
+      [](const Message& m) -> const net::SeqKey& { return m.seq; });
   return due_;
 }
 

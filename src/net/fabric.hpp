@@ -234,24 +234,17 @@ class Fabric {
 /// Canonical due-batch order, shared by both fabrics: messages are grouped
 /// by the processing unit that handles them (the recipient, or the source
 /// for staged transfer commands) and ordered by SeqKey within the group.
-/// `canonical = false` keeps only the grouping and preserves arrival order
-/// inside it (free-running mode, where determinism is not required). Both
-/// paths are stable, so messages without a seq stamp keep their send order.
+/// The sort is stable, so messages without a seq stamp keep their send
+/// order.
 template <typename M, typename GroupFn, typename SeqFn>
-void sort_due_batch(std::vector<M>& batch, GroupFn&& group_of, SeqFn&& seq_of,
-                    bool canonical) {
-  if (canonical) {
-    std::stable_sort(batch.begin(), batch.end(), [&](const M& x, const M& y) {
-      const auto gx = group_of(x);
-      const auto gy = group_of(y);
-      if (gx != gy) return gx < gy;
-      return seq_of(x) < seq_of(y);
-    });
-  } else {
-    std::stable_sort(batch.begin(), batch.end(), [&](const M& x, const M& y) {
-      return group_of(x) < group_of(y);
-    });
-  }
+void sort_due_batch(std::vector<M>& batch, GroupFn&& group_of,
+                    SeqFn&& seq_of) {
+  std::stable_sort(batch.begin(), batch.end(), [&](const M& x, const M& y) {
+    const auto gx = group_of(x);
+    const auto gy = group_of(y);
+    if (gx != gy) return gx < gy;
+    return seq_of(x) < seq_of(y);
+  });
 }
 
 /// The forced-end failsafe both balancers derive when max_phase_steps is

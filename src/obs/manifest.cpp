@@ -1,7 +1,6 @@
 #include "obs/manifest.hpp"
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"  // CLB_TRACE_ENABLED
 
 // Provenance macros are injected by src/obs/CMakeLists.txt; the fallbacks
 // keep non-CMake builds (e.g. single-file compiles) working.
@@ -20,7 +19,6 @@ namespace clb::obs {
 std::string BuildInfo::git_sha() { return CLB_GIT_SHA; }
 std::string BuildInfo::build_type() { return CLB_BUILD_TYPE; }
 std::string BuildInfo::compiler() { return CLB_COMPILER_ID; }
-bool BuildInfo::trace_compiled() { return CLB_TRACE_ENABLED != 0; }
 
 Manifest::Manifest(std::string tool) : tool_(std::move(tool)) {}
 
@@ -79,7 +77,6 @@ std::string Manifest::to_json() const {
   w.member("git_sha", BuildInfo::git_sha());
   w.member("type", BuildInfo::build_type());
   w.member("compiler", BuildInfo::compiler());
-  w.member("trace_compiled", BuildInfo::trace_compiled());
   w.end_object();
 
   w.key("params").begin_object();

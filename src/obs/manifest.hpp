@@ -22,7 +22,6 @@ struct BuildInfo {
   [[nodiscard]] static std::string git_sha();
   [[nodiscard]] static std::string build_type();
   [[nodiscard]] static std::string compiler();
-  [[nodiscard]] static bool trace_compiled();
 };
 
 class Manifest {

@@ -18,16 +18,14 @@
 //     points (the runtime's snapshot emitter, or the main thread between
 //     run() calls — the command barrier publishes the plain fields).
 //
-// Cost discipline (same contract as CLB_TRACE, see obs/trace.hpp):
-//   * Compile time: -DCLB_TELEMETRY=OFF defines CLB_TELEMETRY_ENABLED=0 and
-//     every instrumentation block in src/rt compiles away entirely.
-//   * Run time: telemetry off costs one predictable branch per superstep
-//     and stage; telemetry on adds two steady_clock reads per superstep,
-//     one per barrier wait and one per stage, and histogram updates as
-//     described above.
+// Cost discipline (the same runtime-switch contract as obs/trace.hpp):
+//   * Run time: telemetry off (RtConfig::telemetry = false) costs one
+//     predictable branch per superstep and stage; telemetry on adds two
+//     steady_clock reads per superstep, one per barrier wait and one per
+//     stage, and histogram updates as described above.
 //   * Determinism: telemetry only OBSERVES — it never feeds back into the
-//     protocol, so deterministic-mode outputs (ledger, counters, phase log)
-//     are bit-identical with telemetry on or off (test_telemetry proves it).
+//     protocol, so a run's outputs (ledger, counters, phase log) are
+//     bit-identical with telemetry on or off (test_telemetry proves it).
 #pragma once
 
 #include <bit>
@@ -37,14 +35,7 @@
 
 #include "obs/metrics.hpp"
 
-#ifndef CLB_TELEMETRY_ENABLED
-#define CLB_TELEMETRY_ENABLED 1
-#endif
-
 namespace clb::obs {
-
-/// True when telemetry instrumentation is compiled into the binary.
-inline constexpr bool kTelemetryCompiled = CLB_TELEMETRY_ENABLED != 0;
 
 /// Fixed-size histogram over power-of-two buckets: bucket b counts values
 /// whose bit_width is b (bucket 0 holds exactly the value 0, bucket b >= 1
@@ -153,8 +144,8 @@ struct WorkerTelemetry {
   Pow2Histogram phase_steps_hist;  ///< steps-to-drain per phase (0 = the
                                    ///< instant fabric resolved it in-step)
 
-  /// Wall time actually working: superstep time minus barrier stalls. In
-  /// free-running mode this includes the spin work, which is the point —
+  /// Wall time actually working: superstep time minus barrier stalls. With
+  /// spin_work on this includes the spin work, which is the point —
   /// spin-vs-wait is exactly the utilization split the bench reports.
   [[nodiscard]] std::uint64_t work_ns() const {
     return step_ns >= stall_ns ? step_ns - stall_ns : 0;

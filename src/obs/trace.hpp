@@ -11,14 +11,11 @@
 //     Perfetto (phases become duration slices, everything else instants,
 //     classification sizes a counter track).
 //
-// Cost model: tracing must never tax the simulator when it is off.
-//   * Compile time: building with -DCLB_TRACE=OFF defines
-//     CLB_TRACE_ENABLED=0 and the CLB_TRACE_EVENT macro expands to nothing,
-//     so hot paths carry no trace code at all.
-//   * Run time: a null sink costs one pointer test (in the macro); a
-//     disabled sink one predictable branch; an enabled sink appends 40
-//     bytes to a per-thread buffer — no locks on the hot path. High-rate
-//     event kinds can additionally be sampled (`sample_every`).
+// Cost model: tracing must never tax the simulator when it is off. A null
+// sink costs one pointer test (in the CLB_TRACE_EVENT macro); a disabled
+// sink one predictable branch; an enabled sink appends 40 bytes to a
+// per-thread buffer — no locks on the hot path. High-rate event kinds can
+// additionally be sampled (`sample_every`).
 //
 // Threading: emit() may be called from any thread (the engine's generation
 // pass runs under util/thread_pool). Each thread lazily registers a private
@@ -33,10 +30,6 @@
 #include <vector>
 
 #include "util/thread_pool.hpp"
-
-#ifndef CLB_TRACE_ENABLED
-#define CLB_TRACE_ENABLED 1
-#endif
 
 namespace clb::obs {
 
@@ -113,7 +106,6 @@ class TraceSink {
 
   /// Records one event (subject to `enabled` and sampling). Thread-safe.
   void emit(TraceEvent e) {
-#if CLB_TRACE_ENABLED
     if (!cfg_.enabled) return;
     e.step += time_base_;
     e.worker = util::ThreadPool::worker_index();
@@ -124,9 +116,6 @@ class TraceSink {
       return;
     }
     b.events.push_back(e);
-#else
-    (void)e;
-#endif
   }
   void emit(EventKind kind, std::uint64_t step, std::uint32_t proc = 0,
             std::uint32_t peer = 0, std::uint64_t v0 = 0, std::uint64_t v1 = 0,
@@ -172,17 +161,13 @@ class TraceSink {
 
 }  // namespace clb::obs
 
-// Hot-path emission macro: compiles away entirely under -DCLB_TRACE=OFF,
-// and costs one null test when the component has no sink attached.
+// Hot-path emission macro: costs one null test when the component has no
+// sink attached.
 //
 //   CLB_TRACE_EVENT(sink_ptr, obs::EventKind::kTransfer, step, from, to, n);
-#if CLB_TRACE_ENABLED
 #define CLB_TRACE_EVENT(sink, ...)                      \
   do {                                                  \
     ::clb::obs::TraceSink* clb_trace_s_ = (sink);       \
     if (clb_trace_s_ != nullptr && clb_trace_s_->enabled()) \
       clb_trace_s_->emit(__VA_ARGS__);                  \
   } while (0)
-#else
-#define CLB_TRACE_EVENT(sink, ...) ((void)0)
-#endif

@@ -91,6 +91,9 @@ std::vector<std::string> validate(const RtConfig& cfg) {
   const auto rule = [&](bool ok, const char* what) {
     if (!ok) v.emplace_back(what);
   };
+  rule(cfg.deterministic,
+       "deterministic = false (arrival-order mode) no longer exists; every "
+       "run sorts into the canonical order");
   rule(cfg.n >= 1 && cfg.n <= (1ULL << 31),
        "processor ids must fit comfortably in 32 bits (1 <= n <= 2^31)");
   if (cfg.policy == RtPolicy::kThreshold) {

@@ -49,7 +49,9 @@ struct RtConfig {
   /// Shards (worker threads or shard processes); 0 = hardware_concurrency.
   /// Clamped to n either way (see resolve_workers).
   unsigned workers = 1;
-  /// Sequenced message delivery + canonical tie-breaks (see rt/kernel.hpp).
+  /// Every run sorts drained batches into the canonical order (see
+  /// rt/kernel.hpp); there is no arrival-order mode. The field is kept only
+  /// because benchmark/clb_bench.cpp assigns it: validate() refuses false.
   bool deterministic = true;
   /// Which substrate carries the protocol (see Transport). rt::Runtime
   /// only executes kInProc; the socket transports are selected through
@@ -59,14 +61,14 @@ struct RtConfig {
   /// Realised phase parameters; required (from_n) when policy==kThreshold.
   core::PhaseParams params{};
   collision::CollisionConfig game{};
-  /// Iterations of register-churn work per consumed task (free-running mode;
-  /// 0 = consume is just the queue pop, as in the simulator).
+  /// Iterations of register-churn work per consumed task (a measurement
+  /// knob; 0 = consume is just the queue pop, as in the simulator).
   std::uint32_t spin_work = 0;
   /// Record step-counted sojourn (consume step - birth step) per task.
   bool track_sojourn = false;
   /// Record wall-clock sojourn in microseconds per task (one steady_clock
   /// read per block of 256 processors in generate/consume, which stamps
-  /// every birth and consume of the block; meant for free-running benches).
+  /// every birth and consume of the block; meant for throughput benches).
   bool time_sojourn = false;
   /// Optional trace sink (borrowed); emits kPhaseBegin/kPhaseEnd/kTransfer.
   /// In-proc only: a pointer cannot cross a process boundary.
@@ -143,8 +145,7 @@ struct RtConfig {
   std::uint64_t mutation_ordinal = 0;
   /// Per-worker hot-path telemetry (obs::WorkerTelemetry): superstep and
   /// barrier timing, mailbox traffic, drain batch sizes. Observation only —
-  /// deterministic outputs are bit-identical on or off. Ignored (forced
-  /// false) when the binary was built with -DCLB_TELEMETRY=OFF.
+  /// protocol outputs are bit-identical on or off.
   bool telemetry = false;
   /// Snapshot emitter: every `telemetry_interval` steps the leader appends
   /// one JSONL line per worker (cumulative counters + shard load) to

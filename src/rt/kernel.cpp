@@ -62,7 +62,7 @@ Envelope envelope(MsgKind kind, std::uint32_t from, std::uint32_t to,
 
 ShardKernel::ShardKernel(const RtConfig& cfg, sim::LoadModel* model,
                          Comm& comm, std::span<RtProcessor> procs,
-                         Clock::time_point origin, bool telemetry)
+                         Clock::time_point origin)
     : cfg_(cfg),
       model_(model),
       comm_(comm),
@@ -72,7 +72,7 @@ ShardKernel::ShardKernel(const RtConfig& cfg, sim::LoadModel* model,
       end_(comm.partition().range(comm.self()).second),
       procs_(procs),
       origin_(origin),
-      telemetry_(telemetry && obs::kTelemetryCompiled) {
+      telemetry_(cfg.telemetry) {
   CLB_CHECK(procs_.size() == end_ - begin_,
             "kernel: processor span does not match the shard");
   if (cfg_.policy == RtPolicy::kAllInAir) {
@@ -153,20 +153,15 @@ void ShardKernel::release_logs() {
 // ---------------------------------------------------------------------------
 
 void ShardKernel::lap(obs::Stage s) {
-#if CLB_TELEMETRY_ENABLED
   if (!telemetry_) return;
   const Clock::time_point now = Clock::now();
   telem_.stage_ns[static_cast<std::size_t>(s)] += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(now - lap_t0_)
           .count());
   lap_t0_ = now;
-#else
-  (void)s;
-#endif
 }
 
 Comm::Blobs ShardKernel::exchange(std::span<const std::uint64_t> blob) {
-#if CLB_TELEMETRY_ENABLED
   if (telemetry_) {
     const auto t0 = Clock::now();
     const Comm::Blobs all = comm_.exchange(blob);
@@ -182,7 +177,6 @@ Comm::Blobs ShardKernel::exchange(std::span<const std::uint64_t> blob) {
                     ns);
     return all;
   }
-#endif
   return comm_.exchange(blob);
 }
 
@@ -204,7 +198,6 @@ void ShardKernel::drain(bool keep_transfers) {
     }
     msgs.resize(kept);
   }
-#if CLB_TELEMETRY_ENABLED
   if (telemetry_) {
     ++telem_.drains;
     telem_.deq += got;
@@ -212,9 +205,6 @@ void ShardKernel::drain(bool keep_transfers) {
     CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kMailboxDrain, cur_step_, 0, 0,
                     got);
   }
-#else
-  (void)got;
-#endif
 }
 
 void ShardKernel::apply_transfer(const Msg& m) {
@@ -242,14 +232,12 @@ void ShardKernel::apply_sorted_transfers() {
 
 void ShardKernel::step(std::uint64_t step) {
   cur_step_ = step;
-#if CLB_TELEMETRY_ENABLED
   Clock::time_point step_t0;
   if (telemetry_) {
     step_t0 = Clock::now();
     lap_t0_ = step_t0;
     step_stall_ns_ = 0;
   }
-#endif
   // ---- crash re-home (mirrors Engine::process_crashes) ----
   if (!liveness_.empty() && liveness_.crash_step(step)) {
     process_crashes(step);
@@ -287,7 +275,6 @@ void ShardKernel::step(std::uint64_t step) {
   end_step(step, phase_step, scattered);
   lap(obs::Stage::kEndStep);
 
-#if CLB_TELEMETRY_ENABLED
   if (telemetry_) {
     telem_.enq_self = comm_.self_pushes();
     telem_.enq_remote = comm_.remote_pushes();
@@ -322,7 +309,6 @@ void ShardKernel::step(std::uint64_t step) {
       (void)comm_.exchange({});
     }
   }
-#endif
 }
 
 void ShardKernel::process_crashes(std::uint64_t step) {
@@ -433,15 +419,10 @@ void ShardKernel::generate_consume(std::uint64_t step) {
       }
     }
   }
-#if CLB_TELEMETRY_ENABLED
   if (telemetry_) {
     telem_.generated += gen_total;
     telem_.consumed += cons_total;
   }
-#else
-  (void)gen_total;
-  (void)cons_total;
-#endif
 }
 
 void ShardKernel::end_step(std::uint64_t step, bool phase_step,
@@ -585,12 +566,10 @@ void ShardKernel::run_steal(std::uint64_t step) {
     }
     ++out_.steal_events;
     out_.stolen_tasks += d.count;
-#if CLB_TELEMETRY_ENABLED
     if (telemetry_) {
       ++telem_.steals;
       telem_.stolen_tasks += d.count;
     }
-#endif
   }
   transfer_seen_ += ds.size();
   (void)exchange({});
@@ -624,9 +603,7 @@ std::uint64_t ShardKernel::run_scatter(std::uint64_t step) {
   out_.msg.tasks_moved += scattered;
   (void)exchange({});
   drain();
-  if (cfg_.deterministic) {
-    std::sort(batch_.msgs.begin(), batch_.msgs.end(), key_less);
-  }
+  std::sort(batch_.msgs.begin(), batch_.msgs.end(), key_less);
   for (const Msg& m : batch_.msgs) {
     CLB_DCHECK(m.kind == MsgKind::kScatter, "unexpected message in scatter");
     proc(m.b).queue.push_back(batch_.payload(m)[0]);
@@ -922,9 +899,7 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
   // order reserves a still-light, still-unassigned processor — exactly the
   // simulator's iteration order. One report per edge goes to the root's
   // shard; an applicative one is the paper's id message.
-  if (cfg_.deterministic) {
-    std::sort(batch_.msgs.begin(), batch_.msgs.end(), key_less);
-  }
+  std::sort(batch_.msgs.begin(), batch_.msgs.end(), key_less);
   for (const Msg& m : batch_.msgs) {
     CLB_DCHECK(m.kind == MsgKind::kChild, "unexpected message in L2");
     Stamps& qp = stamps(m.a);
@@ -945,9 +920,7 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
   // ---- at the root's shard, in (g, s) order: the first applicative edge
   // matches the root (lowest edge wins, as in the simulator); every
   // non-applicative edge counts toward its parent's sibling rule.
-  if (cfg_.deterministic) {
-    std::sort(batch_.msgs.begin(), batch_.msgs.end(), key_less);
-  }
+  std::sort(batch_.msgs.begin(), batch_.msgs.end(), key_less);
   for (const Msg& m : batch_.msgs) {
     CLB_DCHECK(m.kind == MsgKind::kChildStatus, "unexpected message in L3");
     Node& parent = node_at(m.key >> 1);
@@ -1159,15 +1132,14 @@ void ShardKernel::lat_process_due(std::uint64_t step) {
   out_.fab_delivered += due.size();
   // Group by the processor whose state the message updates (the source for
   // staged transfer commands, the recipient otherwise); the canonical seq
-  // stamp orders processing within a group in deterministic mode — the
-  // exact sort dist::Network::deliver runs.
+  // stamp orders processing within a group — the exact sort
+  // dist::Network::deliver runs.
   const auto group_of = [](const Envelope& e) {
     return e.msg.kind == MsgKind::kTransferCmd ? e.from : e.to;
   };
   net::sort_due_batch(
       due, group_of,
-      [](const Envelope& e) -> const net::SeqKey& { return e.seq; },
-      cfg_.deterministic);
+      [](const Envelope& e) -> const net::SeqKey& { return e.seq; });
   std::size_t i = 0;
   while (i < due.size()) {
     const std::uint32_t recipient = group_of(due[i]);
@@ -1324,7 +1296,6 @@ void ShardKernel::run_lat_protocol(std::uint64_t step) {
       matched_total += all[i][4];
     }
   }
-#if CLB_TELEMETRY_ENABLED
   // Fabric depth sampling. The totals are replicated, so only shard 0
   // records them — merging would multiply the sums by the shard count.
   if (telemetry_ && index_ == 0) {
@@ -1335,19 +1306,16 @@ void ShardKernel::run_lat_protocol(std::uint64_t step) {
     telem_.fabric_flight_sum += flight;
     ++telem_.fabric_flight_samples;
   }
-#endif
   bool forced = false;
   if (lat_running_) {
     const bool drained = active_total == 0 && sent == delivered;
     const bool overdue = step - lat_phase_start_ >= max_phase_steps_;
     if (drained || overdue) {
       forced = overdue && !drained;
-#if CLB_TELEMETRY_ENABLED
       if (telemetry_) {
         ++telem_.phases;
         telem_.phase_steps_hist.add(step - lat_phase_start_);
       }
-#endif
       if (forced) {
         // dist's forced net reset, shard by shard: every undelivered
         // message is in its owner's fabric or among the S1/S2 sends drained

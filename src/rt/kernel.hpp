@@ -17,19 +17,17 @@
 // next level); transfers ride the next exchange, the last level's on one
 // closing exchange.
 //
-// Determinism contract (RtConfig::deterministic): drained batches whose
-// processing order matters (child assignment, id matching, scatter arrival,
-// zoo/steal/re-home arrivals) are sorted by the message's canonical key
-// before processing. Those keys encode protocol positions (global node
+// Determinism contract: drained batches whose processing order matters
+// (child assignment, id matching, scatter arrival, zoo/steal/re-home
+// arrivals) are sorted by the message's canonical key before processing. Those keys encode protocol positions (global node
 // slots, tree edges (g, s)), and the global node numbering and transfer
 // ordinals come from prefix scans over the exchanged per-shard counts —
 // replicated on every shard, so no shard leads and the order is
 // partition-invariant. A run is bit-for-bit reproducible for ANY shard count
 // and either substrate, matching sim::Engine with the same seed
-// (verified by test_rt_equivalence and the transport shadow check).
-// Free-running mode skips the sorts (arrival order wins), attaches spin-work
-// to each consumed task so "consume" costs real CPU, and measures wall-clock
-// throughput and sojourn.
+// (verified by test_rt_equivalence and the transport shadow check). The
+// measurement knobs (spin_work, time_sojourn) add CPU cost and wall-clock
+// stamps without changing any protocol output.
 #pragma once
 
 #include <chrono>
@@ -57,10 +55,10 @@ class ShardKernel {
   /// `procs` holds the shard's processors partition.range(comm.self()) in
   /// order and must outlive the kernel, as must cfg, model and comm.
   /// `origin` is the run's shared clock origin: every birth/consume stamp
-  /// of time_sojourn is taken against it, on every shard.
+  /// of time_sojourn is taken against it, on every shard. Telemetry
+  /// follows cfg.telemetry (the process transport refuses it).
   ShardKernel(const RtConfig& cfg, sim::LoadModel* model, Comm& comm,
-              std::span<RtProcessor> procs, Clock::time_point origin,
-              bool telemetry);
+              std::span<RtProcessor> procs, Clock::time_point origin);
 
   /// Executes runtime step `step`; every shard calls it with the same step.
   void step(std::uint64_t step);

@@ -17,7 +17,7 @@ namespace clb::rt {
 
 /// A task in flight through the runtime. Wraps the simulator's Task (so
 /// equivalence checks compare the exact same identity triple) and adds the
-/// wall-clock birth stamp free-running mode needs for sojourn latency.
+/// wall-clock birth stamp time_sojourn needs for sojourn latency.
 struct RtTask {
   sim::Task task;
   std::uint32_t birth_us = 0;  ///< microseconds since the run's clock origin
@@ -40,7 +40,7 @@ enum class MsgKind : std::uint8_t {
 /// One protocol message: a 32-byte trivially copyable record. `key` is the
 /// message's canonical processing key — a total order that depends only on
 /// protocol state (slots, tree edges), never on which shard sent it or when
-/// it arrived — so deterministic mode can sort a drained batch into a
+/// it arrived — so the kernel sorts a drained batch into a
 /// partition-invariant order. Payload tasks do not live in the record: they
 /// travel in the task lane of the Batch that carries it, and
 /// [task_offset, task_offset + task_count) indexes that lane. Field use per
@@ -56,7 +56,7 @@ enum class MsgKind : std::uint8_t {
 ///   kScatter      from<<32 | seq         from       to           1
 ///   kRehome       crash ordinal          crashed    heir         queue
 ///
-/// An applicative kChildStatus is the paper's id message; no kind uses `c`.
+/// An applicative kChildStatus is the paper's id message.
 /// Latency mode (RtConfig::latency >= 1) runs the dist:: protocol instead,
 /// kId and kForward included; its messages travel as Envelopes (below),
 /// with `a`/`b` carrying the dist Message payloads (root/count,
@@ -65,7 +65,6 @@ struct Msg {
   std::uint64_t key = 0;
   std::uint32_t a = 0;
   std::uint32_t b = 0;
-  std::uint32_t c = 0;
   std::uint32_t task_offset = 0;  ///< first payload task in the task lane
   std::uint32_t task_count = 0;   ///< payload tasks (0: none)
   MsgKind kind = MsgKind::kQuery;

@@ -32,7 +32,7 @@ RtConfig checked(RtConfig cfg, const sim::LoadModel* model) {
 struct Runtime::Worker {
   Worker(Runtime& rt, unsigned index, std::span<RtProcessor> shard)
       : comm(rt.part_, index, rt.fabric_),
-        kernel(rt.cfg_, rt.model_, comm, shard, rt.start_tp_, rt.telemetry_) {}
+        kernel(rt.cfg_, rt.model_, comm, shard, rt.start_tp_) {}
 
   InProcComm comm;
   ShardKernel kernel;
@@ -43,7 +43,6 @@ Runtime::Runtime(RtConfig cfg, sim::LoadModel* model)
     : cfg_(checked(std::move(cfg), model)),
       model_(model),
       part_(cfg_.n, cfg_.workers),
-      telemetry_(cfg_.telemetry && obs::kTelemetryCompiled),
       start_tp_(std::chrono::steady_clock::now()),
       fabric_(cfg_.workers),
       cmd_barrier_(cfg_.workers + 1) {

@@ -127,8 +127,8 @@ class Runtime {
   }
 
   // ---- telemetry (RtConfig::telemetry; all readable between runs) ----
-  /// True when telemetry was requested AND compiled in.
-  [[nodiscard]] bool telemetry_enabled() const { return telemetry_; }
+  /// True when telemetry was requested (RtConfig::telemetry).
+  [[nodiscard]] bool telemetry_enabled() const { return cfg_.telemetry; }
   /// Worker i's own counters (zeroed struct when telemetry is off).
   [[nodiscard]] const obs::WorkerTelemetry& worker_telemetry(unsigned i) const;
   /// All workers merged (counter totals conserved; phases is per-worker
@@ -163,7 +163,6 @@ class Runtime {
   RtConfig cfg_;
   sim::LoadModel* model_;
   Partition part_;
-  bool telemetry_ = false;
   std::chrono::steady_clock::time_point start_tp_;
 
   // Queue storage: one bump arena per shard, so consecutive processors'

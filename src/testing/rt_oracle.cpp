@@ -61,7 +61,6 @@ RtRun build_rt(const Scenario& s, unsigned workers) {
   cfg.n = s.n;
   cfg.seed = s.engine_seed;
   cfg.workers = workers;
-  cfg.deterministic = true;
   cfg.policy = policy_of(s);
   if (cfg.policy == rt::RtPolicy::kThreshold) {
     core::Fractions fr;
@@ -243,30 +242,20 @@ OracleReport run_against_engine(const Scenario& s) {
                      std::to_string(eng.rehomed_events()) + ")");
   }
 
-  // Ledger comparison, both sides canonically sorted. The runtime books
-  // steals into its ledger alongside balancer transfers; merge the engine's
-  // steal log in before sorting so both sides carry the same event set.
-  // A steal and a phase transfer may share (step, from, to), so `count`
-  // joins the sort key to keep the order total.
+  // Ledger comparison, both sides in the canonical rt::ledger_less order.
+  // The runtime books steals into its ledger alongside balancer transfers;
+  // merge the engine's steal log in before sorting so both sides carry the
+  // same event set.
   for (const sim::StealRecord& t : eng.steal_log()) {
     engine_ledger.push_back({t.step, t.from, t.to, t.count});
   }
-  std::sort(engine_ledger.begin(), engine_ledger.end(),
-            [](const rt::LedgerEntry& a, const rt::LedgerEntry& b) {
-              if (a.step != b.step) return a.step < b.step;
-              if (a.from != b.from) return a.from < b.from;
-              if (a.to != b.to) return a.to < b.to;
-              return a.count < b.count;
-            });
+  std::sort(engine_ledger.begin(), engine_ledger.end(), rt::ledger_less);
   const std::vector<rt::LedgerEntry>& rt_ledger = res.out.ledger;
   if (engine_ledger.size() != rt_ledger.size()) {
     return OracleReport::failure(s.steps, "transfer ledger sizes diverge");
   }
   for (std::size_t i = 0; i < rt_ledger.size(); ++i) {
-    const rt::LedgerEntry& a = engine_ledger[i];
-    const rt::LedgerEntry& b = rt_ledger[i];
-    if (a.step != b.step || a.from != b.from || a.to != b.to ||
-        a.count != b.count) {
+    if (engine_ledger[i] != rt_ledger[i]) {
       return OracleReport::failure(s.steps, "transfer ledger entry " +
                                                std::to_string(i) +
                                                " diverges from engine");

@@ -30,7 +30,7 @@
 namespace clb::transport {
 
 inline constexpr std::uint32_t kFrameMagic = 0x46424C43u;  // "CLBF"
-inline constexpr std::uint8_t kWireVersion = 3;
+inline constexpr std::uint8_t kWireVersion = 4;
 inline constexpr std::size_t kFrameHeaderSize = 24;
 /// Safety valve against garbage length fields; generous for any batch the
 /// protocol can produce (transfers are T/4 tasks of 16 bytes each).

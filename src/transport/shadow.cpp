@@ -1,13 +1,9 @@
 #include "transport/shadow.hpp"
 
-#include "util/check.hpp"
-
 namespace clb::transport {
 
 ShadowReport shadow_check(ProcessRuntime& pr) {
   const ShardRunConfig& cfg = pr.config();
-  CLB_CHECK(cfg.deterministic,
-            "the shadow cross-check requires a deterministic run");
 
   // The shadow plays the honest protocol: every fault hook off, so a
   // mutated transport run diverges from it.

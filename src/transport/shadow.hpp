@@ -29,8 +29,7 @@ struct ShadowReport {
 };
 
 /// Replays `pr`'s command log on an in-proc rt::Runtime and diffs the two
-/// results. Requires a deterministic config (bit-identity is only promised
-/// there). Collects pr — no further run()/deposit() on pr afterwards.
+/// results. Collects pr — no further run()/deposit() on pr afterwards.
 [[nodiscard]] ShadowReport shadow_check(ProcessRuntime& pr);
 
 }  // namespace clb::transport

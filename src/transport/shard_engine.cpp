@@ -115,7 +115,6 @@ void ShardRunConfig::serialize(Writer& w) const {
   w.u64(seed);
   w.u32(workers);
   w.u32(index);
-  w.u8(deterministic ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(policy));
   w.u8(static_cast<std::uint8_t>(mutation));
   w.u64(mutation_ordinal);
@@ -154,7 +153,6 @@ ShardRunConfig ShardRunConfig::deserialize(Reader& r) {
   c.seed = r.u64();
   c.workers = r.u32();
   c.index = r.u32();
-  c.deterministic = r.u8() != 0;
   c.policy = static_cast<rt::RtPolicy>(r.u8());
   CLB_CHECK(c.policy <= rt::RtPolicy::kLocalSearch,
             "unknown rt policy on the wire");
@@ -442,8 +440,7 @@ ShardEngine::ShardEngine(ShardRunConfig cfg, Endpoint control,
       comm_(cfg_, part_, control_, std::move(peers), wire_),
       kernel_(cfg_, model_.get(), comm_, procs_,
               std::chrono::steady_clock::time_point(
-                  std::chrono::nanoseconds(cfg_.clock_origin_ns)),
-              /*telemetry=*/false) {}
+                  std::chrono::nanoseconds(cfg_.clock_origin_ns))) {}
 
 void ShardEngine::serve() {
   control_.send_frame(FrameType::kConfigAck, nullptr, 0);

@@ -81,7 +81,6 @@ void put_record(Writer& w, std::uint8_t kind_byte, const rt::Msg& m,
   w.u64(m.key);
   w.u32(m.a);
   w.u32(m.b);
-  w.u32(m.c);
   w.u32(static_cast<std::uint32_t>(tasks.size()));
   for (const rt::RtTask& t : tasks) serialize_task(w, t);
 }
@@ -111,7 +110,6 @@ void deserialize_msg(Reader& r, rt::Batch& out) {
   m.key = r.u64();
   m.a = r.u32();
   m.b = r.u32();
-  m.c = r.u32();
   const std::uint32_t count = r.count(kTaskWireSize, "message payload");
   if ((kind_byte & kEnvelopeBit) != 0) {
     CLB_CHECK(count == 0, "an envelope record carries a payload");

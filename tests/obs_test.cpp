@@ -249,7 +249,6 @@ TEST(TraceSink, RecordsAndSortsByStep) {
   sink.emit(EventKind::kTransfer, /*step=*/9, 1, 2, 3);
   sink.emit(EventKind::kPhaseBegin, /*step=*/0, 0, 0, 0, 5, 10);
   sink.emit(EventKind::kQuery, /*step=*/4, 7, 8);
-#if CLB_TRACE_ENABLED
   EXPECT_EQ(sink.event_count(), 3u);
 
   const auto events = sink.snapshot();
@@ -258,7 +257,6 @@ TEST(TraceSink, RecordsAndSortsByStep) {
   EXPECT_EQ(events[1].step, 4u);
   EXPECT_EQ(events[2].step, 9u);
   EXPECT_EQ(events[2].kind, EventKind::kTransfer);
-#endif
 
   sink.clear();
   EXPECT_EQ(sink.event_count(), 0u);
@@ -269,12 +267,10 @@ TEST(TraceSink, TimeBaseShiftsSubsequentEvents) {
   sink.emit(EventKind::kQuery, 3);
   sink.set_time_base(100);
   sink.emit(EventKind::kQuery, 3);
-#if CLB_TRACE_ENABLED
   const auto events = sink.snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].step, 3u);
   EXPECT_EQ(events[1].step, 103u);
-#endif
 }
 
 TEST(TraceSink, DisabledSinkRecordsNothing) {
@@ -299,7 +295,6 @@ TEST(TraceSink, SamplingKeepsEveryKthButAllPhaseEvents) {
     sink.emit(EventKind::kPhaseBegin, static_cast<std::uint64_t>(i));
     sink.emit(EventKind::kPhaseEnd, static_cast<std::uint64_t>(i));
   }
-#if CLB_TRACE_ENABLED
   std::uint64_t queries = 0, phases = 0;
   for (const auto& e : sink.snapshot()) {
     (e.kind == EventKind::kQuery ? queries : phases)++;
@@ -307,7 +302,6 @@ TEST(TraceSink, SamplingKeepsEveryKthButAllPhaseEvents) {
   EXPECT_EQ(phases, 20u);  // structural events are exempt from sampling
   EXPECT_NEAR(static_cast<double>(queries), 25.0, 1.0);
   EXPECT_EQ(sink.events_seen(), 120u);
-#endif
 }
 
 TEST(TraceSink, MultiThreadedEmitsAllArrive) {
@@ -324,13 +318,11 @@ TEST(TraceSink, MultiThreadedEmitsAllArrive) {
     });
   }
   for (auto& th : threads) th.join();
-#if CLB_TRACE_ENABLED
   EXPECT_EQ(sink.event_count(), kThreads * kPerThread);
   const auto events = sink.snapshot();
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_LE(events[i - 1].step, events[i].step);  // snapshot stays sorted
   }
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -348,7 +340,6 @@ TEST(TraceFormats, JsonlLinesAreSelfDescribingObjects) {
             /*unmatched=*/0);
 
   const auto lines = split_lines(sink.to_jsonl());
-#if CLB_TRACE_ENABLED
   ASSERT_EQ(lines.size(), 4u);
   const Json begin = parse_or_fail(lines[0]);
   EXPECT_EQ(begin.at("kind").string, "phase_begin");
@@ -366,9 +357,6 @@ TEST(TraceFormats, JsonlLinesAreSelfDescribingObjects) {
   EXPECT_EQ(transfer.at("from").number, 2);
   EXPECT_EQ(transfer.at("to").number, 9);
   EXPECT_EQ(transfer.at("count").number, 4);
-#else
-  EXPECT_TRUE(lines.empty());
-#endif
 }
 
 TEST(TraceFormats, ChromeTraceIsValidAndPairsPhases) {
@@ -382,7 +370,6 @@ TEST(TraceFormats, ChromeTraceIsValidAndPairsPhases) {
   const Json trace = parse_or_fail(sink.to_chrome_trace());
   EXPECT_EQ(trace.at("displayTimeUnit").string, "ms");
   const auto& events = trace.at("traceEvents").array;
-#if CLB_TRACE_ENABLED
   std::uint64_t slices = 0, instants = 0, metadata = 0;
   for (const auto& e : events) {
     const std::string& ph = e.at("ph").string;
@@ -400,11 +387,6 @@ TEST(TraceFormats, ChromeTraceIsValidAndPairsPhases) {
   EXPECT_EQ(slices, 2u);    // one per begin/end pair
   EXPECT_EQ(instants, 1u);  // the query
   EXPECT_GE(metadata, 1u);  // process/thread names
-#else
-  for (const auto& e : events) {
-    EXPECT_EQ(e.at("ph").string, "M");  // metadata only, no recorded events
-  }
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -499,8 +481,6 @@ TEST(Manifest, RoundTripsThroughJson) {
 
   // Build provenance is always present.
   EXPECT_FALSE(j.at("build").at("git_sha").string.empty());
-  EXPECT_EQ(j.at("build").at("trace_compiled").boolean,
-            CLB_TRACE_ENABLED != 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -535,8 +515,7 @@ TEST(Recorder, FinishWritesEveryRequestedOutput) {
   cfg.manifest_path = dir + "/run.json";
   Recorder rec(cfg);
   EXPECT_TRUE(rec.active());
-  // The runtime switch follows the requested path; with CLB_TRACE=OFF the
-  // sink is enabled but records nothing, so the files stay valid-but-empty.
+  // The runtime switch follows the requested path.
   EXPECT_TRUE(rec.trace()->enabled());
 
   rec.trace()->emit(EventKind::kPhaseBegin, 0);
@@ -574,7 +553,6 @@ TEST(ObsIntegration, TracedRunMatchesEngineAccounting) {
   sim::Engine eng({.n = kN, .seed = 11, .trace = &sink}, &model, &balancer);
   eng.run(300);
 
-#if CLB_TRACE_ENABLED
   std::uint64_t begins = 0, ends = 0, transfers = 0, id_msgs = 0;
   for (const auto& e : sink.snapshot()) {
     switch (e.kind) {
@@ -598,7 +576,6 @@ TEST(ObsIntegration, TracedRunMatchesEngineAccounting) {
   const Json j = parse_or_fail(reg.to_json());
   EXPECT_EQ(j.at("histograms").at("core.phase.messages").at("count").number,
             static_cast<double>(balancer.aggregate().phases));
-#endif
 
   // Live views over the same run export cleanly.
   expose_engine(reg, eng);

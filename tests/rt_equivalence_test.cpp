@@ -1,4 +1,4 @@
-// Bit-for-bit equivalence of rt::Runtime (deterministic mode) against
+// Bit-for-bit equivalence of rt::Runtime against
 // sim::Engine + core::ThresholdBalancer: same seed must yield identical
 // heavy/light classifications, transfer ledger, message counters, and final
 // per-task queue contents — for ANY worker count. The sim side replays the
@@ -201,7 +201,6 @@ RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
   cfg.n = n;
   cfg.seed = seed;
   cfg.workers = workers;
-  cfg.deterministic = true;
   cfg.policy = rt::RtPolicy::kThreshold;
   cfg.params = params;
   cfg.steal = steal;

@@ -54,7 +54,6 @@ rt::RtConfig lifted_config(Lifted which, unsigned shards, rt::Transport t) {
   c.n = 192;
   c.seed = 3;
   c.workers = shards;
-  c.deterministic = true;
   c.transport = t;
   c.track_sojourn = true;
   core::Fractions f;
@@ -223,8 +222,8 @@ TEST(SubstrateConfig, WorkersZeroResolvesAlike) {
   EXPECT_EQ(r.worker_count(), want);
 }
 
-// One validator: a config that breaks three rules is refused by both
-// constructors, and the message names all three.
+// One validator: a config that breaks four rules is refused by both
+// constructors, and the message names all four.
 TEST(SubstrateConfigDeathTest, BothConstructorsNameEveryViolation) {
   rt::RtConfig cfg;
   cfg.n = 64;
@@ -232,15 +231,17 @@ TEST(SubstrateConfigDeathTest, BothConstructorsNameEveryViolation) {
   cfg.latency = 2;         // the latency fabric needs kThreshold
   cfg.steal.enabled = true;  // stealing needs the instant fabric
   cfg.mutation = sim::MutationKind::kStaleFreeLunch;  // needs kStaleSq
-  EXPECT_TRUE(rt::validate(cfg).size() == 3u);
-  const char* all_three =
+  cfg.deterministic = false;  // every run sorts into the canonical order
+  EXPECT_TRUE(rt::validate(cfg).size() == 4u);
+  const char* all_four =
+      "deterministic = false \\(arrival-order mode\\) no longer exists.*"
       "latency fabric runs the threshold protocol only.*"
       "work stealing runs on the instant fabric only.*"
       "mutation stale-free-lunch needs policy stale-sq";
   models::SingleModel model(0.45, 0.1);
-  EXPECT_DEATH(rt::Runtime(cfg, &model), all_three);
+  EXPECT_DEATH(rt::Runtime(cfg, &model), all_four);
   cfg.transport = rt::Transport::kUds;
-  EXPECT_DEATH(ProcessRuntime(cfg, ModelSpec::single(0.45, 0.1)), all_three);
+  EXPECT_DEATH(ProcessRuntime(cfg, ModelSpec::single(0.45, 0.1)), all_four);
 }
 
 // The fault-injection rules: an engine-only kind, an ordinal that does not
@@ -387,7 +388,6 @@ TEST(SubstrateSchedule, ThresholdExchangesPerStepRoundAndLevel) {
   rt::RtConfig cfg;
   cfg.n = 1u << 16;
   cfg.seed = 1;
-  cfg.deterministic = true;
   cfg.policy = rt::RtPolicy::kThreshold;
   cfg.params = core::PhaseParams::from_n(cfg.n);
   cfg.telemetry = true;
@@ -408,7 +408,6 @@ TEST(SubstrateSchedule, ThresholdExchangesPerStepRoundAndLevel) {
     }
     if (expected == 0) expected = count;
     EXPECT_EQ(count, expected) << workers << " workers";
-    if (!obs::kTelemetryCompiled) continue;
     for (unsigned i = 0; i < workers; ++i) {
       EXPECT_EQ(r.worker_telemetry(i).barrier_waits, count)
           << "worker " << i << " of " << workers;

@@ -1,7 +1,7 @@
 // Telemetry layer contracts: the Pow2Histogram arithmetic, multi-threaded
 // single-writer merge discipline (TSan target), conservation of runtime
-// totals, the bit-identity guarantee (telemetry only observes — a
-// deterministic run's outputs do not change when it is switched on), the
+// totals, the bit-identity guarantee (telemetry only observes — a run's
+// outputs do not change when it is switched on), the
 // snapshot JSONL emitter, the registry export, and worker attribution on
 // trace events. All suites are named Telemetry* so the TSan CI job can
 // select them with a single -R regex.
@@ -188,13 +188,12 @@ TEST(TelemetryBarrier, BindWorkerIndexAdoptsThread) {
 
 // ---- runtime integration ----
 
-rt::RtConfig det_config(std::uint64_t n, unsigned workers, bool telemetry,
-                        std::uint32_t latency = 0) {
+rt::RtConfig threshold_config(std::uint64_t n, unsigned workers,
+                              bool telemetry, std::uint32_t latency = 0) {
   rt::RtConfig cfg;
   cfg.n = n;
   cfg.seed = 7;
   cfg.workers = workers;
-  cfg.deterministic = true;
   cfg.policy = rt::RtPolicy::kThreshold;
   core::Fractions fr;
   fr.t_min = 32;
@@ -215,13 +214,12 @@ TEST(TelemetryRuntime, TotalsConserved) {
   constexpr std::uint64_t kN = 256;
   constexpr unsigned kWorkers = 4;
   models::SingleModel model(0.45, 0.1);
-  rt::Runtime run(det_config(kN, kWorkers, /*telemetry=*/true), &model);
-  ASSERT_EQ(run.telemetry_enabled(), obs::kTelemetryCompiled);
+  rt::Runtime run(threshold_config(kN, kWorkers, /*telemetry=*/true), &model);
+  ASSERT_TRUE(run.telemetry_enabled());
   for (std::uint64_t s = 0; s < 96; s += 24) {
     spike(run, kN, s);
     run.run(24);
   }
-  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "built with CLB_TELEMETRY=OFF";
 
   const obs::WorkerTelemetry total = run.telemetry_total();
   EXPECT_EQ(total.consumed, run.result().total_consumed());
@@ -246,12 +244,11 @@ TEST(TelemetryRuntime, TotalsConserved) {
 TEST(TelemetryRuntime, StagesPartitionTheStep) {
   constexpr std::uint64_t kN = 256;
   models::SingleModel model(0.45, 0.1);
-  rt::Runtime run(det_config(kN, 2, /*telemetry=*/true), &model);
+  rt::Runtime run(threshold_config(kN, 2, /*telemetry=*/true), &model);
   for (std::uint64_t s = 0; s < 64; s += 16) {
     spike(run, kN, s);
     run.run(16);
   }
-  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "built with CLB_TELEMETRY=OFF";
 
   const obs::WorkerTelemetry total = run.telemetry_total();
   ASSERT_GT(total.phases, 0u);
@@ -284,7 +281,7 @@ TEST(TelemetryRuntime, StagesPartitionTheStep) {
 TEST(TelemetryRuntime, DisabledRunsRecordNothing) {
   constexpr std::uint64_t kN = 128;
   models::SingleModel model(0.45, 0.1);
-  rt::Runtime run(det_config(kN, 2, /*telemetry=*/false), &model);
+  rt::Runtime run(threshold_config(kN, 2, /*telemetry=*/false), &model);
   EXPECT_FALSE(run.telemetry_enabled());
   run.run(32);
   const obs::WorkerTelemetry total = run.telemetry_total();
@@ -295,7 +292,7 @@ TEST(TelemetryRuntime, DisabledRunsRecordNothing) {
   EXPECT_TRUE(run.telemetry_jsonl().empty());
 }
 
-/// A spiked deterministic run, kept alive so its result can be diffed.
+/// A spiked run, kept alive so its result can be diffed.
 struct SpikedRun {
   std::unique_ptr<models::SingleModel> model;
   std::unique_ptr<rt::Runtime> run;
@@ -304,7 +301,7 @@ struct SpikedRun {
 SpikedRun spiked_run(std::uint64_t n, unsigned workers, bool telemetry,
                      std::uint32_t latency) {
   SpikedRun r{std::make_unique<models::SingleModel>(0.45, 0.1), nullptr};
-  rt::RtConfig cfg = det_config(n, workers, telemetry, latency);
+  rt::RtConfig cfg = threshold_config(n, workers, telemetry, latency);
   cfg.telemetry_interval = telemetry ? 16 : 0;
   r.run = std::make_unique<rt::Runtime>(cfg, r.model.get());
   for (std::uint64_t s = 0; s < 96; s += 24) {
@@ -314,8 +311,7 @@ SpikedRun spiked_run(std::uint64_t n, unsigned workers, bool telemetry,
   return r;
 }
 
-// Telemetry only observes: a deterministic run's protocol outputs are
-// bit-identical with telemetry (and its snapshot emitter) on or off.
+// Telemetry only observes: a run's protocol outputs are bit-identical with telemetry (and its snapshot emitter) on or off.
 TEST(TelemetryDeterminism, InstantModeBitIdenticalOnVsOff) {
   const SpikedRun off = spiked_run(256, 3, false, 0);
   const SpikedRun on = spiked_run(256, 3, true, 0);
@@ -329,12 +325,11 @@ TEST(TelemetryDeterminism, LatencyFabricBitIdenticalOnVsOff) {
 }
 
 TEST(TelemetryDeterminism, CountersReproduceAcrossRuns) {
-  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "built with CLB_TELEMETRY=OFF";
   for (const std::uint32_t latency : {0u, 2u}) {
     models::SingleModel m1(0.45, 0.1);
     models::SingleModel m2(0.45, 0.1);
-    rt::Runtime a(det_config(256, 2, true, latency), &m1);
-    rt::Runtime b(det_config(256, 2, true, latency), &m2);
+    rt::Runtime a(threshold_config(256, 2, true, latency), &m1);
+    rt::Runtime b(threshold_config(256, 2, true, latency), &m2);
     a.run(64);
     b.run(64);
     for (unsigned w = 0; w < 2; ++w) {
@@ -356,10 +351,9 @@ TEST(TelemetryDeterminism, CountersReproduceAcrossRuns) {
 }
 
 TEST(TelemetrySnapshots, EmitterWritesOneLinePerWorkerPerInterval) {
-  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "built with CLB_TELEMETRY=OFF";
   constexpr unsigned kWorkers = 2;
   models::SingleModel model(0.45, 0.1);
-  rt::RtConfig cfg = det_config(128, kWorkers, /*telemetry=*/true);
+  rt::RtConfig cfg = threshold_config(128, kWorkers, /*telemetry=*/true);
   cfg.telemetry_interval = 8;
   cfg.telemetry_tag = "snaptest";
   rt::Runtime run(cfg, &model);
@@ -383,10 +377,9 @@ TEST(TelemetrySnapshots, EmitterWritesOneLinePerWorkerPerInterval) {
 }
 
 TEST(TelemetryExport, RegistryGaugesMatchTotals) {
-  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "built with CLB_TELEMETRY=OFF";
   constexpr unsigned kWorkers = 3;
   models::SingleModel model(0.45, 0.1);
-  rt::Runtime run(det_config(256, kWorkers, /*telemetry=*/true), &model);
+  rt::Runtime run(threshold_config(256, kWorkers, /*telemetry=*/true), &model);
   for (std::uint64_t s = 0; s < 64; s += 16) {
     spike(run, 256, s);
     run.run(16);
@@ -425,12 +418,10 @@ TEST(TelemetryExport, SnapshotLineCarriesFullSchema) {
   EXPECT_EQ(bare.find("\"tag\""), std::string::npos);
 }
 
-#if CLB_TRACE_ENABLED
 TEST(TelemetryTrace, RtEventsCarryWorkerLanes) {
-  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "built with CLB_TELEMETRY=OFF";
   obs::TraceSink sink;
   models::SingleModel model(0.45, 0.1);
-  rt::RtConfig cfg = det_config(128, 2, /*telemetry=*/true);
+  rt::RtConfig cfg = threshold_config(128, 2, /*telemetry=*/true);
   cfg.trace = &sink;
   rt::Runtime run(cfg, &model);
   run.run(16);
@@ -450,6 +441,5 @@ TEST(TelemetryTrace, RtEventsCarryWorkerLanes) {
   const std::string chrome = sink.to_chrome_trace();
   EXPECT_NE(chrome.find("worker 1"), std::string::npos);  // lane metadata
 }
-#endif  // CLB_TRACE_ENABLED
 
 }  // namespace

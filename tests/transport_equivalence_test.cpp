@@ -59,7 +59,6 @@ ShardRunConfig make_cfg(std::uint64_t n, std::uint64_t seed,
   c.n = n;
   c.seed = seed;
   c.workers = workers;
-  c.deterministic = true;
   c.policy = rt::RtPolicy::kThreshold;
   core::Fractions f;
   f.t_min = 64;  // phase_len 4: phases interleave with plain steps
@@ -168,7 +167,6 @@ TEST(TransportSeam, RtConfigConstructor) {
   cfg.n = 192;
   cfg.seed = 2;
   cfg.workers = 2;
-  cfg.deterministic = true;
   cfg.policy = rt::RtPolicy::kThreshold;
   core::Fractions f;
   f.t_min = 64;

@@ -111,12 +111,14 @@ TEST(FrameCodec, BadMagicConvicted) {
 }
 
 TEST(FrameCodec, BadVersionConvicted) {
-  // The next version, version 2 (a u64 histogram pair count in kState)
-  // and version 1 (per-message envelopes, before the task-lane record): a
-  // peer built from any of them cannot be decoded.
-  static_assert(kWireVersion == 3);
+  // The next version, version 3 (a `c` field in every batch record and a
+  // deterministic byte in kConfig), version 2 (a u64 histogram pair count
+  // in kState) and version 1 (per-message envelopes, before the task-lane
+  // record): a peer built from any of them cannot be decoded.
+  static_assert(kWireVersion == 4);
   for (const std::uint8_t v : {std::uint8_t{kWireVersion + 1},
-                               std::uint8_t{2}, std::uint8_t{1}}) {
+                               std::uint8_t{3}, std::uint8_t{2},
+                               std::uint8_t{1}}) {
     auto wire = encode_frame(FrameType::kRun, 1, bytes({1}));
     wire[4] = v;
     EXPECT_EQ(decode_frame(wire.data(), wire.size()).status,
@@ -218,13 +220,12 @@ TEST(FrameReaderTest, FirstFrameMustBeSeqOne) {
 // ---------------------------------------------------------------------------
 
 rt::Msg msg(rt::MsgKind kind, std::uint64_t key, std::uint32_t a,
-            std::uint32_t b, std::uint32_t c) {
+            std::uint32_t b) {
   rt::Msg m;
   m.kind = kind;
   m.key = key;
   m.a = a;
   m.b = b;
-  m.c = c;
   return m;
 }
 
@@ -233,7 +234,6 @@ void expect_same(const rt::Msg& got, const rt::Msg& want) {
   EXPECT_EQ(got.key, want.key);
   EXPECT_EQ(got.a, want.a);
   EXPECT_EQ(got.b, want.b);
-  EXPECT_EQ(got.c, want.c);
 }
 
 // One kBatch's worth of records, as SocketComm writes them: instant
@@ -242,14 +242,14 @@ void expect_same(const rt::Msg& got, const rt::Msg& want) {
 // kind byte's envelope bit, then from/to/due/seq), interleaved.
 TEST(PayloadCodec, MsgRoundTrip) {
   const rt::Msg query =
-      msg(rt::MsgKind::kQuery, 0x1234567890ABCDEFull, 5, 6, 0);
-  const rt::Msg transfer = msg(rt::MsgKind::kTransfer, 17, 17, 91, 3);
+      msg(rt::MsgKind::kQuery, 0x1234567890ABCDEFull, 5, 6);
+  const rt::Msg transfer = msg(rt::MsgKind::kTransfer, 17, 17, 91);
   const rt::RtTask tasks[] = {{sim::Task{12, 17, 1}, 400},
                               {sim::Task{13, 18, 2}, 500}};
-  const rt::Msg scatter = msg(rt::MsgKind::kScatter, (9ull << 32) | 4, 9, 2, 0);
+  const rt::Msg scatter = msg(rt::MsgKind::kScatter, (9ull << 32) | 4, 9, 2);
   const rt::RtTask thrown{sim::Task{7, 9, 1}, 70};
   rt::Envelope env;
-  env.msg = msg(rt::MsgKind::kAccept, 0, 3, 1, 0);
+  env.msg = msg(rt::MsgKind::kAccept, 0, 3, 1);
   env.from = 44;
   env.to = 45;
   env.due = 0xABCDEF012345ull;
@@ -293,12 +293,12 @@ TEST(PayloadCodec, MsgRoundTrip) {
   EXPECT_EQ(e.seq, env.seq);
 
   // Only latency records pay for the envelope: a payload-free instant
-  // record is 25 bytes, an envelope record 25 + 16 + SeqKey.
+  // record is 21 bytes, an envelope record 21 + 16 + SeqKey.
   Writer one, enveloped;
   serialize_msg(one, query);
   serialize_msg(enveloped, env);
-  EXPECT_EQ(one.size(), 25u);
-  EXPECT_EQ(enveloped.size(), 25u + 16u + net::wire::kSeqKeyWireSize);
+  EXPECT_EQ(one.size(), 21u);
+  EXPECT_EQ(enveloped.size(), 21u + 16u + net::wire::kSeqKeyWireSize);
 }
 
 TEST(PayloadCodec, ShardRunConfigRoundTrip) {
@@ -307,7 +307,6 @@ TEST(PayloadCodec, ShardRunConfigRoundTrip) {
   c.seed = 3;
   c.workers = 4;
   c.index = 2;
-  c.deterministic = true;
   c.policy = rt::RtPolicy::kThreshold;
   core::Fractions f;
   f.t_min = 64;
@@ -375,20 +374,20 @@ TEST(PayloadCodecDeathTest, OutOfRangeEnumsRefused) {
         << "bit " << int{bit};
   }
   // A payload count that runs past the frame: two tasks announced, one
-  // present. The count field sits after kind, key, a, b and c.
+  // present. The count field sits after kind, key, a and b.
   const rt::RtTask two[] = {{sim::Task{1, 2, 1}, 3}, {sim::Task{4, 5, 1}, 6}};
   Writer wt;
-  serialize_msg(wt, msg(rt::MsgKind::kTransfer, 1, 1, 2, 0), two);
+  serialize_msg(wt, msg(rt::MsgKind::kTransfer, 1, 1, 2), two);
   std::vector<std::uint8_t> short_payload = wt.data();
   short_payload.resize(short_payload.size() - kTaskWireSize);
   Reader rs(short_payload);
   EXPECT_DEATH(deserialize_msg(rs, sink),
                "message payload count runs past the frame");
   std::vector<std::uint8_t> huge_count = wt.data();
-  huge_count[21] = 0xFF;
-  huge_count[22] = 0xFF;
-  huge_count[23] = 0xFF;
-  huge_count[24] = 0xFF;
+  huge_count[17] = 0xFF;
+  huge_count[18] = 0xFF;
+  huge_count[19] = 0xFF;
+  huge_count[20] = 0xFF;
   Reader rh(huge_count);
   EXPECT_DEATH(deserialize_msg(rh, sink),
                "message payload count runs past the frame");

@@ -84,7 +84,7 @@ SECTIONS = [
             ["tasks_per_sec", "wall_seconds", "sojourn_p50_us",
              "sojourn_p95_us", "sojourn_p99_us", "remote_push_fraction",
              "msgs_per_task", "consumed"],
-            # --telemetry, on a CLB_TELEMETRY=ON build
+            # --telemetry
             [(["telemetry.utilization_mean",
                "telemetry.barrier_stall_fraction",
                "telemetry.queue_imbalance"], None)]),
@@ -219,9 +219,8 @@ def assemble(gauges: dict, args: argparse.Namespace) -> dict:
                     fail(f"bench_rt emitted no gauges for "
                          f"rt.{model}.{policy}.w{w}.*")
     if args.telemetry and "utilization_mean" not in runs[0]:
-        print("perfbench: warning: --telemetry requested but bench_rt "
-              "exported no telemetry gauges (CLB_TELEMETRY=OFF build?)",
-              file=sys.stderr)
+        fail("--telemetry requested but bench_rt exported no telemetry "
+             "gauges")
 
     derived = {}
     for model in args.model_list:

@@ -162,7 +162,7 @@ def report_metrics(path: str) -> None:
                        for name in gauges if marker in name})
     if not prefixes:
         fail(f"{path}: no *.telemetry.* gauges (was the bench run with "
-             f"--telemetry on a CLB_TELEMETRY=ON build?)")
+             f"--telemetry?)")
     print(f"\n== rt report: derived gauges from {path} ==")
     rows = []
     for p in prefixes:
