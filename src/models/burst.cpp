@@ -1,5 +1,7 @@
 #include "models/burst.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -60,18 +62,38 @@ void BurstModel::step_actions(std::uint64_t seed, std::uint64_t first,
                               std::uint64_t count, std::uint64_t step,
                               std::span<const std::uint64_t>, std::uint64_t,
                               std::span<sim::StepAction> out) {
-  if (step % cfg_.period >= cfg_.burst_len) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      out[i] = draw(seed, first + i, step, false);
-    }
-    return;
-  }
+  // draw()'s streams, kLanes processors at a time: the same key per
+  // processor, block 0 of event `step`, through the lane kernel. draw()
+  // consumes the block's first word for the generate draw (hot: discarded;
+  // cold with p_base >= 1: not drawn, so the consume draw takes it) and
+  // the next word for the consume draw.
+  constexpr std::size_t kLanes = rng::Philox4x32::kLanes;
+  const bool burst = step % cfg_.period < cfg_.burst_len;
   // is_hot's offset (proc + n - start) % n, advanced one processor at a
   // time and wrapped at n.
-  std::uint64_t offset = (first + n_ - hot_start(step)) % n_;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    out[i] = draw(seed, first + i, step, offset < hot_count_);
-    if (++offset == n_) offset = 0;
+  std::uint64_t offset = burst ? (first + n_ - hot_start(step)) % n_ : 0;
+  const std::array<std::uint32_t, 4> ctr = {
+      static_cast<std::uint32_t>(step), static_cast<std::uint32_t>(step >> 32),
+      0, 0};
+  std::uint64_t keys[kLanes];
+  std::array<std::uint32_t, 4> blocks[kLanes];
+  for (std::uint64_t done = 0; done < count; done += kLanes) {
+    const std::size_t lanes = std::min<std::uint64_t>(kLanes, count - done);
+    for (std::size_t i = 0; i < lanes; ++i) {
+      keys[i] = rng::hash_combine(
+          seed, rng::hash_combine(first + done + i, kSalt));
+    }
+    rng::Philox4x32::block_lanes(ctr, {keys, lanes}, blocks);
+    for (std::size_t i = 0; i < lanes; ++i) {
+      const std::array<std::uint32_t, 4>& b = blocks[i];
+      const std::uint64_t w0 = (static_cast<std::uint64_t>(b[0]) << 32) | b[1];
+      const std::uint64_t w1 = (static_cast<std::uint64_t>(b[2]) << 32) | b[3];
+      const bool hot = burst && offset < hot_count_;
+      if (burst && ++offset == n_) offset = 0;
+      out[done + i] = sim::StepAction{
+          hot ? cfg_.burst_rate : (base_.hit(w0) ? 1u : 0u),
+          consume_.hit(!hot && base_.always() ? w0 : w1) ? 1u : 0u};
+    }
   }
 }
 

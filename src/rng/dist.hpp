@@ -51,10 +51,20 @@ class BernoulliDraw {
     }
   }
 
+  /// Draws one word from `rng`, unless p >= 1: then it draws none, so the
+  /// next draw from `rng` sees the word this one skipped.
   template <typename Rng>
   bool operator()(Rng& rng) const {
-    return always_ || rng() < threshold_;
+    return always_ || hit(rng());
   }
+
+  /// The draw for a word already taken from the stream (a batched caller
+  /// must still pick its words the way operator() consumes them).
+  [[nodiscard]] bool hit(std::uint64_t word) const {
+    return always_ || word < threshold_;
+  }
+  /// True iff p >= 1: operator() draws no word.
+  [[nodiscard]] bool always() const { return always_; }
 
  private:
   std::uint64_t threshold_ = 0;

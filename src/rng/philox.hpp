@@ -7,10 +7,14 @@
 // the simulation result is identical for every worker count.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "rng/splitmix64.hpp"
+#include "util/check.hpp"
 
 namespace clb::rng {
 
@@ -21,6 +25,8 @@ struct Philox4x32 {
   static constexpr std::uint32_t kM1 = 0xCD9E8D57u;
   static constexpr std::uint32_t kW0 = 0x9E3779B9u;  // golden ratio
   static constexpr std::uint32_t kW1 = 0xBB67AE85u;  // sqrt(3)-1
+  /// Lanes per pass of block_lanes.
+  static constexpr std::size_t kLanes = 64;
 
   static std::array<std::uint32_t, 4> block(std::array<std::uint32_t, 4> ctr,
                                             std::array<std::uint32_t, 2> key) {
@@ -36,6 +42,30 @@ struct Philox4x32 {
       key[1] += kW1;
     }
     return ctr;
+  }
+
+  /// block(ctr, key) for up to kLanes keys under one shared counter:
+  /// out[i] = block(ctr, {low word of keys[i], high word}), the key split
+  /// CounterRng uses. One counter-based draw per processor is independent
+  /// of every other, so the lanes run side by side: the lane loop is outer,
+  /// over structure-of-arrays keys with a fixed trip count (the padding
+  /// lanes compute a block nobody reads), and block()'s round loop runs
+  /// inside it. gcc 12 at -O2 vectorises that lane loop, each 32x32->64
+  /// multiply a widening vector multiply; it refuses the same loop with the
+  /// ten rounds written out.
+  static void block_lanes(std::array<std::uint32_t, 4> ctr,
+                          std::span<const std::uint64_t> keys,
+                          std::span<std::array<std::uint32_t, 4>> out) {
+    CLB_CHECK(keys.size() <= kLanes && out.size() >= keys.size(),
+              "block_lanes: at most kLanes keys, one output each");
+    std::uint32_t k0[kLanes] = {}, k1[kLanes] = {};
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      k0[i] = static_cast<std::uint32_t>(keys[i]);
+      k1[i] = static_cast<std::uint32_t>(keys[i] >> 32);
+    }
+    std::array<std::uint32_t, 4> x[kLanes];
+    for (std::size_t i = 0; i < kLanes; ++i) x[i] = block(ctr, {k0[i], k1[i]});
+    std::copy_n(x, keys.size(), out.begin());
   }
 };
 

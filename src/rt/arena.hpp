@@ -55,7 +55,11 @@ class TaskArena {
     bytes = (bytes + 63) & ~std::size_t{63};
     if (bytes > static_cast<std::size_t>(end_ - cur_)) {
       const std::size_t chunk = bytes > chunk_bytes_ ? bytes : chunk_bytes_;
-      chunks_.push_back(std::make_unique<std::byte[]>(chunk + 63));
+      // Left uninitialised: a queue reads only the slots in [head, tail),
+      // each written by push_back or grow() first, so zero-filling every
+      // chunk would only add a memset of all queue storage.
+      chunks_.push_back(
+          std::make_unique_for_overwrite<std::byte[]>(chunk + 63));
       auto base = reinterpret_cast<std::uintptr_t>(chunks_.back().get());
       cur_ = reinterpret_cast<std::byte*>((base + 63) & ~std::uintptr_t{63});
       end_ = cur_ + chunk;

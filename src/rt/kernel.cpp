@@ -84,6 +84,7 @@ ShardKernel::ShardKernel(const RtConfig& cfg, sim::LoadModel* model,
     liveness_ = core::LivenessSchedule(cfg_.n, cfg_.crashes);
   }
   if (cfg_.policy == RtPolicy::kThreshold) stamps_.resize(end_ - begin_);
+  block_load_.resize((end_ - begin_ + kDrawBlock - 1) / kDrawBlock);
   if (cfg_.policy == RtPolicy::kStaleSq ||
       cfg_.policy == RtPolicy::kLocalSearch) {
     board_.resize(cfg_.n, 0);
@@ -118,6 +119,10 @@ std::uint32_t ShardKernel::now_us() const {
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                             origin_)
           .count());
+}
+
+void ShardKernel::touch(std::uint64_t p) {
+  block_load_[(p - begin_) / kDrawBlock].dirty = true;
 }
 
 void ShardKernel::deposit(std::uint32_t p, sim::Task t) {
@@ -209,6 +214,7 @@ void ShardKernel::drain(bool keep_transfers) {
 
 void ShardKernel::apply_transfer(const Msg& m) {
   RtProcessor& dst = proc(m.b);
+  touch(m.b);
   dst.tasks_received += m.task_count;
   for (const RtTask& t : batch_.payload(m)) dst.queue.push_back(t);
 }
@@ -302,8 +308,7 @@ void ShardKernel::step(std::uint64_t step) {
     if (cfg_.telemetry_interval != 0 &&
         (step + 1) % cfg_.telemetry_interval == 0) {
       snap_ = telem_;
-      snap_load_ = 0;
-      for (const RtProcessor& p : procs_) snap_load_ += p.queue.size();
+      snap_load_ = shard_load_;
       (void)comm_.exchange({});
       if (index_ == 0 && on_snapshot) on_snapshot(step);
       (void)comm_.exchange({});
@@ -382,9 +387,15 @@ void ShardKernel::generate_consume(std::uint64_t step) {
     // time_sojourn reads the clock once per block: every birth and consume
     // stamp of the block's processors is the block's start time.
     const std::uint32_t stamp_us = cfg_.time_sojourn ? now_us() : 0;
+    BlockLoad& summary = block_load_[(first - begin_) / kDrawBlock];
+    summary = BlockLoad{};
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::uint64_t p = first + i;
-      if (!live(p)) continue;
+      if (!live(p)) {
+        summary.sum += loads[i];
+        summary.max = std::max(summary.max, loads[i]);
+        continue;
+      }
       RtProcessor& pr = proc(p);
       const sim::StepAction& act = acts[i];
       for (std::uint32_t g = 0; g < act.generate; ++g) {
@@ -409,13 +420,16 @@ void ShardKernel::generate_consume(std::uint64_t step) {
         if (cfg_.spin_work != 0) spin(cfg_.spin_work);
         --c;
       }
-      // Dry = leftover consume budget (the loop invariant makes c > 0 imply
-      // an emptied queue): this processor is a steal thief this step. Its
-      // post-consume load is final here, so the candidates need no extra
-      // pass.
+      // The post-consume load is final here, so neither the block summary
+      // nor the steal candidates need an extra pass. Dry = leftover consume
+      // budget (the loop invariant makes c > 0 imply an emptied queue):
+      // this processor is a steal thief this step.
+      const std::uint64_t load = pr.queue.size();
+      summary.sum += load;
+      summary.max = std::max(summary.max, load);
       if (steal_on) {
         steal_.offer(static_cast<std::uint32_t>(p),
-                     static_cast<std::uint32_t>(pr.queue.size()), c > 0);
+                     static_cast<std::uint32_t>(load), c > 0);
       }
     }
   }
@@ -427,13 +441,26 @@ void ShardKernel::generate_consume(std::uint64_t step) {
 
 void ShardKernel::end_step(std::uint64_t step, bool phase_step,
                            std::uint64_t scattered) {
-  // The engine's refresh_load_aggregates, as one blob-borne reduction.
+  // The engine's refresh_load_aggregates, as one blob-borne reduction over
+  // the block summaries; only blocks whose queues changed after the sweep
+  // are walked again.
   std::uint64_t local_load = 0, local_max = 0;
-  for (const RtProcessor& p : procs_) {
-    const std::uint64_t l = p.queue.size();
-    local_load += l;
-    if (l > local_max) local_max = l;
+  for (std::size_t k = 0; k < block_load_.size(); ++k) {
+    BlockLoad& summary = block_load_[k];
+    if (summary.dirty) {
+      summary = BlockLoad{};
+      const std::uint64_t first = begin_ + k * kDrawBlock;
+      const std::uint64_t last = std::min(first + kDrawBlock, end_);
+      for (std::uint64_t p = first; p < last; ++p) {
+        const std::uint64_t l = proc(p).queue.size();
+        summary.sum += l;
+        summary.max = std::max(summary.max, l);
+      }
+    }
+    local_load += summary.sum;
+    local_max = std::max(local_max, summary.max);
   }
+  shard_load_ = local_load;
   const std::uint64_t blob[4] = {local_load, local_max, phase_matched_,
                                  scattered};
   const Comm::Blobs all = exchange(blob);
@@ -488,6 +515,7 @@ void ShardKernel::send_transfer(std::uint64_t step, std::uint32_t root,
   m.b = partner;
   send_tasks_.clear();
   src.queue.extract_back(count, send_tasks_);
+  touch(root);
   src.tasks_sent += count;
   ++out_.msg.transfers;
   out_.msg.tasks_moved += count;
@@ -561,6 +589,7 @@ void ShardKernel::run_steal(std::uint64_t step) {
     }
     send_transfer(step, d.from, d.to, transfer_seen_ + i + 1, d.count);
     if (dup) {
+      // No touch of its own: send_transfer touched this processor.
       src.queue.push_back(*dup);
       ++out_.mutation_applied;
     }
@@ -582,6 +611,7 @@ std::uint64_t ShardKernel::run_scatter(std::uint64_t step) {
   // processor. Targets come from a per-processor counter stream keyed by
   // (proc, step) so the draw sequence is partition-invariant.
   std::uint64_t scattered = 0;
+  for (BlockLoad& summary : block_load_) summary.dirty = true;
   for (std::uint64_t p = begin_; p < end_; ++p) {
     RtProcessor& pr = proc(p);
     rng::CounterRng rng(cfg_.seed, rng::hash_combine(kScatterSalt, p), step);

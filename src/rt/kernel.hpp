@@ -10,12 +10,15 @@
 // engine), the steal pass, then the balancing policy as message exchanges,
 // then one closing exchange that doubles as the total-load reduction (every
 // shard sums every blob, which reproduces the engine's start-of-step
-// system_load snapshot). A threshold phase (instant fabric) classifies in
-// one exchange, then runs each query-tree level on its roots' shards: three
-// exchanges per collision round (queries, accepts, active count), then
-// three more (children, child reports to the root, the scan numbering the
-// next level); transfers ride the next exchange, the last level's on one
-// closing exchange.
+// system_load snapshot). A shard's part of that reduction comes from the
+// (sum, max) summary the sweep leaves per draw block: a queue changed later
+// in the step marks its block dirty (touch), and end_step rescans only the
+// dirty blocks instead of walking the shard again. A threshold phase
+// (instant fabric) classifies in one exchange, then runs each query-tree
+// level on its roots' shards: three exchanges per collision round (queries,
+// accepts, active count), then three more (children, child reports to the
+// root, the scan numbering the next level); transfers ride the next
+// exchange, the last level's on one closing exchange.
 //
 // Determinism contract: drained batches whose processing order matters
 // (child assignment, id matching, scatter arrival, zoo/steal/re-home
@@ -117,6 +120,17 @@ class ShardKernel {
     bool accepts_round = false;
   };
 
+  /// One draw block's load summary: the sum and max queue length of its
+  /// kDrawBlock processors (kernel.cpp), dead ones included. The
+  /// generate/consume sweep writes it from the final loads it already
+  /// reads; a later queue change that step marks it dirty (touch), and
+  /// end_step rescans only dirty blocks.
+  struct BlockLoad {
+    std::uint64_t sum = 0;
+    std::uint64_t max = 0;
+    bool dirty = false;
+  };
+
   /// A forwarding parent's contribution to the next level; the replicated
   /// scan assigns `base` = the global slot of child s=0.
   struct ScanEntry {
@@ -154,6 +168,9 @@ class ShardKernel {
   [[nodiscard]] bool owns(std::uint64_t p) const {
     return p >= begin_ && p < end_;
   }
+  /// Marks owned processor p's block for end_step's rescan: p's queue
+  /// changed after this step's generate/consume sweep.
+  void touch(std::uint64_t p);
   [[nodiscard]] std::uint32_t now_us() const;
 
   /// Books the time since the previous lap into stage `s` (telemetry on).
@@ -218,6 +235,8 @@ class ShardKernel {
   std::uint64_t phase_matched_ = 0;
   std::uint64_t transfer_seen_ = 0;  // replicated global transfer count
   std::vector<Stamps> stamps_;  // own shard, index p - begin_; kThreshold only
+  std::vector<BlockLoad> block_load_;  // own shard's draw blocks, in order
+  std::uint64_t shard_load_ = 0;       // own load at the last end_step
 
   // Scratch.
   Batch batch_;

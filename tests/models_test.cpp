@@ -291,15 +291,17 @@ using Range = std::pair<std::uint64_t, std::uint64_t>;  // [first, first+count)
 using Ranges = std::function<std::vector<Range>(std::uint64_t step)>;
 using Make = std::function<std::unique_ptr<sim::LoadModel>()>;
 
-/// Draws every range of every step through step_actions on one instance
-/// and step_action on the other; `ranges(step)` must tile [0, n) in order.
+/// Draws every range of steps [first_step, first_step + steps) through
+/// step_actions on one instance and step_action on the other;
+/// `ranges(step)` must tile [0, n) in order.
 void expect_batched_draw_matches(const Make& make, std::uint64_t n,
-                                 std::uint64_t steps, const Ranges& ranges) {
+                                 std::uint64_t steps, const Ranges& ranges,
+                                 std::uint64_t first_step = 0) {
   const std::unique_ptr<sim::LoadModel> batched = make();
   const std::unique_ptr<sim::LoadModel> single = make();
   constexpr std::uint64_t kSeed = 77;
   std::vector<std::uint64_t> loads(n);
-  for (std::uint64_t step = 0; step < steps; ++step) {
+  for (std::uint64_t step = first_step; step < first_step + steps; ++step) {
     std::uint64_t system_load = 0;
     for (std::uint64_t p = 0; p < n; ++p) {
       loads[p] = (p * 7 + step * 3) % 11;
@@ -437,6 +439,64 @@ TEST(BatchedDraw, BurstEdgesAcrossTheRotationWrapAndWindowEnds) {
     };
     for (const Ranges& ranges : tilings) {
       expect_batched_draw_matches(make, n, 40, ranges);
+    }
+  }
+}
+
+// BurstModel's override maps the lane kernel's words to draws itself, so
+// every config that changes which word a draw takes is pinned here: p = 0
+// and p = 1 on either draw (p_base = 1 draws no generate word, so the
+// consume draw takes the first word), every processor hot, a fixed hot
+// group, a window that is all burst or never burst, a hot group that wraps
+// at n, and steps past 2^32 (the counter's high word).
+TEST(BatchedDraw, BurstEdgeConfigs) {
+  constexpr std::uint64_t n = kBurstN;
+  std::vector<BurstConfig> configs;
+  for (const double p_base : {0.0, 0.2, 1.0}) {
+    for (const double p_consume : {0.0, 0.5, 1.0}) {
+      BurstConfig bc;
+      bc.p_base = p_base;
+      bc.p_consume = p_consume;
+      bc.period = 8;
+      bc.burst_len = 3;
+      configs.push_back(bc);
+    }
+  }
+  BurstConfig all_hot;
+  all_hot.hot_fraction = 1.0;
+  all_hot.period = 4;
+  all_hot.burst_len = 2;
+  configs.push_back(all_hot);
+  BurstConfig fixed = all_hot;
+  fixed.hot_fraction = 0.25;
+  fixed.rotate_hotspot = false;
+  configs.push_back(fixed);
+  BurstConfig always = fixed;
+  always.burst_len = always.period;
+  always.rotate_hotspot = true;
+  configs.push_back(always);
+  BurstConfig never = always;
+  never.burst_len = 0;
+  configs.push_back(never);
+  // 37 hot processors rotating by 37 per 2-step window: window 2's group is
+  // 74..99 then 0..10, and the rotation start keeps moving across the wrap.
+  BurstConfig wrap;
+  wrap.period = 2;
+  wrap.burst_len = 1;
+  wrap.hot_fraction = 0.37;
+  wrap.p_base = 1.0;
+  configs.push_back(wrap);
+  ASSERT_TRUE(BurstModel(wrap, n).is_hot(99, 4) &&
+              BurstModel(wrap, n).is_hot(10, 4) &&
+              !BurstModel(wrap, n).is_hot(11, 4));
+  for (const BurstConfig& bc : configs) {
+    const Make make = [bc] {
+      return std::make_unique<BurstModel>(bc, kBurstN);
+    };
+    for (const std::uint64_t first_step :
+         {std::uint64_t{0}, (std::uint64_t{1} << 32) - 20,
+          (std::uint64_t{7} << 32) + 3}) {
+      expect_batched_draw_matches(make, n, 40, random_ranges(n), first_step);
     }
   }
 }

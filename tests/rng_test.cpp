@@ -1,8 +1,10 @@
 // Unit + statistical tests for clb::rng.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "rng/dist.hpp"
 #include "rng/philox.hpp"
@@ -84,6 +86,55 @@ TEST(Philox, OutputLooksUniform) {
   const int kDraws = 1 << 16;
   for (int i = 0; i < kDraws; ++i) sum += uniform01(rng);
   EXPECT_NEAR(sum / kDraws, 0.5, 0.005);
+}
+
+// The lane kernel is Philox4x32::block under each lane's key, with the key
+// split the way CounterRng splits it: every lane count the kernel accepts,
+// random keys, and counters whose high words are set (block index and
+// event past 2^32). Past kLanes keys it refuses, and outputs past the lane
+// count stay untouched.
+TEST(Philox, LanesMatchScalarBlock) {
+  constexpr std::size_t kLanes = Philox4x32::kLanes;
+  Xoshiro256 rng(2024);
+  const std::array<std::array<std::uint32_t, 4>, 4> counters = {{
+      {0, 0, 0, 0},
+      {7, 0, 0, 0},
+      {0xFFFFFFFFu, 0x1u, 0x2u, 0x80000000u},
+      {0x12345678u, 0x9ABCDEF0u, 0xFFFFFFFFu, 0xFFFFFFFFu},
+  }};
+  const std::array<std::uint32_t, 4> sentinel = {1, 2, 3, 4};
+  for (const std::array<std::uint32_t, 4>& ctr : counters) {
+    for (std::size_t lanes = 0; lanes <= kLanes; ++lanes) {
+      std::vector<std::uint64_t> keys(lanes);
+      for (std::uint64_t& k : keys) k = rng();
+      std::vector<std::array<std::uint32_t, 4>> out(kLanes + 1, sentinel);
+      Philox4x32::block_lanes(ctr, keys, out);
+      for (std::size_t i = 0; i < lanes; ++i) {
+        const std::array<std::uint32_t, 2> key = {
+            static_cast<std::uint32_t>(keys[i]),
+            static_cast<std::uint32_t>(keys[i] >> 32)};
+        ASSERT_EQ(out[i], Philox4x32::block(ctr, key))
+            << "lane " << i << " of " << lanes;
+      }
+      for (std::size_t i = lanes; i < out.size(); ++i) {
+        ASSERT_EQ(out[i], sentinel) << "lane " << i << " of " << lanes;
+      }
+    }
+  }
+  // The same words CounterRng draws from block 0 of an event.
+  const std::uint64_t event = (std::uint64_t{5} << 32) | 9;
+  const std::uint64_t key = hash_combine(11, 3);
+  std::array<std::uint32_t, 4> b[1];
+  Philox4x32::block_lanes({static_cast<std::uint32_t>(event),
+                           static_cast<std::uint32_t>(event >> 32), 0, 0},
+                          {&key, 1}, b);
+  CounterRng stream(11, 3, event);
+  EXPECT_EQ(stream(), (std::uint64_t{b[0][0]} << 32) | b[0][1]);
+  EXPECT_EQ(stream(), (std::uint64_t{b[0][2]} << 32) | b[0][3]);
+
+  const std::vector<std::uint64_t> too_many(kLanes + 1, 1);
+  std::vector<std::array<std::uint32_t, 4>> out(kLanes + 1);
+  EXPECT_DEATH(Philox4x32::block_lanes({}, too_many, out), "at most kLanes");
 }
 
 TEST(Dist, BoundedStaysInRangeAndHitsAll) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -380,7 +381,9 @@ TEST(RtEquivalenceNone, UnbalancedMatchesEngine) {
 // Deterministic mode must be bit-identical across worker counts for the
 // AllInAir policy too (sim::baselines::AllInAir uses one global scatter
 // stream, so the rt variant is compared against itself, not the engine —
-// the per-processor scatter streams are a documented difference).
+// the per-processor scatter streams are a documented difference). With no
+// engine to match, the running max is checked against the largest queue
+// after each step, read from the processors themselves.
 TEST(RtEquivalenceAir, ScatterDeterministicAcrossWorkers) {
   const std::uint64_t n = 128;
   const std::uint64_t steps = 48;
@@ -397,7 +400,14 @@ TEST(RtEquivalenceAir, ScatterDeterministicAcrossWorkers) {
     cfg.workers = workers;
     cfg.policy = rt::RtPolicy::kAllInAir;
     r.run = std::make_unique<rt::Runtime>(cfg, r.model.get());
-    r.run->run(steps);
+    std::uint64_t max_seen = 0;
+    for (std::uint64_t s = 0; s < steps; ++s) {
+      r.run->run(1);
+      for (const rt::RtProcessor& p : r.run->result().procs) {
+        max_seen = std::max<std::uint64_t>(max_seen, p.queue.size());
+      }
+    }
+    EXPECT_EQ(r.run->running_max_load(), max_seen) << workers << " workers";
     EXPECT_TRUE(r.run->result().conservation_holds());
     return r;
   };
@@ -471,6 +481,95 @@ TEST(RtEquivalenceScale64k, ArenaStealMatchesEngine) {
     const RunRecord rt_r = run_rt(n, 3, steps, WhichModel::kBurst, params,
                                   workers, steal);
     expect_equal(sim_r, rt_r, "n64k workers=" + std::to_string(workers));
+  }
+}
+
+// The end-of-step load reduction reads per-block summaries that the
+// generate/consume sweep writes and only rescans the blocks whose queues
+// changed later in the step, so check it where every block boundary can
+// hide a stale summary: several 256-processor blocks per shard, transfers
+// between blocks on every step, and a receiver that can end the step as the
+// unique maximum (light 7 and transfer 8 at T = 16: a light ends at up to
+// 15 while its heavy sender ends at its load minus 8). After each step the
+// runtime's running max and its summed snapshot shard loads (telemetry
+// snapshot every step) must equal the engine's.
+TEST(RtEquivalenceBlocks, LoadReductionMatchesEngineEveryStep) {
+  const std::uint64_t n = 1024;
+  const std::uint64_t steps = 40;
+  const std::uint64_t seed = 4;
+  core::Fractions f;
+  f.light = 7.0 / 16.0;
+  f.transfer = 0.5;
+  const core::PhaseParams params = core::PhaseParams::from_n(n, f);
+  ASSERT_EQ(params.light_threshold, 7u);
+  ASSERT_EQ(params.transfer_amount, 8u);
+  for (const bool steal_on : {false, true}) {
+    sim::StealConfig steal;
+    steal.enabled = steal_on;
+    auto sim_model = make_model(WhichModel::kBurst, n);
+    core::ThresholdBalancer balancer({.params = params});
+    sim::Engine eng({.n = n, .seed = seed, .steal = steal}, sim_model.get(),
+                    &balancer);
+    std::vector<std::uint64_t> total(steps), running_max(steps);
+    const std::vector<Spike> spikes = spikes_for(seed, n);
+    const auto deposit_spikes = [&](std::uint64_t s, auto&& deposit) {
+      for (const Spike& sp : spikes) {
+        if (sp.step != s) continue;
+        for (std::uint32_t i = 0; i < sp.tasks; ++i) {
+          deposit(sp.proc,
+                  sim::Task{static_cast<std::uint32_t>(s), sp.proc, 1});
+        }
+      }
+    };
+    for (std::uint64_t s = 0; s < steps; ++s) {
+      deposit_spikes(s, [&](std::uint32_t p, sim::Task t) {
+        eng.deposit(p, t);
+      });
+      eng.step_once();
+      total[s] = eng.total_load();
+      running_max[s] = eng.running_max_load();
+    }
+    EXPECT_GT(eng.messages().transfers, 0u);
+
+    for (const unsigned workers : {1u, 2u, 8u}) {
+      SCOPED_TRACE("steal=" + std::to_string(steal_on) +
+                   " workers=" + std::to_string(workers));
+      auto rt_model = make_model(WhichModel::kBurst, n);
+      rt::RtConfig cfg;
+      cfg.n = n;
+      cfg.seed = seed;
+      cfg.workers = workers;
+      cfg.policy = rt::RtPolicy::kThreshold;
+      cfg.params = params;
+      cfg.steal = steal;
+      cfg.telemetry = true;
+      cfg.telemetry_interval = 1;
+      rt::Runtime run(cfg, rt_model.get());
+      for (std::uint64_t s = 0; s < steps; ++s) {
+        deposit_spikes(s, [&](std::uint32_t p, sim::Task t) {
+          run.deposit(p, t);
+        });
+        run.run(1);
+        ASSERT_EQ(run.running_max_load(), running_max[s]) << "step " << s;
+      }
+      // One snapshot line per worker per step: sum its shard loads by step.
+      std::vector<std::uint64_t> summed(steps, 0);
+      std::uint64_t lines = 0;
+      const std::string& jsonl = run.telemetry_jsonl();
+      const auto field = [&](std::size_t line, const std::string& key) {
+        const std::size_t at = jsonl.find("\"" + key + "\":", line);
+        return std::strtoull(jsonl.c_str() + at + key.size() + 3, nullptr, 10);
+      };
+      for (std::size_t line = 0; line < jsonl.size();
+           line = jsonl.find('\n', line) + 1) {
+        summed.at(field(line, "step")) += field(line, "shard_load");
+        ++lines;
+      }
+      EXPECT_EQ(lines, steps * workers);
+      for (std::uint64_t s = 0; s < steps; ++s) {
+        EXPECT_EQ(summed[s], total[s]) << "step " << s;
+      }
+    }
   }
 }
 

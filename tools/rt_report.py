@@ -7,7 +7,9 @@ interval, cumulative counters) and/or a metrics registry export carrying
 `<run>.telemetry.*` gauges, and prints the runtime's health report:
 per-worker utilization, queue imbalance, barrier-stall breakdown, and
 (from the `<run>.telemetry.stage.*_ns` counters) where the step's time
-went, stage by stage.
+went, stage by stage, and (from the per-worker `w<k>.stage.*_ns` and
+`w<k>.stall_ns` counters) each worker's busy time, its stall, and max/mean
+busy.
 
     tools/rt_report.py --snapshots build/rt_telemetry/snapshots.jsonl
     tools/rt_report.py --metrics bench_rt.metrics.json
@@ -180,6 +182,7 @@ def report_metrics(path: str) -> None:
     print_table(["run", "util mean", "stall", "imbalance", "drain mean",
                  "barrier p99 us"], rows)
     report_stages(doc.get("counters", {}), prefixes)
+    report_workers(doc.get("counters", {}), prefixes)
 
 
 def report_stages(counters: dict, prefixes: list) -> None:
@@ -205,6 +208,37 @@ def report_stages(counters: dict, prefixes: list) -> None:
         rows.append(["(sum)", f"{ratio(sum(stages.values()), steps) / 1e3:.1f}",
                      f"{100.0 * ratio(sum(stages.values()), step_ns):.1f}%"])
         print_table(["stage", "us/step", "of step"], rows)
+
+
+def report_workers(counters: dict, prefixes: list) -> None:
+    """Per-worker busy time and barrier stall. A stage lap includes the
+    exchanges inside it, so busy = the worker's stage time minus its stall;
+    max/mean busy is the balance figure (1.00 = every worker equally busy;
+    the busiest worker sets the step time the others stall on)."""
+    marker = ".telemetry."
+    for p in prefixes:
+        rows, busy = [], []
+        k = 0
+        while isinstance(counters.get(f"{p}w{k}.stall_ns"), (int, float)):
+            w = f"{p}w{k}."
+            staged = sum(v for name, v in counters.items()
+                         if name.startswith(w + "stage.")
+                         and name.endswith("_ns")
+                         and isinstance(v, (int, float)))
+            stall = counters[w + "stall_ns"]
+            busy.append(staged - stall)
+            rows.append([k, f"{(staged - stall) / 1e6:.1f}",
+                         f"{stall / 1e6:.1f}",
+                         f"{100.0 * ratio(stall, staged):.1f}%"])
+            k += 1
+        if not rows:
+            continue
+        mean = sum(busy) / len(busy)
+        print(f"\n== rt report: workers of {p[:-len(marker)]} "
+              f"(busy = stage time - stall) ==")
+        print_table(["worker", "busy ms", "stall ms", "stall share"], rows)
+        print(f"  max/mean busy    {ratio(max(busy), mean):.2f} "
+              f"({len(busy)} workers; 1.00 = evenly busy)")
 
 
 def main() -> int:
