@@ -46,7 +46,7 @@ std::vector<Spike> spikes_for(std::uint64_t seed, std::uint64_t n) {
 struct Outcome {
   double wall = 0;
   std::uint64_t consumed = 0;
-  stats::IntHistogram sojourn_us;
+  stats::LogHistogram sojourn_us;
   std::uint64_t running_max = 0;
   obs::WireStats wire;  // zero for in-proc
 };

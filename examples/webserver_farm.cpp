@@ -62,7 +62,7 @@ Row run_policy(const std::string& policy, std::uint64_t n,
   run.run(steps);
 
   const clb::rt::RunResult& res = run.result();
-  const clb::stats::IntHistogram& soj = res.out.sojourn_us;
+  const clb::stats::LogHistogram& soj = res.out.sojourn_us;
   const std::uint64_t remote = run.remote_pushes();
   const std::uint64_t self = run.self_pushes();
   return Row{

@@ -60,7 +60,7 @@ sim::StepAction BurstModel::step_action(std::uint64_t seed,
 
 void BurstModel::step_actions(std::uint64_t seed, std::uint64_t first,
                               std::uint64_t count, std::uint64_t step,
-                              std::span<const std::uint64_t>, std::uint64_t,
+                              std::span<const std::uint64_t>,
                               std::span<sim::StepAction> out) {
   // draw()'s streams, kLanes processors at a time: the same key per
   // processor, block 0 of event `step`, through the lane kernel. draw()

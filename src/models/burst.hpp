@@ -37,7 +37,6 @@ class BurstModel final : public sim::LoadModel {
   void step_actions(std::uint64_t seed, std::uint64_t first,
                     std::uint64_t count, std::uint64_t step,
                     std::span<const std::uint64_t> loads,
-                    std::uint64_t system_load,
                     std::span<sim::StepAction> out) override;
 
   [[nodiscard]] double expected_load_per_processor() const override;

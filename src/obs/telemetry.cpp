@@ -4,39 +4,6 @@
 
 namespace clb::obs {
 
-std::uint64_t Pow2Histogram::quantile(double q) const {
-  if (count_ == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const auto rank =
-      static_cast<std::uint64_t>(q * static_cast<double>(count_ - 1));
-  std::uint64_t seen = 0;
-  for (unsigned b = 0; b < kBuckets; ++b) {
-    seen += buckets_[b];
-    if (seen > rank) {
-      if (b == 0) return 0;
-      const std::uint64_t lo = 1ULL << (b - 1);
-      const std::uint64_t hi = b >= 64 ? ~0ULL : (1ULL << b) - 1;
-      return lo + (hi - lo) / 2;
-    }
-  }
-  return max_;
-}
-
-void Pow2Histogram::merge(const Pow2Histogram& other) {
-  for (unsigned b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
-void Pow2Histogram::clear() {
-  for (auto& b : buckets_) b = 0;
-  count_ = 0;
-  sum_ = 0;
-  max_ = 0;
-}
-
 void WorkerTelemetry::merge(const WorkerTelemetry& other) {
   steps += other.steps;
   step_ns += other.step_ns;

@@ -2,21 +2,12 @@
 //
 // The rt scaling work (ROADMAP: n = 2^20..2^24) needs to see where worker
 // threads actually spend a superstep: draining mailboxes, blocked in the
-// phase barrier, or doing task work. This header provides the two pieces
-// that make that observable without taxing the hot path:
-//
-//   * Pow2Histogram — a fixed-size, allocation-free histogram with
-//     power-of-two buckets. stats::IntHistogram indexes its counts vector
-//     BY VALUE, which is perfect for task sojourns measured in steps but
-//     unusable for nanosecond samples (a 10ms barrier wait would allocate a
-//     ten-million-entry vector). Pow2Histogram::add is a bit_width, an
-//     array increment and two adds — safe to call once per drain or per
-//     barrier on a worker thread.
-//   * WorkerTelemetry — the per-worker counter/histogram bundle. Each
-//     worker owns exactly one instance and is its only writer, so the hot
-//     path takes no locks and no atomics; merging happens at barrier-ordered
-//     points (the runtime's snapshot emitter, or the main thread between
-//     run() calls — the command barrier publishes the plain fields).
+// phase barrier, or doing task work. WorkerTelemetry is the per-worker
+// counter/histogram bundle. Each worker owns exactly one instance and is its
+// only writer, so the hot path takes no locks and no atomics; merging
+// happens at barrier-ordered points (the runtime's snapshot emitter, or the
+// main thread between run() calls — the command barrier publishes the plain
+// fields). Its distributions are allocation-free stats::LogHistograms.
 //
 // Cost discipline (the same runtime-switch contract as obs/trace.hpp):
 //   * Run time: telemetry off (RtConfig::telemetry = false) costs one
@@ -28,55 +19,14 @@
 //     bit-identical with telemetry on or off (test_telemetry proves it).
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "stats/log_histogram.hpp"
 
 namespace clb::obs {
-
-/// Fixed-size histogram over power-of-two buckets: bucket b counts values
-/// whose bit_width is b (bucket 0 holds exactly the value 0, bucket b >= 1
-/// holds [2^(b-1), 2^b - 1]). add() never allocates, so it is safe on
-/// worker hot paths; quantiles return the matched bucket's midpoint (exact
-/// for count/sum/mean/max, ~1.5x resolution for percentiles — plenty for
-/// "is the barrier wait 2us or 2ms" questions).
-class Pow2Histogram {
- public:
-  static constexpr unsigned kBuckets = 65;  // bit_width of a uint64 is 0..64
-
-  void add(std::uint64_t v) {
-    ++buckets_[std::bit_width(v)];
-    ++count_;
-    sum_ += v;
-    if (v > max_) max_ = v;
-  }
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] std::uint64_t sum() const { return sum_; }
-  [[nodiscard]] std::uint64_t max() const { return max_; }
-  [[nodiscard]] double mean() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) / static_cast<double>(count_);
-  }
-  [[nodiscard]] std::uint64_t bucket(unsigned b) const { return buckets_[b]; }
-
-  /// Value below which a fraction q of the samples fall (bucket midpoint).
-  [[nodiscard]] std::uint64_t quantile(double q) const;
-
-  /// Element-wise accumulate; totals are conserved (count/sum add, max maxes).
-  void merge(const Pow2Histogram& other);
-
-  void clear();
-
- private:
-  std::uint64_t buckets_[kBuckets] = {};
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t max_ = 0;
-};
 
 /// The named stages of one runtime step (rt::ShardKernel::step), in
 /// schedule order. A stage's time runs from the end of the previous stage
@@ -137,12 +87,14 @@ struct WorkerTelemetry {
   std::uint64_t fabric_flight_samples = 0;  ///< steps sampled
 
   // ---- distributions ----
-  Pow2Histogram step_ns_hist;      ///< superstep duration, ns
-  Pow2Histogram stall_ns_hist;     ///< barrier wait, ns
-  Pow2Histogram drain_batch_hist;  ///< messages per drain = observed mailbox
-                                   ///< depth (drains always empty the box)
-  Pow2Histogram phase_steps_hist;  ///< steps-to-drain per phase (0 = the
-                                   ///< instant fabric resolved it in-step)
+  stats::LogHistogram step_ns_hist;      ///< superstep duration, ns
+  stats::LogHistogram stall_ns_hist;     ///< barrier wait, ns
+  stats::LogHistogram drain_batch_hist;  ///< messages per drain = observed
+                                         ///< mailbox depth (drains always
+                                         ///< empty the box)
+  stats::LogHistogram phase_steps_hist;  ///< steps-to-drain per phase (0 =
+                                         ///< the instant fabric resolved it
+                                         ///< in-step)
 
   /// Wall time actually working: superstep time minus barrier stalls. With
   /// spin_work on this includes the spin work, which is the point —

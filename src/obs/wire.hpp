@@ -10,7 +10,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "stats/histogram.hpp"
+#include "stats/log_histogram.hpp"
 
 namespace clb::obs {
 
@@ -20,7 +20,7 @@ struct WireStats {
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t barriers = 0;
-  stats::IntHistogram barrier_rtt_us;
+  stats::LogHistogram barrier_rtt_us;
 
   void merge(const WireStats& o) {
     bytes_sent += o.bytes_sent;

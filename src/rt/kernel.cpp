@@ -143,7 +143,7 @@ void ShardKernel::release_logs() {
   out_.ledger = std::vector<LedgerEntry>();
   out_.dropped = std::vector<LedgerEntry>();
   out_.sojourn_steps = stats::IntHistogram();
-  out_.sojourn_us = stats::IntHistogram();
+  out_.sojourn_us.clear();
   // A still-open latency phase stays: its end is written into
   // phases.back() when it completes.
   std::vector<RtPhaseSummary> kept;
@@ -356,7 +356,6 @@ void ShardKernel::generate_consume(std::uint64_t step) {
   // Tracked unconditionally (two register adds per processor); folded into
   // the telemetry struct once per step.
   std::uint64_t gen_total = 0, cons_total = 0;
-  const std::uint64_t system_load = sys_load_;
   const bool steal_on = cfg_.steal.enabled;
   if (steal_on) steal_.reset(cfg_.steal);
   const auto live = [&](std::uint64_t p) {
@@ -379,8 +378,7 @@ void ShardKernel::generate_consume(std::uint64_t step) {
       while (j < count && live(first + j)) ++j;
       if (j > i) {
         model_->step_actions(cfg_.seed, first + i, j - i, step,
-                             {loads + i, j - i}, system_load,
-                             {acts + i, j - i});
+                             {loads + i, j - i}, {acts + i, j - i});
       }
       i = j + 1;  // past the dead processor that ended the run
     }
@@ -441,9 +439,9 @@ void ShardKernel::generate_consume(std::uint64_t step) {
 
 void ShardKernel::end_step(std::uint64_t step, bool phase_step,
                            std::uint64_t scattered) {
-  // The engine's refresh_load_aggregates, as one blob-borne reduction over
-  // the block summaries; only blocks whose queues changed after the sweep
-  // are walked again.
+  // The engine's refresh_load_aggregates over the block summaries; only
+  // blocks whose queues changed after the sweep are walked again. The max
+  // is reduced; the sum stays local for the telemetry snapshot.
   std::uint64_t local_load = 0, local_max = 0;
   for (std::size_t k = 0; k < block_load_.size(); ++k) {
     BlockLoad& summary = block_load_[k];
@@ -461,17 +459,14 @@ void ShardKernel::end_step(std::uint64_t step, bool phase_step,
     local_max = std::max(local_max, summary.max);
   }
   shard_load_ = local_load;
-  const std::uint64_t blob[4] = {local_load, local_max, phase_matched_,
-                                 scattered};
+  const std::uint64_t blob[3] = {local_max, phase_matched_, scattered};
   const Comm::Blobs all = exchange(blob);
-  std::uint64_t sys = 0, mx = 0, matched = 0, scat = 0;
+  std::uint64_t mx = 0, matched = 0, scat = 0;
   for (const std::vector<std::uint64_t>& b : all) {
-    sys += b[0];
-    if (b[1] > mx) mx = b[1];
-    matched += b[2];
-    scat += b[3];
+    if (b[0] > mx) mx = b[0];
+    matched += b[1];
+    scat += b[2];
   }
-  sys_load_ = sys;
   if (index_ != 0) return;
   if (mx > out_.running_max) out_.running_max = mx;
   if (scat > 0) ++out_.msg.transfers;  // the sim baseline's one action

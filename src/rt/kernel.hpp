@@ -8,17 +8,16 @@
 // One step: crash re-home (crash steps only), generate/consume over the own
 // shard (identical code path and per-processor Philox streams as the
 // engine), the steal pass, then the balancing policy as message exchanges,
-// then one closing exchange that doubles as the total-load reduction (every
-// shard sums every blob, which reproduces the engine's start-of-step
-// system_load snapshot). A shard's part of that reduction comes from the
-// (sum, max) summary the sweep leaves per draw block: a queue changed later
-// in the step marks its block dirty (touch), and end_step rescans only the
-// dirty blocks instead of walking the shard again. A threshold phase
-// (instant fabric) classifies in one exchange, then runs each query-tree
-// level on its roots' shards: three exchanges per collision round (queries,
-// accepts, active count), then three more (children, child reports to the
-// root, the scan numbering the next level); transfers ride the next
-// exchange, the last level's on one closing exchange.
+// then one closing exchange that doubles as the running-max reduction (no
+// model the runtime accepts reads a system load). A shard's part of it comes
+// from the (sum, max) summary the sweep leaves per draw block: a queue
+// changed later in the step marks its block dirty (touch), and end_step
+// rescans only the dirty blocks instead of walking the shard again. A
+// threshold phase (instant fabric) classifies in one exchange, then runs
+// each query-tree level on its roots' shards: three exchanges per collision
+// round (queries, accepts, active count), then three more (children, child
+// reports to the root, the scan numbering the next level); transfers ride
+// the next exchange, the last level's on one closing exchange.
 //
 // Determinism contract: drained batches whose processing order matters
 // (child assignment, id matching, scatter arrival, zoo/steal/re-home
@@ -229,14 +228,13 @@ class ShardKernel {
   // schedule, so a stamp comparison means the same thing anywhere.
   std::uint64_t phase_epoch_ = 0, level_epoch_ = 0, round_epoch_ = 0;
   std::uint64_t phase_count_ = 0;
-  std::uint64_t sys_load_ = 0;  // total system load at start of this step
   std::uint64_t ph_requests_ = 0;
   std::uint32_t ph_levels_ = 0, ph_rounds_ = 0;
   std::uint64_t phase_matched_ = 0;
   std::uint64_t transfer_seen_ = 0;  // replicated global transfer count
   std::vector<Stamps> stamps_;  // own shard, index p - begin_; kThreshold only
   std::vector<BlockLoad> block_load_;  // own shard's draw blocks, in order
-  std::uint64_t shard_load_ = 0;       // own load at the last end_step
+  std::uint64_t shard_load_ = 0;  // own load at the last end_step (snapshots)
 
   // Scratch.
   Batch batch_;

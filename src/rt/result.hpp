@@ -14,6 +14,7 @@
 #include "rt/config.hpp"
 #include "sim/counters.hpp"
 #include "stats/histogram.hpp"
+#include "stats/log_histogram.hpp"
 
 namespace clb::rt {
 
@@ -35,7 +36,7 @@ struct ShardOutputs {
   std::vector<LedgerEntry> dropped;
   std::uint64_t dropped_tasks = 0;
   stats::IntHistogram sojourn_steps;
-  stats::IntHistogram sojourn_us;
+  stats::LogHistogram sojourn_us;  ///< wall-clock, us (RtConfig::time_sojourn)
   std::uint64_t running_max = 0;
   std::vector<RtPhaseSummary> phases;
   /// Own-victim steal batches shipped and the tasks they carried. Steals

@@ -104,8 +104,8 @@ class Runtime {
   [[nodiscard]] const stats::IntHistogram& sojourn_steps() const {
     return result().out.sojourn_steps;
   }
-  [[nodiscard]] const stats::IntHistogram& sojourn_us() const {
-    return result().out.sojourn_us;
+  [[nodiscard]] stats::IntHistogram sojourn_us() const {
+    return result().out.sojourn_us.to_dense();
   }
   [[nodiscard]] std::uint64_t steal_events() const {
     return result().out.steal_events;

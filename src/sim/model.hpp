@@ -41,9 +41,11 @@ class LoadModel {
 
   /// step_action for the `count` processors [first, first + count) at
   /// `step`, into out[0, count); loads[i] is processor first + i's load.
-  /// Must equal calling step_action on each processor in ascending order,
-  /// which is what this default does; a model overrides it to hoist the
-  /// per-step setup out of the per-processor draw. rt::ShardKernel draws
+  /// Must equal calling step_action on each processor in ascending order
+  /// with a system_load of 0, which is what this default does; a model
+  /// overrides it to hoist the per-step setup out of the per-processor
+  /// draw. It serves parallel-safe models only (!serial_generation()),
+  /// which never read system_load, so it carries none. rt::ShardKernel draws
   /// blocks of its shard; it never draws a dead (crashed) processor,
   /// because a parallel-safe model may still advance per-processor state
   /// in a draw (models::OnOffModel), and the engine skips dead processors.
@@ -52,10 +54,9 @@ class LoadModel {
   virtual void step_actions(std::uint64_t seed, std::uint64_t first,
                             std::uint64_t count, std::uint64_t step,
                             std::span<const std::uint64_t> loads,
-                            std::uint64_t system_load,
                             std::span<StepAction> out) {
     for (std::uint64_t i = 0; i < count; ++i) {
-      out[i] = step_action(seed, first + i, step, loads[i], system_load);
+      out[i] = step_action(seed, first + i, step, loads[i], 0);
     }
   }
 

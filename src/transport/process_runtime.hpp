@@ -121,8 +121,8 @@ class ProcessRuntime {
   [[nodiscard]] const stats::IntHistogram& sojourn_steps() {
     return result().out.sojourn_steps;
   }
-  [[nodiscard]] const stats::IntHistogram& sojourn_us() {
-    return result().out.sojourn_us;
+  [[nodiscard]] stats::IntHistogram sojourn_us() {
+    return result().out.sojourn_us.to_dense();
   }
 
   /// Every run()/deposit() issued, in order — the shadow replay script.

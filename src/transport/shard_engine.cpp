@@ -1,8 +1,9 @@
 #include "transport/shard_engine.hpp"
 
-#include <algorithm>
 #include <chrono>
+#include <span>
 #include <string>
+#include <type_traits>
 
 #include "util/check.hpp"
 
@@ -10,22 +11,26 @@ namespace clb::transport {
 
 namespace {
 
-void serialize_hist(Writer& w, const stats::IntHistogram& h) {
-  // Sparse (value, count) pairs in ascending value order: sojourn_us values
-  // can reach the run's wall-clock in microseconds, so a dense dump would
-  // dwarf the frame cap.
-  const std::vector<std::uint64_t>& counts = h.counts();
+/// Sparse (key, count) pairs in ascending key order, for the non-zero
+/// counts: a key is a value of the dense IntHistogram or a LogHistogram
+/// bucket.
+void put_pairs(Writer& w, std::span<const std::uint64_t> counts) {
   std::uint32_t pairs = 0;
-  for (const std::uint64_t c : counts) {
-    if (c != 0) ++pairs;
-  }
+  for (const std::uint64_t c : counts) pairs += c != 0 ? 1 : 0;
   w.u32(pairs);
-  for (std::uint64_t v = 0; v < counts.size(); ++v) {
-    if (counts[v] != 0) {
-      w.u64(v);
-      w.u64(counts[v]);
+  for (std::uint64_t k = 0; k < counts.size(); ++k) {
+    if (counts[k] != 0) {
+      w.u64(k);
+      w.u64(counts[k]);
     }
   }
+}
+
+/// The pairs, then the exact sum and max.
+void put_log_hist(Writer& w, const stats::LogHistogram& h) {
+  put_pairs(w, h.buckets());
+  w.u64(h.sum());
+  w.u64(h.max());
 }
 
 [[noreturn]] void refuse(const char* field, const char* what) {
@@ -33,20 +38,38 @@ void serialize_hist(Writer& w, const stats::IntHistogram& h) {
   util::check_failed("histogram pair", __FILE__, __LINE__, msg.c_str());
 }
 
-/// The dense histogram sizes itself to its largest value, so each value is
-/// checked against `max_value` before it is added.
-stats::IntHistogram deserialize_hist(Reader& r, const char* field,
-                                     std::uint64_t max_value) {
-  stats::IntHistogram h;
+/// Reads what put_pairs (IntHistogram) or put_log_hist (LogHistogram)
+/// wrote. Refuses, by `field` name, keys out of order, a bucket past the
+/// last, and a value (a bucket's lowest value) above `max_value`: it was
+/// never measured, and it would size a dense histogram.
+template <typename Hist>
+Hist get_hist(Reader& r, const char* field, std::uint64_t max_value) {
+  constexpr bool kLog = std::is_same_v<Hist, stats::LogHistogram>;
+  Hist h;
   const std::uint32_t pairs = r.count(16, field);
   std::uint64_t last = 0;
   for (std::uint32_t i = 0; i < pairs; ++i) {
-    const std::uint64_t v = r.u64();
+    const std::uint64_t k = r.u64();
     const std::uint64_t c = r.u64();
-    if (i > 0 && v <= last) refuse(field, "values not strictly ascending");
-    if (v > max_value) refuse(field, "value above its bound");
-    h.add(v, c);
-    last = v;
+    if (i > 0 && k <= last) {
+      refuse(field, kLog ? "buckets not strictly ascending"
+                         : "values not strictly ascending");
+    }
+    last = k;
+    if constexpr (kLog) {
+      if (k >= Hist::kBuckets) refuse(field, "bucket index past the last");
+      if (Hist::bucket_low(k) > max_value) {
+        refuse(field, "bucket above its bound");
+      }
+      h.add(Hist::bucket_low(k), c);
+    } else {
+      if (k > max_value) refuse(field, "value above its bound");
+      h.add(k, c);
+    }
+  }
+  if constexpr (kLog) {
+    const std::uint64_t sum = r.u64();
+    h.restore(sum, r.u64());
   }
   return h;
 }
@@ -212,8 +235,8 @@ void ShardState::serialize(Writer& w) const {
   for (const auto field : kScalars) w.u64(this->*field);
   serialize_ledger(w, ledger);
   serialize_ledger(w, dropped);
-  serialize_hist(w, sojourn_steps);
-  serialize_hist(w, sojourn_us);
+  put_pairs(w, sojourn_steps.counts());
+  put_log_hist(w, sojourn_us);
   w.u32(static_cast<std::uint32_t>(phases.size()));
   for (const rt::RtPhaseSummary& ps : phases) {
     w.u64(ps.phase_index);
@@ -236,7 +259,7 @@ void ShardState::serialize(Writer& w) const {
   w.u64(wire.frames_sent);
   w.u64(wire.frames_received);
   w.u64(wire.barriers);
-  serialize_hist(w, wire.barrier_rtt_us);
+  put_log_hist(w, wire.barrier_rtt_us);
 }
 
 ShardState ShardState::deserialize(Reader& r, const HistBounds& bound) {
@@ -262,8 +285,9 @@ ShardState ShardState::deserialize(Reader& r, const HistBounds& bound) {
   for (const auto field : kScalars) s.*field = r.u64();
   s.ledger = deserialize_ledger(r, "ledger");
   s.dropped = deserialize_ledger(r, "dropped");
-  s.sojourn_steps = deserialize_hist(r, "sojourn_steps", bound.steps);
-  s.sojourn_us = deserialize_hist(r, "sojourn_us", bound.us);
+  s.sojourn_steps =
+      get_hist<stats::IntHistogram>(r, "sojourn_steps", bound.steps);
+  s.sojourn_us = get_hist<stats::LogHistogram>(r, "sojourn_us", bound.us);
   s.phases.resize(r.count(kPhaseBytes, "phases"));
   for (rt::RtPhaseSummary& ps : s.phases) {
     ps.phase_index = r.u64();
@@ -286,7 +310,8 @@ ShardState ShardState::deserialize(Reader& r, const HistBounds& bound) {
   s.wire.frames_sent = r.u64();
   s.wire.frames_received = r.u64();
   s.wire.barriers = r.u64();
-  s.wire.barrier_rtt_us = deserialize_hist(r, "barrier_rtt_us", bound.us);
+  s.wire.barrier_rtt_us =
+      get_hist<stats::LogHistogram>(r, "barrier_rtt_us", bound.us);
   return s;
 }
 
@@ -378,7 +403,7 @@ rt::Comm::Blobs SocketComm::exchange(std::span<const std::uint64_t> blob) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-  wire_.barrier_rtt_us.add(std::min<std::uint64_t>(rtt, 1000000));
+  wire_.barrier_rtt_us.add(rtt);
   ++wire_.barriers;
 
   Reader r(f.payload);

@@ -49,16 +49,19 @@ struct ShardRunConfig : rt::RtConfig {
 /// The largest histogram value a kState may carry, supplied by the
 /// coordinator: a step-counted sojourn is below the steps run, and the
 /// wall-clock histograms (sojourn_us, barrier_rtt_us) are below the
-/// microseconds since the run's clock origin.
+/// microseconds since the run's clock origin. A value above its bound was
+/// never measured: the frame that carries it is corrupt.
 struct HistBounds {
   std::uint64_t steps = 0;
   std::uint64_t us = 0;
 };
 
 /// A worker's end-of-run state, shipped to the coordinator on kCollect.
-/// Histograms travel as sparse (value, count) pairs in ascending value
-/// order; deserialize refuses, by field name, a pair count the frame cannot
-/// hold, values out of that order, and a value above `bound`.
+/// Histograms travel as sparse (value or bucket, count) pairs in ascending
+/// order, a LogHistogram's followed by its exact sum and max. deserialize
+/// refuses, by field name, a pair count the frame cannot hold, keys out of
+/// that order, a bucket past the last, and a value (or a bucket's lowest
+/// value) above `bound`.
 struct ShardState : rt::ShardOutputs {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;

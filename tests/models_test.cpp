@@ -302,22 +302,18 @@ void expect_batched_draw_matches(const Make& make, std::uint64_t n,
   constexpr std::uint64_t kSeed = 77;
   std::vector<std::uint64_t> loads(n);
   for (std::uint64_t step = first_step; step < first_step + steps; ++step) {
-    std::uint64_t system_load = 0;
-    for (std::uint64_t p = 0; p < n; ++p) {
-      loads[p] = (p * 7 + step * 3) % 11;
-      system_load += loads[p];
-    }
+    for (std::uint64_t p = 0; p < n; ++p) loads[p] = (p * 7 + step * 3) % 11;
     std::uint64_t next = 0;
     for (const auto& [first, count] : ranges(step)) {
       ASSERT_EQ(first, next) << batched->name() << ": ranges must tile";
       next = first + count;
       std::vector<sim::StepAction> out(count);
       batched->step_actions(kSeed, first, count, step,
-                            {loads.data() + first, count}, system_load, out);
+                            {loads.data() + first, count}, out);
       for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t p = first + i;
         const sim::StepAction want =
-            single->step_action(kSeed, p, step, loads[p], system_load);
+            single->step_action(kSeed, p, step, loads[p], 0);
         ASSERT_EQ(out[i].generate, want.generate)
             << batched->name() << " proc " << p << " step " << step;
         ASSERT_EQ(out[i].consume, want.consume)

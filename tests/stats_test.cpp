@@ -1,10 +1,15 @@
 // Unit tests for clb::stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+
 #include "stats/histogram.hpp"
+#include "stats/log_histogram.hpp"
 #include "stats/moments.hpp"
-#include "stats/timeseries.hpp"
-#include "stats/trial_set.hpp"
 
 namespace clb::stats {
 namespace {
@@ -88,30 +93,108 @@ TEST(Moments, CiShrinksWithSamples) {
   EXPECT_GT(small.ci95_half_width(), large.ci95_half_width());
 }
 
-TEST(TimeSeries, RecordsAtStride) {
-  TimeSeries ts(10);
-  for (std::uint64_t s = 0; s < 100; ++s) ts.record(s, static_cast<double>(s));
-  EXPECT_EQ(ts.steps().size(), 10u);
-  EXPECT_EQ(ts.steps()[3], 30u);
+TEST(LogHistogram, ValuesBelow32AreExact) {
+  LogHistogram h;
+  for (std::uint64_t v = 0; v < 32; ++v) {
+    EXPECT_EQ(LogHistogram::bucket_of(v), v);
+    EXPECT_EQ(LogHistogram::bucket_low(v), v);
+    EXPECT_EQ(LogHistogram::bucket_of(v + 1), v + 1);
+    h.add(v);
+  }
+  // One sample per value, so the k-th smallest is value k - 1.
+  EXPECT_EQ(h.quantile(0.5), 15u);
+  EXPECT_EQ(h.quantile(1.0), 31u);
+  EXPECT_EQ(h.quantile(0.0), 0u);
 }
 
-TEST(TimeSeries, ThinsWhenFull) {
-  TimeSeries ts(1, /*max_points=*/64);
-  for (std::uint64_t s = 0; s < 1000; ++s) ts.record(s, 1.0);
-  EXPECT_LT(ts.steps().size(), 70u);
-  EXPECT_GT(ts.stride(), 1u);
+TEST(LogHistogram, BucketsTileTheRangeWithinOneThirtySecond) {
+  // Bucket b holds [bucket_low(b), bucket_low(b + 1) - 1], which is at most
+  // 1/32 of its lowest value wide; the last ends at UINT64_MAX.
+  for (std::size_t b = 1; b + 1 < LogHistogram::kBuckets; ++b) {
+    const std::uint64_t low = LogHistogram::bucket_low(b);
+    const std::uint64_t high = LogHistogram::bucket_low(b + 1) - 1;
+    ASSERT_LT(LogHistogram::bucket_low(b - 1), low) << "bucket " << b;
+    ASSERT_LE(high - low, low / 32) << "bucket " << b;
+    ASSERT_EQ(LogHistogram::bucket_of(low), b);
+    ASSERT_EQ(LogHistogram::bucket_of(high), b);
+  }
+  constexpr std::size_t kLast = LogHistogram::kBuckets - 1;
+  EXPECT_EQ(LogHistogram::bucket_of(LogHistogram::bucket_low(kLast)), kLast);
+  EXPECT_EQ(LogHistogram::bucket_of(LogHistogram::bucket_low(kLast) - 1),
+            kLast - 1);
 }
 
-TEST(TrialSet, AggregatesNamedMetrics) {
-  TrialSet set;
-  set.add("max_load", 10);
-  set.add("max_load", 14);
-  set.add("messages", 100);
-  EXPECT_DOUBLE_EQ(set.get("max_load").mean(), 12.0);
-  EXPECT_EQ(set.get("messages").count(), 1u);
-  EXPECT_TRUE(set.has("messages"));
-  EXPECT_FALSE(set.has("absent"));
-  EXPECT_EQ(set.get("absent").count(), 0u);
+TEST(LogHistogram, QuantilesWithinOneBucketOfExact) {
+  // Log-uniform samples over 1 us .. 4 s, compared with the exact
+  // value-indexed histogram at the quantiles the benchmark reports.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> exponent(0.0, 22.0);
+  LogHistogram h;
+  IntHistogram exact;
+  for (int i = 0; i < 20000; ++i) {
+    const auto v = static_cast<std::uint64_t>(std::exp2(exponent(rng)));
+    h.add(v);
+    exact.add(v);
+  }
+  for (const double q : {0.5, 0.99, 0.999}) {
+    const auto want = static_cast<double>(exact.quantile(q));
+    const auto got = static_cast<double>(h.quantile(q));
+    EXPECT_LE(std::abs(got - want), want / 32.0) << "q " << q;
+  }
+}
+
+TEST(LogHistogram, MergeEqualsAddingEverySample) {
+  LogHistogram a, b, all;
+  for (std::uint64_t v = 0; v < 5000; v += 7) {
+    const std::uint64_t x = v * v * 13;
+    (v % 3 == 0 ? a : b).add(x);
+    all.add(x);
+  }
+  a.merge(b);
+  EXPECT_TRUE(std::ranges::equal(a.buckets(), all.buckets()));
+  EXPECT_EQ(a.count(), all.count());
+  EXPECT_EQ(a.sum(), all.sum());
+  EXPECT_EQ(a.max(), all.max());
+  EXPECT_EQ(a.quantile(0.99), all.quantile(0.99));
+}
+
+TEST(LogHistogram, MaxValueLandsInTheLastBucket) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(LogHistogram::bucket_of(kMax), LogHistogram::kBuckets - 1);
+  LogHistogram h;
+  h.add(kMax);
+  EXPECT_EQ(h.buckets()[LogHistogram::kBuckets - 1], 1u);
+  EXPECT_EQ(h.max(), kMax);
+  EXPECT_EQ(h.quantile(0.5), h.quantile(1.0));
+  EXPECT_GE(h.quantile(0.5),
+            LogHistogram::bucket_low(LogHistogram::kBuckets - 1));
+}
+
+TEST(LogHistogram, CountSumMaxMeanAreExact) {
+  LogHistogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.quantile(0.5), 0u);
+  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+  h.add(1000001);
+  h.add(1000003, 2);
+  h.add(5);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.sum(), 3000012u);
+  EXPECT_EQ(h.max(), 1000003u);
+  EXPECT_DOUBLE_EQ(h.mean(), 750003.0);
+  // The top bucket's midpoint lies above every sample; the quantile caps it
+  // at the exact max.
+  EXPECT_EQ(h.quantile(1.0), 1000003u);
+}
+
+TEST(LogHistogram, DenseCopyKeepsQuantilesAndCount) {
+  LogHistogram h;
+  for (std::uint64_t v = 1; v < 100000; v = v * 3 + 1) h.add(v, v % 5 + 1);
+  const IntHistogram dense = h.to_dense();
+  EXPECT_EQ(dense.total(), h.count());
+  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(dense.quantile(q), h.quantile(q)) << "q " << q;
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Telemetry layer contracts: the Pow2Histogram arithmetic, multi-threaded
+// Telemetry layer contracts: the histogram arithmetic, multi-threaded
 // single-writer merge discipline (TSan target), conservation of runtime
 // totals, the bit-identity guarantee (telemetry only observes — a run's
 // outputs do not change when it is switched on), the
@@ -21,6 +21,7 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "rt/runtime.hpp"
+#include "stats/log_histogram.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -28,7 +29,7 @@ namespace {
 using namespace clb;
 
 TEST(TelemetryHistogram, CountSumMeanMax) {
-  obs::Pow2Histogram h;
+  stats::LogHistogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.quantile(0.5), 0u);
   h.add(0);
@@ -39,28 +40,29 @@ TEST(TelemetryHistogram, CountSumMeanMax) {
   EXPECT_EQ(h.sum(), 1008u);
   EXPECT_EQ(h.max(), 1000u);
   EXPECT_DOUBLE_EQ(h.mean(), 252.0);
-  // Buckets by bit_width: 0 -> bucket 0, 1 -> 1, 7 -> 3, 1000 -> 10.
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-  EXPECT_EQ(h.bucket(10), 1u);
+  // Values below 32 have a bucket each; 1000 has width 10, so it sits in
+  // bucket 4 * 32 + (1000 >> 4) = [992, 1007] with 15 other values.
+  EXPECT_EQ(h.buckets()[0], 1u);
+  EXPECT_EQ(h.buckets()[1], 1u);
+  EXPECT_EQ(h.buckets()[7], 1u);
+  EXPECT_EQ(h.buckets()[4 * 32 + 62], 1u);
+  EXPECT_EQ(stats::LogHistogram::bucket_low(4 * 32 + 62), 992u);
 }
 
 TEST(TelemetryHistogram, QuantileHitsBucketMidpoint) {
-  obs::Pow2Histogram h;
-  for (int i = 0; i < 99; ++i) h.add(4);  // bucket 3 = [4, 7]
+  stats::LogHistogram h;
+  for (int i = 0; i < 99; ++i) h.add(5000);  // bucket [4992, 5119]
   h.add(1 << 20);
-  // p50 falls in the [4, 7] bucket; the midpoint is (4 + 7) / 2 = 5.
-  EXPECT_EQ(h.quantile(0.50), 5u);
-  // The maximum falls in the single-sample top bucket [2^20, 2^21 - 1]
-  // (2^20 has bit_width 21, so it is the bottom of that bucket).
-  EXPECT_GE(h.quantile(1.0), 1u << 20);
-  EXPECT_LE(h.quantile(1.0), (1u << 21) - 1);
+  // p50 falls in the [4992, 5119] bucket; its midpoint is 4992 + 127 / 2.
+  EXPECT_EQ(h.quantile(0.50), 5055u);
+  // The single top sample's bucket is [2^20, 2^20 + 2^15 - 1]; its midpoint
+  // is above the sample, so the quantile caps at the exact max.
+  EXPECT_EQ(h.quantile(1.0), 1u << 20);
 }
 
 TEST(TelemetryHistogram, MergeConservesAndClearResets) {
-  obs::Pow2Histogram a;
-  obs::Pow2Histogram b;
+  stats::LogHistogram a;
+  stats::LogHistogram b;
   for (std::uint64_t v : {1u, 2u, 3u}) a.add(v);
   for (std::uint64_t v : {100u, 200u}) b.add(v);
   a.merge(b);
@@ -72,6 +74,25 @@ TEST(TelemetryHistogram, MergeConservesAndClearResets) {
   EXPECT_EQ(a.sum(), 0u);
   EXPECT_EQ(a.max(), 0u);
   EXPECT_EQ(a.quantile(0.99), 0u);
+}
+
+// Factor-2 buckets read every barrier p99 between 1,048,576 and 2,097,151 ns
+// as one value; the log-linear buckets keep 1.6 ms and 2.0 ms apart, each
+// to within 1/64 of itself.
+TEST(TelemetryHistogram, StallP99TellsOnePointSixFromTwoMs) {
+  const auto p99 = [](std::uint64_t tail_ns) {
+    obs::WorkerTelemetry t;
+    for (int i = 0; i < 98; ++i) t.stall_ns_hist.add(20000);
+    for (int i = 0; i < 2; ++i) t.stall_ns_hist.add(tail_ns);
+    obs::MetricsRegistry m;
+    obs::merge_worker_telemetry(m, t, "t.");
+    return m.gauge("t.barrier_wait_p99_ns");
+  };
+  const double a = p99(1600000);
+  const double b = p99(2000000);
+  EXPECT_NEAR(a, 1.6e6, 1.6e6 / 64);
+  EXPECT_NEAR(b, 2.0e6, 2.0e6 / 64);
+  EXPECT_LT(a, b);
 }
 
 TEST(TelemetryWorker, DerivedRatiosAndMerge) {

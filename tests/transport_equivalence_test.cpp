@@ -114,7 +114,7 @@ TEST_P(TransportEquivalence, UdsMatchesShadowForAllShardCounts) {
     EXPECT_GT(ws.bytes_sent, 0u);
     EXPECT_GT(ws.frames_sent, 0u);
     EXPECT_GT(ws.barriers, 0u);
-    EXPECT_EQ(ws.barrier_rtt_us.total(), ws.barriers);
+    EXPECT_EQ(ws.barrier_rtt_us.count(), ws.barriers);
 
     // Shard-count invariance, directly: 2 and 4 processes produce the same
     // bits, not merely the same shadow verdict.

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -111,14 +112,15 @@ TEST(FrameCodec, BadMagicConvicted) {
 }
 
 TEST(FrameCodec, BadVersionConvicted) {
-  // The next version, version 3 (a `c` field in every batch record and a
+  // The next version, version 4 (value-keyed wall-clock histograms in
+  // kState), version 3 (a `c` field in every batch record and a
   // deterministic byte in kConfig), version 2 (a u64 histogram pair count
   // in kState) and version 1 (per-message envelopes, before the task-lane
   // record): a peer built from any of them cannot be decoded.
-  static_assert(kWireVersion == 4);
+  static_assert(kWireVersion == 5);
   for (const std::uint8_t v : {std::uint8_t{kWireVersion + 1},
-                               std::uint8_t{3}, std::uint8_t{2},
-                               std::uint8_t{1}}) {
+                               std::uint8_t{4}, std::uint8_t{3},
+                               std::uint8_t{2}, std::uint8_t{1}}) {
     auto wire = encode_frame(FrameType::kRun, 1, bytes({1}));
     wire[4] = v;
     EXPECT_EQ(decode_frame(wire.data(), wire.size()).status,
@@ -461,9 +463,9 @@ TEST(PayloadCodecDeathTest, OversizedCountsRefusedByName) {
 }
 
 TEST(PayloadCodecDeathTest, HistogramValuesRefusedByName) {
-  // The first byte where two histograms encode differently is the low byte
-  // of the value they differ in; `patched` overwrites the byte `offset`
-  // past it (offset 5 with 1 sets bit 40 of the value).
+  // The first byte where two states encode differently is the low byte of
+  // the histogram value or bucket index they differ in; `patched`
+  // overwrites the byte `offset` past it.
   const auto patched = [](const ShardState& a, const ShardState& b,
                           std::size_t offset, std::uint8_t byte) {
     Writer wa, wb;
@@ -476,14 +478,15 @@ TEST(PayloadCodecDeathTest, HistogramValuesRefusedByName) {
     return out;
   };
   const HistBounds bound{100, 1000};
+
+  // sojourn_us: bucket 3 becomes 3 + 8 * 256, past the last bucket.
   ShardState three, four;
   three.sojourn_us.add(3);
   four.sojourn_us.add(4);
-  // 3 + 2^40: a dense histogram of that size is 8 TiB.
-  const std::vector<std::uint8_t> huge = patched(three, four, 5, 1);
-  Reader rh(huge);
-  EXPECT_DEATH((void)ShardState::deserialize(rh, bound),
-               "sojourn_us value above its bound");
+  const std::vector<std::uint8_t> past = patched(three, four, 1, 8);
+  Reader rp(past);
+  EXPECT_DEATH((void)ShardState::deserialize(rp, bound),
+               "sojourn_us bucket index past the last");
 
   ShardState two, other;
   two.sojourn_us.add(3);
@@ -493,19 +496,36 @@ TEST(PayloadCodecDeathTest, HistogramValuesRefusedByName) {
   const std::vector<std::uint8_t> repeated = patched(two, other, 0, 3);
   Reader rr(repeated);
   EXPECT_DEATH((void)ShardState::deserialize(rr, bound),
-               "sojourn_us values not strictly ascending");
+               "sojourn_us buckets not strictly ascending");
 
+  ShardState steps_two, steps_other;
+  steps_two.sojourn_steps.add(3);
+  steps_two.sojourn_steps.add(5);
+  steps_other.sojourn_steps.add(3);
+  steps_other.sojourn_steps.add(6);
+  const std::vector<std::uint8_t> steps_repeated =
+      patched(steps_two, steps_other, 0, 3);
+  Reader rsr(steps_repeated);
+  EXPECT_DEATH((void)ShardState::deserialize(rsr, bound),
+               "sojourn_steps values not strictly ascending");
+
+  // A bucket is judged by its lowest value: 1008's bucket is [1008, 1023].
   ShardState late;
   late.sojourn_steps.add(101);
-  late.wire.barrier_rtt_us.add(1001);
+  late.wire.barrier_rtt_us.add(1008);
   Writer wl;
   late.serialize(wl);
   Reader rs(wl.data());
   EXPECT_DEATH((void)ShardState::deserialize(rs, bound),
                "sojourn_steps value above its bound");
   Reader rb(wl.data());
-  const ShardState at_bound = ShardState::deserialize(rb, {101, 1001});
-  EXPECT_EQ(at_bound.wire.barrier_rtt_us.count_at(1001), 1u);
+  EXPECT_DEATH((void)ShardState::deserialize(rb, {101, 1007}),
+               "barrier_rtt_us bucket above its bound");
+  Reader ra(wl.data());
+  const ShardState at_bound = ShardState::deserialize(ra, {101, 1008});
+  EXPECT_EQ(at_bound.sojourn_steps.count_at(101), 1u);
+  EXPECT_EQ(at_bound.wire.barrier_rtt_us.count(), 1u);
+  EXPECT_EQ(at_bound.wire.barrier_rtt_us.max(), 1008u);
 }
 
 TEST(PayloadCodec, ShardStateRoundTrip) {
@@ -533,12 +553,15 @@ TEST(PayloadCodec, ShardStateRoundTrip) {
   s.phases.push_back(ps);
   s.wire.bytes_sent = 123;
   s.wire.barriers = 9;
+  s.sojourn_us.add(7, 2);
+  s.sojourn_us.add(1000);  // bucket [992, 1007]
   s.wire.barrier_rtt_us.add(15, 3);
+  s.wire.barrier_rtt_us.add(301);
 
   Writer w;
   s.serialize(w);
   Reader r(w.data());
-  const ShardState back = ShardState::deserialize(r, {900, 15});
+  const ShardState back = ShardState::deserialize(r, {900, 1000});
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(back.begin, 10u);
   ASSERT_EQ(back.procs.size(), 2u);
@@ -558,7 +581,16 @@ TEST(PayloadCodec, ShardStateRoundTrip) {
   EXPECT_EQ(back.phases[0].matched, 2u);
   EXPECT_EQ(back.phases[0].heavy_procs, (std::vector<std::uint32_t>{10, 11}));
   EXPECT_EQ(back.wire.bytes_sent, 123u);
-  EXPECT_EQ(back.wire.barrier_rtt_us.total(), 3u);
+  for (const auto& [got, want] :
+       {std::pair{&back.sojourn_us, &s.sojourn_us},
+        std::pair{&back.wire.barrier_rtt_us, &s.wire.barrier_rtt_us}}) {
+    EXPECT_TRUE(std::ranges::equal(got->buckets(), want->buckets()));
+    EXPECT_EQ(got->count(), want->count());
+    EXPECT_EQ(got->sum(), want->sum());
+    EXPECT_EQ(got->max(), want->max());
+  }
+  EXPECT_EQ(back.sojourn_us.sum(), 1014u);
+  EXPECT_EQ(back.wire.barrier_rtt_us.max(), 301u);
 }
 
 // ---------------------------------------------------------------------------

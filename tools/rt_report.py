@@ -177,10 +177,11 @@ def report_metrics(path: str) -> None:
             f"{100.0 * g('barrier_stall_fraction'):.1f}%",
             f"{g('queue_imbalance'):.3f}",
             f"{g('drain_batch_mean'):.2f}",
+            f"{g('barrier_wait_p50_ns') / 1e3:.1f}",
             f"{g('barrier_wait_p99_ns') / 1e3:.1f}",
         ])
     print_table(["run", "util mean", "stall", "imbalance", "drain mean",
-                 "barrier p99 us"], rows)
+                 "barrier p50 us", "barrier p99 us"], rows)
     report_stages(doc.get("counters", {}), prefixes)
     report_workers(doc.get("counters", {}), prefixes)
 
