@@ -9,8 +9,9 @@
 // the bench). The sweep then reports, per substrate and shard count,
 // wall-clock throughput, task sojourn (p50/p95/p99 us), the slowdown versus
 // the in-proc run at the same worker count, and the wire bill: bytes and
-// frames per step, barrier count, and barrier round-trip latency — the
-// cross-process analogue of the in-proc barrier stall.
+// frames per step, the exchange count (wire.barriers), and each exchange's
+// peer wait (wire.barrier_rtt_*: a shard's first peer write to its last
+// peer frame) — the cross-process analogue of the in-proc barrier stall.
 //
 // Gauges land under exp26.<substrate>.w<k>.*; tools/perfbench.py --grids=exp26
 // folds them into the perf report.
@@ -173,8 +174,8 @@ int main(int argc, char** argv) {
 
   util::print_banner("EXP-26  cross-process transport: the price of a wire");
   util::print_note("expect: identical protocol outputs on every substrate "
-                   "(shadow-checked below); UDS pays per-superstep barrier "
-                   "RTTs and frame serialisation, TCP adds loopback stack "
+                   "(shadow-checked below); UDS pays a peer wait per "
+                   "exchange and frame serialisation, TCP adds loopback stack "
                    "overhead on top — throughput gap narrows as spin work "
                    "grows");
 
@@ -199,7 +200,7 @@ int main(int argc, char** argv) {
 
   util::Table table({"substrate", "workers", "tasks/sec", "vs inproc",
                      "p50 us", "p99 us", "max load", "KB/step",
-                     "barrier rtt p99 us"});
+                     "peer wait p99 us"});
 
   for (unsigned w : workers) {
     double inproc_rate = 0;

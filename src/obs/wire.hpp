@@ -1,7 +1,8 @@
 // Per-link wire gauges for socket-backed transports: byte/frame counts per
-// direction plus the control-plane round-trip histogram (microseconds from
-// barrier send to release receipt — the cross-process analogue of the
-// in-proc barrier stall). export_wire_stats() lays them into a
+// direction, the exchange count (`barriers`, summed over shards) and the
+// per-exchange peer wait (`barrier_rtt_us`: microseconds from a shard's
+// first peer write of an exchange to the last peer frame in — the
+// cross-process analogue of the in-proc barrier stall). export_wire_stats() lays them into a
 // MetricsRegistry under a caller prefix so bench harnesses and the EXP-26
 // report read one vocabulary regardless of transport.
 #pragma once

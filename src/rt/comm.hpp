@@ -19,8 +19,9 @@
 // Arrival order is the substrate's; the kernel sorts wherever order
 // matters. Two implementations exist: InProcComm below (per-destination
 // Batch outboxes double-buffered by superstep parity behind a
-// PhaseBarrier) and transport::SocketComm (per-peer kBatch frames plus the
-// coordinator's kBarrier/kRelease exchange).
+// PhaseBarrier) and transport::SocketComm (one kBatch frame per peer per
+// exchange, carrying the blob and the messages; the exchange ends once
+// every peer's frame is in).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +36,7 @@ namespace clb::rt {
 
 /// The contiguous block partition of n processors over `shards`
 /// (util::block_range layout: shard order = ascending processor order).
+/// Every shard layout in the runtime and the transport comes from here.
 class Partition {
  public:
   Partition(std::uint64_t n, unsigned shards)

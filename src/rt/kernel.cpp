@@ -84,6 +84,9 @@ ShardKernel::ShardKernel(const RtConfig& cfg, sim::LoadModel* model,
     liveness_ = core::LivenessSchedule(cfg_.n, cfg_.crashes);
   }
   if (cfg_.policy == RtPolicy::kThreshold) stamps_.resize(end_ - begin_);
+  if (cfg_.telemetry_interval != 0) {
+    snap_ = std::make_unique<obs::WorkerTelemetry>();
+  }
   block_load_.resize((end_ - begin_ + kDrawBlock - 1) / kDrawBlock);
   if (cfg_.policy == RtPolicy::kStaleSq ||
       cfg_.policy == RtPolicy::kLocalSearch) {
@@ -307,7 +310,7 @@ void ShardKernel::step(std::uint64_t step) {
     // the emitter is telemetry overhead, not a protocol stall.
     if (cfg_.telemetry_interval != 0 &&
         (step + 1) % cfg_.telemetry_interval == 0) {
-      snap_ = telem_;
+      *snap_ = telem_;
       snap_load_ = shard_load_;
       (void)comm_.exchange({});
       if (index_ == 0 && on_snapshot) on_snapshot(step);

@@ -21,20 +21,22 @@
 //
 // Determinism contract: drained batches whose processing order matters
 // (child assignment, id matching, scatter arrival, zoo/steal/re-home
-// arrivals) are sorted by the message's canonical key before processing. Those keys encode protocol positions (global node
-// slots, tree edges (g, s)), and the global node numbering and transfer
-// ordinals come from prefix scans over the exchanged per-shard counts —
-// replicated on every shard, so no shard leads and the order is
-// partition-invariant. A run is bit-for-bit reproducible for ANY shard count
-// and either substrate, matching sim::Engine with the same seed
-// (verified by test_rt_equivalence and the transport shadow check). The
-// measurement knobs (spin_work, time_sojourn) add CPU cost and wall-clock
-// stamps without changing any protocol output.
+// arrivals) are sorted by the message's canonical key before processing.
+// Those keys encode protocol positions (global node slots, tree edges
+// (g, s)), and the global node numbering and transfer ordinals come from
+// prefix scans over the exchanged per-shard counts — replicated on every
+// shard, so no shard leads and the order is partition-invariant. A run is
+// bit-for-bit reproducible for ANY shard count and either substrate,
+// matching sim::Engine with the same seed (verified by test_rt_equivalence
+// and the transport shadow check). The measurement knobs (spin_work,
+// time_sojourn) add CPU cost and wall-clock stamps without changing any
+// protocol output.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -78,8 +80,9 @@ class ShardKernel {
   [[nodiscard]] const obs::WorkerTelemetry& telemetry() const {
     return telem_;
   }
-  /// The copy published at the last snapshot step, and the shard load then.
-  [[nodiscard]] const obs::WorkerTelemetry& snapshot() const { return snap_; }
+  /// The copy published at the last snapshot step, and the shard load then
+  /// (only with telemetry_interval set).
+  [[nodiscard]] const obs::WorkerTelemetry& snapshot() const { return *snap_; }
   [[nodiscard]] std::uint64_t snapshot_load() const { return snap_load_; }
   /// Called on shard 0 at every telemetry_interval step, between two
   /// exchanges, while every shard's snapshot() is stable.
@@ -277,7 +280,7 @@ class ShardKernel {
 
   // Telemetry (single-writer).
   obs::WorkerTelemetry telem_;
-  obs::WorkerTelemetry snap_;
+  std::unique_ptr<obs::WorkerTelemetry> snap_;  // with telemetry_interval
   std::uint64_t snap_load_ = 0;
   std::uint64_t step_stall_ns_ = 0;
   std::uint64_t cur_step_ = 0;

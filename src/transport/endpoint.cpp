@@ -15,9 +15,9 @@ namespace clb::transport {
 
 namespace {
 
-// Generous kernel buffers: one superstep's all-to-all batch flush must fit
-// in flight while every peer is still writing (blocking writes + full
-// buffers on a cycle would deadlock; see docs/transport.md "Backpressure").
+// Generous kernel buffers, so a typical exchange frame goes out in one
+// write. Correctness does not depend on them: an exchange drives its writes
+// and reads from one poll() loop (transport::SocketComm::exchange).
 constexpr int kSockBuf = 1 << 20;
 
 void tune_socket(int fd) {
@@ -52,6 +52,8 @@ Endpoint& Endpoint::operator=(Endpoint&& o) noexcept {
     bytes_received_ = o.bytes_received_;
     frames_received_ = o.frames_received_;
     reader_ = std::move(o.reader_);
+    out_ = std::move(o.out_);
+    out_off_ = o.out_off_;
   }
   return *this;
 }
@@ -72,6 +74,7 @@ void Endpoint::close_fd() {
 void Endpoint::send_frame(FrameType type, const std::uint8_t* payload,
                           std::size_t len) {
   CLB_CHECK(fd_ >= 0, "transport: send on a closed endpoint");
+  CLB_CHECK(!sending(), "transport: a frame sent behind an unsent one");
   const std::vector<std::uint8_t> wire =
       encode_frame(type, ++next_seq_, payload, len);
   write_all(fd_, wire.data(), wire.size());
@@ -79,27 +82,52 @@ void Endpoint::send_frame(FrameType type, const std::uint8_t* payload,
 }
 
 Frame Endpoint::recv_frame() {
-  CLB_CHECK(fd_ >= 0, "transport: recv on a closed endpoint");
   Frame f;
-  for (;;) {
-    const DecodeStatus st = reader_.next(f);
-    if (st == DecodeStatus::kOk) {
-      ++frames_received_;
-      return f;
-    }
-    if (st != DecodeStatus::kNeedMore) {
-      CLB_CHECK(false, reader_.error().c_str());
-    }
-    std::uint8_t buf[64 * 1024];
-    const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      CLB_CHECK(false, "transport: socket read failed");
-    }
-    CLB_CHECK(r != 0, "transport: peer closed the connection mid-stream");
-    bytes_received_ += static_cast<std::uint64_t>(r);
-    reader_.feed(buf, static_cast<std::size_t>(r));
+  while (!next_frame(f)) read_into_decoder(0);
+  return f;
+}
+
+void Endpoint::queue_frame(FrameType type,
+                           const std::vector<std::uint8_t>& payload) {
+  CLB_CHECK(fd_ >= 0, "transport: send on a closed endpoint");
+  CLB_CHECK(!sending(), "transport: a frame queued behind an unsent one");
+  out_ = encode_frame(type, ++next_seq_, payload);
+  out_off_ = 0;
+  bytes_sent_ += out_.size();
+}
+
+void Endpoint::send_some() {
+  const ssize_t w = ::send(fd_, out_.data() + out_off_, out_.size() - out_off_,
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
+  if (w < 0) {
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return;
+    CLB_CHECK(false, "transport: socket write failed (peer died?)");
   }
+  out_off_ += static_cast<std::size_t>(w);
+}
+
+void Endpoint::recv_some() { read_into_decoder(MSG_DONTWAIT); }
+
+bool Endpoint::next_frame(Frame& f) {
+  CLB_CHECK(fd_ >= 0, "transport: recv on a closed endpoint");
+  const DecodeStatus st = reader_.next(f);
+  if (st == DecodeStatus::kNeedMore) return false;
+  if (st != DecodeStatus::kOk) CLB_CHECK(false, reader_.error().c_str());
+  ++frames_received_;
+  return true;
+}
+
+void Endpoint::read_into_decoder(int flags) {
+  std::uint8_t buf[64 * 1024];
+  ssize_t r = 0;
+  do {
+    r = ::recv(fd_, buf, sizeof(buf), flags);
+  } while (r < 0 && errno == EINTR);
+  if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+  CLB_CHECK(r >= 0, "transport: socket read failed");
+  CLB_CHECK(r != 0, "transport: peer closed the connection mid-stream");
+  bytes_received_ += static_cast<std::uint64_t>(r);
+  reader_.feed(buf, static_cast<std::size_t>(r));
 }
 
 std::pair<Endpoint, Endpoint> make_stream_pair(WireKind kind) {

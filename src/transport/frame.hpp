@@ -30,7 +30,7 @@
 namespace clb::transport {
 
 inline constexpr std::uint32_t kFrameMagic = 0x46424C43u;  // "CLBF"
-inline constexpr std::uint8_t kWireVersion = 5;
+inline constexpr std::uint8_t kWireVersion = 6;
 inline constexpr std::size_t kFrameHeaderSize = 24;
 /// Safety valve against garbage length fields; generous for any batch the
 /// protocol can produce (transfers are T/4 tasks of 16 bytes each).
@@ -44,10 +44,8 @@ enum class FrameType : std::uint8_t {
   kCollect = 5,   ///< coordinator -> worker: ship final state
   kState = 6,     ///< worker -> coordinator: serialized shard state
   kShutdown = 7,  ///< coordinator -> worker: exit cleanly
-  kBarrier = 8,   ///< worker -> coordinator: superstep barrier + blob
-  kRelease = 9,   ///< coordinator -> worker: barrier release + all blobs
-  kDone = 10,     ///< worker -> coordinator: run command finished
-  kBatch = 11,    ///< worker -> worker: one superstep's protocol messages
+  kDone = 10,     ///< worker -> coordinator and peers: run command finished
+  kBatch = 11,    ///< worker -> worker: one exchange's blob and messages
 };
 
 struct Frame {

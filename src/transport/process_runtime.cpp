@@ -6,7 +6,6 @@
 #include <chrono>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace clb::transport {
 
@@ -140,26 +139,11 @@ void ProcessRuntime::run(std::uint64_t steps) {
   w.u64(steps);
   for (Endpoint& c : ctl_) c.send_frame(FrameType::kRun, w.data());
 
-  // Barrier service: every child hits the same superstep schedule, so the
-  // coordinator sees homogeneous waves — W kBarrier frames (answered with
-  // one kRelease concatenating all blobs) until the W kDone frames land.
-  std::vector<Frame> wave(cfg_.workers);
-  for (;;) {
-    for (unsigned i = 0; i < cfg_.workers; ++i) {
-      wave[i] = ctl_[i].recv_frame();
-      CLB_CHECK(wave[i].type == wave[0].type,
-                "transport: superstep schedule divergence across workers");
-    }
-    if (wave[0].type == FrameType::kDone) break;
-    CLB_CHECK(wave[0].type == FrameType::kBarrier,
-              "transport: unexpected frame in the barrier service loop");
-    Writer release;
-    for (const Frame& f : wave) {
-      release.bytes(f.payload.data(), f.payload.size());
-    }
-    for (Endpoint& c : ctl_) {
-      c.send_frame(FrameType::kRelease, release.data());
-    }
+  // The shards exchange among themselves; the coordinator only waits for
+  // every kDone.
+  for (Endpoint& c : ctl_) {
+    CLB_CHECK(c.recv_frame().type == FrameType::kDone,
+              "transport: expected kDone from a shard worker");
   }
   wall_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -199,7 +183,7 @@ void ProcessRuntime::collect() {
         static_cast<std::uint64_t>(now_ns - cfg_.clock_origin_ns) / 1000 + 1};
     ShardState st = ShardState::deserialize(r, bound);
     CLB_CHECK(r.exhausted(), "transport: trailing bytes after kState payload");
-    const auto [b, e] = util::block_range(cfg_.n, cfg_.workers, i);
+    const auto [b, e] = part_.range(i);
     CLB_CHECK(st.begin == b && st.end == e && st.procs.size() == e - b,
               "transport: shard state does not match the partition");
     for (std::uint64_t p = b; p < e; ++p) {

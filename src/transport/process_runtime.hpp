@@ -2,10 +2,10 @@
 // runtime: forks one OS process per shard, wires a full data-plane mesh plus
 // one control link per child BEFORE forking (children inherit connected
 // sockets and never dial), distributes the run configuration in a kConfig
-// handshake, services the superstep barrier as explicit control-plane
-// messages (kBarrier in, kRelease with every worker's reduction blob out —
-// the cross-process PhaseBarrier), and collects ledgers, counters, queues
-// and phase logs at kCollect.
+// handshake, starts runs (kRun, then one kDone from every child) and
+// collects ledgers, counters, queues and phase logs at kCollect. It is not
+// part of any superstep: the shards exchange blobs and messages among
+// themselves on the data mesh (transport/shard_engine.hpp).
 //
 // Its outcome is the same rt::RunResult rt::Runtime returns (result()), so
 // harnesses swap substrates without changing their measurement code and
@@ -62,8 +62,8 @@ class ProcessRuntime {
   ProcessRuntime(const ProcessRuntime&) = delete;
   ProcessRuntime& operator=(const ProcessRuntime&) = delete;
 
-  /// Executes `steps` on all shard processes, servicing their barriers
-  /// until every child reports kDone. Callable repeatedly.
+  /// Executes `steps` on all shard processes and waits until every child
+  /// reports kDone. Callable repeatedly.
   void run(std::uint64_t steps);
 
   /// Appends a task to p's queue (routed to the owning child). Mirrors
@@ -85,8 +85,8 @@ class ProcessRuntime {
   /// processors, every shard's outputs merged and canonically sorted, the
   /// step count. Implies collect().
   [[nodiscard]] const rt::RunResult& result();
-  /// Wire accounting merged over every child's links (bytes, frames,
-  /// barrier count, barrier RTT histogram).
+  /// Wire accounting merged over every child's links (bytes, frames, the
+  /// exchange count and each exchange's peer wait in barrier_rtt_us).
   [[nodiscard]] const obs::WireStats& wire_stats();
   /// Wall-clock seconds spent inside run() so far.
   [[nodiscard]] double wall_seconds() const { return wall_seconds_; }

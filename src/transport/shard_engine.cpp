@@ -1,5 +1,6 @@
 #include "transport/shard_engine.hpp"
 
+#include <cerrno>
 #include <chrono>
 #include <span>
 #include <string>
@@ -113,12 +114,10 @@ constexpr std::uint64_t rt::ShardOutputs::*kScalars[] = {
     &rt::ShardOutputs::queued_delay,     &rt::ShardOutputs::mutation_applied,
 };
 
-std::vector<rt::RtProcessor> shard_processors(const ShardRunConfig& cfg,
+std::vector<rt::RtProcessor> shard_processors(const rt::Partition& part,
+                                              unsigned index,
                                               rt::TaskArena& arena) {
-  CLB_CHECK(cfg.workers >= 1 && cfg.index < cfg.workers &&
-                cfg.workers <= cfg.n,
-            "transport: worker index out of range");
-  const auto [b, e] = util::block_range(cfg.n, cfg.workers, cfg.index);
+  const auto [b, e] = part.range(index);
   std::vector<rt::RtProcessor> procs;
   procs.reserve(e - b);
   for (std::uint64_t p = b; p < e; ++p) {
@@ -176,6 +175,8 @@ ShardRunConfig ShardRunConfig::deserialize(Reader& r) {
   c.seed = r.u64();
   c.workers = r.u32();
   c.index = r.u32();
+  CLB_CHECK(c.workers >= 1 && c.index < c.workers && c.workers <= c.n,
+            "transport: worker index out of range");
   c.policy = static_cast<rt::RtPolicy>(r.u8());
   CLB_CHECK(c.policy <= rt::RtPolicy::kLocalSearch,
             "unknown rt policy on the wire");
@@ -320,16 +321,12 @@ ShardState ShardState::deserialize(Reader& r, const HistBounds& bound) {
 // ---------------------------------------------------------------------------
 
 SocketComm::SocketComm(const ShardRunConfig& cfg, const rt::Partition& part,
-                       Endpoint& control, std::vector<Endpoint> peers,
-                       obs::WireStats& wire)
+                       std::vector<Endpoint> peers, obs::WireStats& wire)
     : rt::Comm(part, cfg.index),
-      control_(control),
       wire_(wire),
       corrupt_ordinal_(cfg.mutation == sim::MutationKind::kFrameCorrupt
                            ? cfg.mutation_ordinal
                            : 0),
-      data_plane_(cfg.policy != rt::RtPolicy::kNone || cfg.steal.enabled ||
-                  !cfg.crashes.empty()),
       blobs_(part.shards()) {
   peers_.resize(peers.size());
   for (std::size_t i = 0; i < peers.size(); ++i) {
@@ -374,67 +371,140 @@ void SocketComm::post(unsigned dest_shard, const rt::Envelope& e) {
 }
 
 rt::Comm::Blobs SocketComm::exchange(std::span<const std::uint64_t> blob) {
-  self_sealed_.append(self_open_);
-  if (data_plane_) {
-    // Exactly one kBatch frame per peer per exchange — possibly empty. The
-    // receiver counts batches, not messages, so a drain knows when it has
-    // everything (see drain()).
-    for (unsigned i = 0; i < part_.shards(); ++i) {
-      if (i == self_) continue;
-      PeerChannel& ch = peers_[i];
-      Writer payload;
-      payload.u32(ch.batch_count);
-      payload.bytes(ch.batch.data().data(), ch.batch.size());
-      ch.ep.send_frame(FrameType::kBatch, payload.data());
-      ch.batch = Writer();
-      ch.batch_count = 0;
-    }
-    ++data_rounds_;
-  }
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(blob.size()));
-  for (const std::uint64_t v : blob) w.u64(v);
-  const auto t0 = std::chrono::steady_clock::now();
-  control_.send_frame(FrameType::kBarrier, w.data());
-  Frame f = control_.recv_frame();
-  CLB_CHECK(f.type == FrameType::kRelease,
-            "transport: expected kRelease at a barrier");
-  const auto rtt = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  wire_.barrier_rtt_us.add(rtt);
+  using Clock = std::chrono::steady_clock;
+  const std::uint64_t e = ++exchanges_;
   ++wire_.barriers;
-
-  Reader r(f.payload);
-  for (std::vector<std::uint64_t>& b : blobs_) {
-    b.resize(r.count(8, "kRelease blob"));
-    for (std::uint64_t& v : b) v = r.u64();
-  }
-  CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kRelease payload");
-  return blobs_;
-}
-
-void SocketComm::drain(rt::Batch& out) {
-  out.append(self_sealed_);
+  unsigned pending = 0;
   for (unsigned i = 0; i < part_.shards(); ++i) {
     if (i == self_) continue;
     PeerChannel& ch = peers_[i];
-    while (ch.batches_consumed < data_rounds_) {
-      Frame f = ch.ep.recv_frame();
-      CLB_CHECK(f.type == FrameType::kBatch,
-                "transport: expected a kBatch frame on a data link");
-      Reader r(f.payload);
-      const std::uint32_t count = r.u32();
-      for (std::uint32_t k = 0; k < count; ++k) deserialize_msg(r, out);
-      CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kBatch frame");
-      ++ch.batches_consumed;
+    Writer payload;
+    payload.u64(e);
+    payload.u32(static_cast<std::uint32_t>(blob.size()));
+    for (const std::uint64_t v : blob) payload.u64(v);
+    payload.u32(ch.batch_count);
+    payload.bytes(ch.batch.data().data(), ch.batch.size());
+    ch.ep.queue_frame(FrameType::kBatch, payload.data());
+    ch.batch = Writer();
+    ch.batch_count = 0;
+    ch.in_done = false;
+    ++pending;
+  }
+
+  // Write and read together until every frame is out and every peer's
+  // frame e is in: a peer blocked writing to us is always being read.
+  const Clock::time_point t0 = Clock::now();
+  Clock::time_point t_in = t0;
+  for (;;) {
+    fds_.clear();
+    fd_peer_.clear();
+    for (unsigned i = 0; i < part_.shards(); ++i) {
+      if (i == self_) continue;
+      PeerChannel& ch = peers_[i];
+      Frame f;
+      while (!ch.in_done && ch.ep.next_frame(f)) {
+        accept(i, std::move(f));
+        if (ch.in_done && --pending == 0) t_in = Clock::now();
+      }
+      const short events = static_cast<short>(
+          (ch.ep.sending() ? POLLOUT : 0) | (ch.in_done ? 0 : POLLIN));
+      if (events != 0) {
+        fds_.push_back(pollfd{ch.ep.fd(), events, 0});
+        fd_peer_.push_back(i);
+      }
+    }
+    if (fds_.empty()) break;
+    if (::poll(fds_.data(), fds_.size(), -1) < 0) {
+      CLB_CHECK(errno == EINTR, "transport: poll on the peer links failed");
+      continue;
+    }
+    for (std::size_t k = 0; k < fds_.size(); ++k) {
+      const short re = fds_[k].revents;
+      Endpoint& ep = peers_[fd_peer_[k]].ep;
+      // An error or hang-up goes to the pending operation, which aborts.
+      if ((fds_[k].events & POLLOUT) != 0 && (re & ~POLLIN) != 0) {
+        ep.send_some();
+      }
+      if ((fds_[k].events & POLLIN) != 0 && (re & ~POLLOUT) != 0) {
+        ep.recv_some();
+      }
     }
   }
+  wire_.barrier_rtt_us.add(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(t_in - t0)
+          .count()));
+
+  // Blobs and messages in shard order, the own shard's in its place.
+  for (unsigned i = 0; i < part_.shards(); ++i) {
+    std::vector<std::uint64_t>& b = blobs_[i];
+    if (i == self_) {
+      b.assign(blob.begin(), blob.end());
+      inbox_.append(self_open_);
+      continue;
+    }
+    Reader r(peers_[i].in.payload);
+    (void)r.u64();  // the ordinal, checked on arrival
+    b.resize(r.count(8, "kBatch blob"));
+    for (std::uint64_t& v : b) v = r.u64();
+    const std::uint32_t count = r.count(kRecordWireSize, "kBatch message");
+    for (std::uint32_t k = 0; k < count; ++k) deserialize_msg(r, inbox_);
+    CLB_CHECK(r.exhausted(), "transport: trailing bytes in a kBatch frame");
+  }
+  return blobs_;
 }
 
+void SocketComm::accept(unsigned peer, Frame f) {
+  PeerChannel& ch = peers_[peer];
+  const auto diverged = [&](const std::string& what) {
+    const std::string msg = "transport: superstep schedule divergence "
+                            "between shard " + std::to_string(self_) +
+                            " and shard " + std::to_string(peer) + ": " + what;
+    util::check_failed("same exchange schedule", __FILE__, __LINE__,
+                       msg.c_str());
+  };
+  const auto n = [](std::uint64_t v) { return std::to_string(v); };
+  Reader r(f.payload);
+  if (f.type == FrameType::kDone) {
+    const std::uint64_t count = r.u64();
+    CLB_CHECK(r.exhausted(), "transport: malformed kDone on a peer link");
+    if (!ch.done_owed) {
+      diverged("shard " + n(peer) + " ended its run after " + n(count) +
+               " exchanges while shard " + n(self_) + " waits for exchange " +
+               n(exchanges_));
+    }
+    if (count != run_end_) {
+      diverged("shard " + n(self_) + " ended its last run after " +
+               n(run_end_) + " exchanges, shard " + n(peer) + " after " +
+               n(count));
+    }
+    ch.done_owed = false;
+    return;
+  }
+  CLB_CHECK(f.type == FrameType::kBatch,
+            "transport: unexpected frame type on a peer link");
+  const std::uint64_t ordinal = r.u64();
+  if (ordinal != exchanges_) {
+    diverged("shard " + n(self_) + " is at exchange " + n(exchanges_) +
+             ", shard " + n(peer) + " sent exchange " + n(ordinal));
+  }
+  ch.in = std::move(f);
+  ch.in_done = true;
+}
+
+void SocketComm::end_run() {
+  Writer w;
+  w.u64(exchanges_);
+  for (unsigned i = 0; i < part_.shards(); ++i) {
+    if (i == self_) continue;
+    peers_[i].ep.send_frame(FrameType::kDone, w.data());
+    peers_[i].done_owed = true;
+  }
+  run_end_ = exchanges_;
+}
+
+void SocketComm::drain(rt::Batch& out) { out.append(inbox_); }
+
 void SocketComm::account_into(obs::WireStats& s) const {
-  control_.account_into(s);
   for (const PeerChannel& ch : peers_) {
     if (ch.ep.valid()) ch.ep.account_into(s);
   }
@@ -461,8 +531,8 @@ ShardEngine::ShardEngine(ShardRunConfig cfg, Endpoint control,
       model_(cfg_.model.make(cfg_.n)),
       control_(std::move(control)),
       part_(cfg_.n, cfg_.workers),
-      procs_(shard_processors(cfg_, arena_)),
-      comm_(cfg_, part_, control_, std::move(peers), wire_),
+      procs_(shard_processors(part_, cfg_.index, arena_)),
+      comm_(cfg_, part_, std::move(peers), wire_),
       kernel_(cfg_, model_.get(), comm_, procs_,
               std::chrono::steady_clock::time_point(
                   std::chrono::nanoseconds(cfg_.clock_origin_ns))) {}
@@ -478,6 +548,9 @@ void ShardEngine::serve() {
         CLB_CHECK(r.exhausted(), "transport: malformed kRun payload");
         for (std::uint64_t s = 0; s < steps; ++s) kernel_.step(step_base_ + s);
         step_base_ += steps;
+        // The peers' kDone first: the coordinator's next kRun then finds
+        // every peer's kDone already on the links.
+        comm_.end_run();
         control_.send_frame(FrameType::kDone, nullptr, 0);
         break;
       }
@@ -509,6 +582,7 @@ void ShardEngine::collect_state() {
   // buffer, so the kernel's view of the shard stays valid.
   st.procs = std::move(procs_);
   st.wire = wire_;
+  control_.account_into(st.wire);
   comm_.account_into(st.wire);
   Writer w;
   st.serialize(w);

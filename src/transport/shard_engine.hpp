@@ -1,20 +1,19 @@
 // The per-process shard engine: one worker process's half of the
 // cross-process runtime. It runs the same rt::ShardKernel an rt::Runtime
 // worker thread runs (rt/kernel.hpp); all it adds is the rt::Comm that
-// carries the kernel's messages and reductions across real sockets:
-//
-//   * messages to another shard accumulate into one per-peer batch, flushed
-//     as a single kBatch frame at every exchange (per-link FIFO order means
-//     a drain that has consumed k batches from a peer has seen every
-//     message that peer sent before its k-th exchange — exactly the Comm
-//     contract);
-//   * every exchange is an explicit control-plane round trip with the
-//     coordinator: kBarrier carries this shard's reduction blob, kRelease
-//     returns all shards' blobs.
-//
-// Plus the control loop: the kConfig handshake, kRun/kDeposit/kCollect and
+// carries the kernel's messages and reductions across real sockets, and
+// the control loop: the kConfig handshake, kRun/kDeposit/kCollect and
 // kShutdown (serve), and shipping the end-of-run state (collect).
+//
+// Every exchange is one all-to-all superstep on the peer links, with no
+// coordinator in it: exchange e sends each peer one kBatch frame holding
+// the ordinal e, this shard's reduction blob and the messages it sent that
+// peer since exchange e - 1, and ends once frame e from every peer is in.
+// Per-link FIFO and the frame seq prove nothing is missing, so that is the
+// Comm contract: a drain sees every message sent before the last exchange.
 #pragma once
+
+#include <poll.h>
 
 #include <cstdint>
 #include <memory>
@@ -80,17 +79,26 @@ struct ShardState : rt::ShardOutputs {
 /// normally — the caller _exit()s after it does.
 void shard_worker_main(Endpoint control, std::vector<Endpoint> peers);
 
-/// rt::Comm over sockets: per-peer kBatch frames on the data links, the
-/// kBarrier/kRelease allgather on the control link.
+/// rt::Comm over the peer sockets. exchange() drives the writes and reads
+/// of one superstep from one poll() loop over the peer links, so full
+/// socket buffers on a cycle of peers cannot stall it at any frame size.
+///
+/// Schedule divergence is convicted, never waited out: a frame whose
+/// ordinal is not the expected one aborts naming both shards and both
+/// ordinals. end_run() sends each peer a kDone carrying this shard's
+/// exchange count; a peer that reads it while still waiting for an
+/// exchange frame aborts, and one whose own count differs, when it meets
+/// the kDone at its next run, aborts too, naming both shards.
 class SocketComm final : public rt::Comm {
  public:
   SocketComm(const ShardRunConfig& cfg, const rt::Partition& part,
-             Endpoint& control, std::vector<Endpoint> peers,
-             obs::WireStats& wire);
+             std::vector<Endpoint> peers, obs::WireStats& wire);
 
   void drain(rt::Batch& out) override;
   Blobs exchange(std::span<const std::uint64_t> blob) override;
-  /// Adds every link's byte/frame counters into `s`.
+  /// Ends a kRun: sends each peer a kDone with the exchange count so far.
+  void end_run();
+  /// Adds every peer link's byte/frame counters into `s`.
   void account_into(obs::WireStats& s) const;
   /// Frames the frame-corrupt mutation forged (folded into the collected
   /// ShardState's mutation_applied witness).
@@ -104,12 +112,16 @@ class SocketComm final : public rt::Comm {
  private:
   struct PeerChannel {
     Endpoint ep;
-    Writer batch;  // messages accumulated this superstep
+    Writer batch;  // messages accumulated since the last exchange
     std::uint32_t batch_count = 0;
-    std::uint64_t batches_consumed = 0;
+    Frame in;  // this exchange's frame from the peer, once it is whole
+    bool in_done = false;
+    bool done_owed = false;  // its kDone for our last run is still unread
   };
 
-  Endpoint& control_;
+  /// Files a frame read from `peer` during exchange `exchanges_`.
+  void accept(unsigned peer, Frame f);
+
   std::vector<PeerChannel> peers_;
   obs::WireStats& wire_;
   /// The frame-corrupt mutation (RtConfig::mutation): corrupt the k-th
@@ -120,11 +132,14 @@ class SocketComm final : public rt::Comm {
   /// 0 = off.
   const std::uint64_t corrupt_ordinal_;
   std::uint64_t corrupted_ = 0;
-  const bool data_plane_;          // policy kNone without steal/crash sends none
-  std::uint64_t data_rounds_ = 0;  // flushing exchanges passed so far
   std::uint64_t remote_transfers_ = 0;  // kTransfer messages serialised
-  rt::Batch self_open_, self_sealed_;  // own-shard messages
+  std::uint64_t exchanges_ = 0;         // ordinal of the last exchange
+  std::uint64_t run_end_ = 0;           // exchanges_ at the last end_run()
+  rt::Batch self_open_;                 // own-shard messages, this superstep
+  rt::Batch inbox_;                     // exchanged, not drained yet
   std::vector<std::vector<std::uint64_t>> blobs_;
+  std::vector<pollfd> fds_;
+  std::vector<unsigned> fd_peer_;       // fds_[k] is the link to fd_peer_[k]
 };
 
 /// The engine itself: the shard's processors, its kernel, and the control

@@ -117,6 +117,8 @@ struct ModelSpec {
 /// and appends the envelope (from, to, due, SeqKey). See docs/transport.md.
 inline constexpr std::uint8_t kEnvelopeBit = 0x80;
 inline constexpr std::size_t kTaskWireSize = 16;
+/// The smallest record: no payload, no envelope.
+inline constexpr std::size_t kRecordWireSize = 1 + 8 + 4 + 4 + 4;
 
 void serialize_msg(Writer& w, const rt::Msg& m,
                    std::span<const rt::RtTask> tasks = {});

@@ -108,8 +108,8 @@ TEST_P(TransportEquivalence, UdsMatchesShadowForAllShardCounts) {
     EXPECT_TRUE(pr->result().conservation_holds());
     EXPECT_FALSE(pr->result().out.phases.empty());
 
-    // The wire actually carried the run: frames in both planes, one barrier
-    // wave per superstep, RTTs measured.
+    // The wire actually carried the run: frames on the control and peer
+    // links, each shard's exchanges counted, each one's peer wait measured.
     const obs::WireStats& ws = pr->wire_stats();
     EXPECT_GT(ws.bytes_sent, 0u);
     EXPECT_GT(ws.frames_sent, 0u);
@@ -148,8 +148,9 @@ TEST(TransportTcp, MatchesShadow) {
   EXPECT_GT(pr.wire_stats().barriers, 0u);
 }
 
-// kNone policy: no data plane at all (no kBatch frames), only the lockstep
-// barrier; generation/consumption must still match the shadow exactly.
+// kNone policy: no protocol messages, only the lockstep exchanges (empty
+// kBatch frames carrying the blobs); generation/consumption must still
+// match the shadow exactly.
 TEST(TransportNone, UnbalancedMatchesShadow) {
   ShardRunConfig cfg = make_cfg(128, 11, 3, WhichModel::kBurst);
   cfg.policy = rt::RtPolicy::kNone;
@@ -158,6 +159,58 @@ TEST(TransportNone, UnbalancedMatchesShadow) {
   const ShadowReport rep = shadow_check(pr);
   EXPECT_TRUE(rep.ok) << rep.divergence;
   EXPECT_EQ(pr.result().out.msg.transfers, 0u);
+}
+
+// An exchange frame can outgrow the socket buffers in both directions at
+// once: all-in-air scatters whole queues, and a burst of 8 tasks a step on
+// every processor makes them long, so both shards write a multi-MiB frame
+// to each other in the same exchange. The exchange drives its writes and reads from one
+// poll() loop, so neither shard blocks writing while the other does.
+TEST(TransportBackpressure, AllInAirScatterLargerThanSocketBuffers) {
+  models::BurstConfig bc;
+  bc.period = 64;
+  bc.burst_len = 64;
+  bc.hot_fraction = 1.0;
+  bc.burst_rate = 8;
+  ShardRunConfig cfg;
+  cfg.n = 2048;
+  cfg.seed = 1;
+  cfg.workers = 2;
+  cfg.policy = rt::RtPolicy::kAllInAir;
+  cfg.model = ModelSpec::bursty(bc);
+  ProcessRuntime pr(cfg, WireKind::kUds);
+  pr.run(24);
+  const ShadowReport rep = shadow_check(pr);
+  EXPECT_TRUE(rep.ok) << rep.divergence;
+  EXPECT_TRUE(pr.result().conservation_holds());
+}
+
+// Stale shortest-queue exchanges its shard's board as the blob, so at
+// n = 2^20 every peer frame carries 4 MiB each way, several times the
+// socket buffers.
+TEST(TransportBackpressure, StaleSqBoardBlobLargerThanSocketBuffers) {
+  ShardRunConfig cfg;
+  cfg.n = 1u << 20;
+  cfg.seed = 1;
+  cfg.workers = 2;
+  cfg.policy = rt::RtPolicy::kStaleSq;
+  cfg.model = spec_for(WhichModel::kSingle);
+  ProcessRuntime pr(cfg, WireKind::kUds);
+  pr.run(3);
+  const ShadowReport rep = shadow_check(pr);
+  EXPECT_TRUE(rep.ok) << rep.divergence;
+  EXPECT_GT(pr.wire_stats().bytes_sent, 2 * 3 * (std::uint64_t{4} << 20));
+}
+
+// One shard has no peers, so its exchanges write nothing: the only frames
+// on its wire are the control link's kConfigAck and the run's kDone.
+TEST(TransportOneShard, ExchangesSendNoFrames) {
+  ProcessRuntime pr(make_cfg(128, 5, 1, WhichModel::kBurst), WireKind::kUds);
+  pr.run(32);
+  const ShadowReport rep = shadow_check(pr);
+  EXPECT_TRUE(rep.ok) << rep.divergence;
+  EXPECT_GT(pr.wire_stats().barriers, 32u);
+  EXPECT_EQ(pr.wire_stats().frames_sent, 2u);
 }
 
 // The RtConfig seam: constructing from an rt::RtConfig with

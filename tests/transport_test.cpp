@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -112,15 +113,16 @@ TEST(FrameCodec, BadMagicConvicted) {
 }
 
 TEST(FrameCodec, BadVersionConvicted) {
-  // The next version, version 4 (value-keyed wall-clock histograms in
+  // The next version, version 5 (the coordinator's barrier frames, blobs
+  // outside kBatch), version 4 (value-keyed wall-clock histograms in
   // kState), version 3 (a `c` field in every batch record and a
   // deterministic byte in kConfig), version 2 (a u64 histogram pair count
   // in kState) and version 1 (per-message envelopes, before the task-lane
   // record): a peer built from any of them cannot be decoded.
-  static_assert(kWireVersion == 5);
-  for (const std::uint8_t v : {std::uint8_t{kWireVersion + 1},
-                               std::uint8_t{4}, std::uint8_t{3},
-                               std::uint8_t{2}, std::uint8_t{1}}) {
+  static_assert(kWireVersion == 6);
+  for (const std::uint8_t v :
+       {std::uint8_t{kWireVersion + 1}, std::uint8_t{5}, std::uint8_t{4},
+        std::uint8_t{3}, std::uint8_t{2}, std::uint8_t{1}}) {
     auto wire = encode_frame(FrameType::kRun, 1, bytes({1}));
     wire[4] = v;
     EXPECT_EQ(decode_frame(wire.data(), wire.size()).status,
@@ -157,8 +159,8 @@ TEST(FrameCodec, OversizedLengthConvicted) {
 
 TEST(FrameReaderTest, ReassemblesSplitFeeds) {
   FrameReader reader;
-  const auto w1 = encode_frame(FrameType::kBarrier, 1, bytes({1, 2}));
-  const auto w2 = encode_frame(FrameType::kRelease, 2, bytes({3, 4, 5}));
+  const auto w1 = encode_frame(FrameType::kRun, 1, bytes({1, 2}));
+  const auto w2 = encode_frame(FrameType::kState, 2, bytes({3, 4, 5}));
   std::vector<std::uint8_t> stream = w1;
   stream.insert(stream.end(), w2.begin(), w2.end());
 
@@ -170,10 +172,10 @@ TEST(FrameReaderTest, ReassemblesSplitFeeds) {
     while (reader.next(f) == DecodeStatus::kOk) {
       ++got;
       if (got == 1) {
-        EXPECT_EQ(f.type, FrameType::kBarrier);
+        EXPECT_EQ(f.type, FrameType::kRun);
         EXPECT_EQ(f.payload, bytes({1, 2}));
       } else {
-        EXPECT_EQ(f.type, FrameType::kRelease);
+        EXPECT_EQ(f.type, FrameType::kState);
         EXPECT_EQ(f.payload, bytes({3, 4, 5}));
       }
     }
@@ -416,10 +418,39 @@ TEST(PayloadCodecDeathTest, OutOfRangeEnumsRefused) {
                "unknown mutation kind on the wire");
 }
 
+/// Shard 0 of a two-shard SocketComm over one UDS link; the test plays
+/// shard 1 on `peer`.
+struct PeerLink {
+  PeerLink() {
+    ShardRunConfig cfg;
+    cfg.n = 4;
+    cfg.workers = 2;
+    auto [mine, theirs] = make_stream_pair(WireKind::kUds);
+    peer = std::move(theirs);
+    std::vector<Endpoint> links(2);
+    links[1] = std::move(mine);
+    comm = std::make_unique<SocketComm>(cfg, part, std::move(links), wire);
+  }
+  rt::Partition part{4, 2};
+  obs::WireStats wire;
+  Endpoint peer;
+  std::unique_ptr<SocketComm> comm;
+};
+
+/// A kBatch payload for exchange `ordinal`: a blob count, no messages.
+std::vector<std::uint8_t> batch_frame(std::uint64_t ordinal,
+                                      std::uint32_t blob_count) {
+  Writer w;
+  w.u64(ordinal);
+  w.u32(blob_count);
+  w.u32(0);
+  return w.take();
+}
+
 // A record count that the rest of the payload cannot hold is refused,
 // naming the field, before anything is sized by it: a corrupt u32 count
 // would otherwise ask for up to 2^32 records. One site each for the shard
-// state's per-processor and ledger lists and the barrier release's blobs.
+// state's per-processor and ledger lists and a peer kBatch's blob.
 TEST(PayloadCodecDeathTest, OversizedCountsRefusedByName) {
   // The first byte where `more` (one record more) encodes differently is
   // the low byte of that list's u32 count; all four set is 2^32 - 1.
@@ -445,21 +476,43 @@ TEST(PayloadCodecDeathTest, OversizedCountsRefusedByName) {
   EXPECT_DEATH((void)ShardState::deserialize(rl, {}),
                "ledger count runs past the frame");
 
-  // kRelease, met inside an exchange: a one-shard comm without a data
-  // plane, whose control link already holds the forged release.
-  ShardRunConfig cfg;
-  cfg.n = 4;
-  cfg.workers = 1;
-  cfg.policy = rt::RtPolicy::kNone;
-  const rt::Partition part(cfg.n, 1);
-  auto [coordinator, control] = make_stream_pair(WireKind::kUds);
-  obs::WireStats wire;
-  SocketComm comm(cfg, part, control, {}, wire);
-  Writer release;
-  release.u32(0xFFFFFFFFu);
-  coordinator.send_frame(FrameType::kRelease, release.data());
-  EXPECT_DEATH((void)comm.exchange({}),
-               "kRelease blob count runs past the frame");
+  // A peer's kBatch, met inside an exchange: shard 0 of a two-shard comm
+  // whose link from shard 1 already holds the forged frame.
+  PeerLink link;
+  link.peer.send_frame(FrameType::kBatch, batch_frame(1, 0xFFFFFFFFu));
+  EXPECT_DEATH((void)link.comm->exchange({}),
+               "kBatch blob count runs past the frame");
+}
+
+// A peer on another superstep schedule is convicted, naming both shards,
+// never waited for: a frame carrying another exchange ordinal, and a kDone
+// (the peer ended its run) met while an exchange frame is still due.
+TEST(SocketCommDeathTest, ScheduleDivergenceNamesBothShards) {
+  PeerLink ahead;
+  ahead.peer.send_frame(FrameType::kBatch, batch_frame(7, 0));
+  EXPECT_DEATH((void)ahead.comm->exchange({}),
+               "divergence between shard 0 and shard 1: shard 0 is at "
+               "exchange 1, shard 1 sent exchange 7");
+
+  PeerLink early;
+  Writer done;
+  done.u64(0);
+  early.peer.send_frame(FrameType::kDone, done.data());
+  EXPECT_DEATH((void)early.comm->exchange({}),
+               "divergence between shard 0 and shard 1: shard 1 ended its run "
+               "after 0 exchanges while shard 0 waits for exchange 1");
+
+  // The kDone of the last run carries another count than shard 0's own.
+  PeerLink counted;
+  counted.peer.send_frame(FrameType::kBatch, batch_frame(1, 0));
+  (void)counted.comm->exchange({});
+  counted.comm->end_run();
+  done = Writer();
+  done.u64(2);
+  counted.peer.send_frame(FrameType::kDone, done.data());
+  EXPECT_DEATH((void)counted.comm->exchange({}),
+               "divergence between shard 0 and shard 1: shard 0 ended its "
+               "last run after 1 exchanges, shard 1 after 2");
 }
 
 TEST(PayloadCodecDeathTest, HistogramValuesRefusedByName) {
