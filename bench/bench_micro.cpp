@@ -25,6 +25,38 @@ void BM_PhiloxU64(benchmark::State& state) {
 }
 BENCHMARK(BM_PhiloxU64);
 
+// The per-processor draw the lane kernel replaces: CounterRng's first two
+// words of one processor's stream (the key derivation included).
+void BM_PhiloxStreamWordsScalar(benchmark::State& state) {
+  std::uint64_t proc = 0;
+  for (auto _ : state) {
+    rng::CounterRng stream(1, rng::hash_combine(proc++, 2), 3);
+    benchmark::DoNotOptimize(stream());
+    benchmark::DoNotOptimize(stream());
+  }
+  state.counters["ns_per_proc"] = benchmark::Counter(
+      static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PhiloxStreamWordsScalar);
+
+// The same words from one variant of the Philox lane kernel, kPhiloxLanes
+// processors per call; registered in main() once per variant this CPU runs.
+void BM_PhiloxLanes(benchmark::State& state, rng::PhiloxLaneVariant::Fn run) {
+  std::uint64_t w0[rng::kPhiloxLanes], w1[rng::kPhiloxLanes];
+  std::uint64_t first = 0;
+  for (auto _ : state) {
+    run(1, 2, first, 3, rng::kPhiloxLanes, w0, w1);
+    benchmark::DoNotOptimize(w0 + 0);
+    benchmark::DoNotOptimize(w1 + 0);
+    benchmark::ClobberMemory();
+    first += rng::kPhiloxLanes;
+  }
+  state.counters["ns_per_proc"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * rng::kPhiloxLanes),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
 void BM_XoshiroU64(benchmark::State& state) {
   rng::Xoshiro256 rng(1);
   for (auto _ : state) {
@@ -192,6 +224,13 @@ int main(int argc, char** argv) {
   }
 
   obs::Recorder rec(rc);
+  for (const rng::PhiloxLaneVariant& v : rng::philox_lane_variants()) {
+    if (v.supported) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_PhiloxLanes/") + v.name).c_str(), BM_PhiloxLanes,
+          v.run);
+    }
+  }
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {

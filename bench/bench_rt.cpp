@@ -38,7 +38,7 @@
 // processors dying mid-run.
 //
 // exp27 — million-processor scale. A throughput grid over n x workers x
-// {arena, arena+steal}: the arena-backed SoA queues alone, and with
+// {arena, arena+steal}: the arena-backed ring queues alone, and with
 // deterministic work stealing live (RtConfig::steal). Every row of one
 // (n, mode) pair must agree on every counter across worker counts — the
 // bench FATALs if they diverge.

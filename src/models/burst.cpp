@@ -1,7 +1,6 @@
 #include "models/burst.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 
@@ -62,37 +61,26 @@ void BurstModel::step_actions(std::uint64_t seed, std::uint64_t first,
                               std::uint64_t count, std::uint64_t step,
                               std::span<const std::uint64_t>,
                               std::span<sim::StepAction> out) {
-  // draw()'s streams, kLanes processors at a time: the same key per
-  // processor, block 0 of event `step`, through the lane kernel. draw()
+  // draw()'s streams, kPhiloxLanes processors at a time: block 0 of event
+  // `step` under each processor's key, through the lane kernel. draw()
   // consumes the block's first word for the generate draw (hot: discarded;
   // cold with p_base >= 1: not drawn, so the consume draw takes it) and
   // the next word for the consume draw.
-  constexpr std::size_t kLanes = rng::Philox4x32::kLanes;
+  constexpr std::size_t kLanes = rng::kPhiloxLanes;
   const bool burst = step % cfg_.period < cfg_.burst_len;
   // is_hot's offset (proc + n - start) % n, advanced one processor at a
   // time and wrapped at n.
   std::uint64_t offset = burst ? (first + n_ - hot_start(step)) % n_ : 0;
-  const std::array<std::uint32_t, 4> ctr = {
-      static_cast<std::uint32_t>(step), static_cast<std::uint32_t>(step >> 32),
-      0, 0};
-  std::uint64_t keys[kLanes];
-  std::array<std::uint32_t, 4> blocks[kLanes];
+  std::uint64_t w0[kLanes], w1[kLanes];
   for (std::uint64_t done = 0; done < count; done += kLanes) {
     const std::size_t lanes = std::min<std::uint64_t>(kLanes, count - done);
+    rng::philox_block0_lanes(seed, kSalt, first + done, step, lanes, w0, w1);
     for (std::size_t i = 0; i < lanes; ++i) {
-      keys[i] = rng::hash_combine(
-          seed, rng::hash_combine(first + done + i, kSalt));
-    }
-    rng::Philox4x32::block_lanes(ctr, {keys, lanes}, blocks);
-    for (std::size_t i = 0; i < lanes; ++i) {
-      const std::array<std::uint32_t, 4>& b = blocks[i];
-      const std::uint64_t w0 = (static_cast<std::uint64_t>(b[0]) << 32) | b[1];
-      const std::uint64_t w1 = (static_cast<std::uint64_t>(b[2]) << 32) | b[3];
       const bool hot = burst && offset < hot_count_;
       if (burst && ++offset == n_) offset = 0;
       out[done + i] = sim::StepAction{
-          hot ? cfg_.burst_rate : (base_.hit(w0) ? 1u : 0u),
-          consume_.hit(!hot && base_.always() ? w0 : w1) ? 1u : 0u};
+          hot ? cfg_.burst_rate : (base_.hit(w0[i]) ? 1u : 0u),
+          consume_.hit(!hot && base_.always() ? w0[i] : w1[i]) ? 1u : 0u};
     }
   }
 }

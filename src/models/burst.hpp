@@ -32,8 +32,8 @@ class BurstModel final : public sim::LoadModel {
                               std::uint64_t system_load) override;
   /// One window test and one rotation start per call; the hot offset then
   /// steps with the processor instead of being recomputed, and the Philox
-  /// blocks come from the lane kernel (Philox4x32::block_lanes), kLanes
-  /// processors at a time.
+  /// blocks come from the lane kernel (rng::philox_block0_lanes),
+  /// kPhiloxLanes processors at a time.
   void step_actions(std::uint64_t seed, std::uint64_t first,
                     std::uint64_t count, std::uint64_t step,
                     std::span<const std::uint64_t> loads,

@@ -7,14 +7,12 @@
 // the simulation result is identical for every worker count.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 
 #include "rng/splitmix64.hpp"
-#include "util/check.hpp"
 
 namespace clb::rng {
 
@@ -25,8 +23,6 @@ struct Philox4x32 {
   static constexpr std::uint32_t kM1 = 0xCD9E8D57u;
   static constexpr std::uint32_t kW0 = 0x9E3779B9u;  // golden ratio
   static constexpr std::uint32_t kW1 = 0xBB67AE85u;  // sqrt(3)-1
-  /// Lanes per pass of block_lanes.
-  static constexpr std::size_t kLanes = 64;
 
   static std::array<std::uint32_t, 4> block(std::array<std::uint32_t, 4> ctr,
                                             std::array<std::uint32_t, 2> key) {
@@ -43,31 +39,37 @@ struct Philox4x32 {
     }
     return ctr;
   }
-
-  /// block(ctr, key) for up to kLanes keys under one shared counter:
-  /// out[i] = block(ctr, {low word of keys[i], high word}), the key split
-  /// CounterRng uses. One counter-based draw per processor is independent
-  /// of every other, so the lanes run side by side: the lane loop is outer,
-  /// over structure-of-arrays keys with a fixed trip count (the padding
-  /// lanes compute a block nobody reads), and block()'s round loop runs
-  /// inside it. gcc 12 at -O2 vectorises that lane loop, each 32x32->64
-  /// multiply a widening vector multiply; it refuses the same loop with the
-  /// ten rounds written out.
-  static void block_lanes(std::array<std::uint32_t, 4> ctr,
-                          std::span<const std::uint64_t> keys,
-                          std::span<std::array<std::uint32_t, 4>> out) {
-    CLB_CHECK(keys.size() <= kLanes && out.size() >= keys.size(),
-              "block_lanes: at most kLanes keys, one output each");
-    std::uint32_t k0[kLanes] = {}, k1[kLanes] = {};
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      k0[i] = static_cast<std::uint32_t>(keys[i]);
-      k1[i] = static_cast<std::uint32_t>(keys[i] >> 32);
-    }
-    std::array<std::uint32_t, 4> x[kLanes];
-    for (std::size_t i = 0; i < kLanes; ++i) x[i] = block(ctr, {k0[i], k1[i]});
-    std::copy_n(x, keys.size(), out.begin());
-  }
 };
+
+/// Streams per call of philox_block0_lanes.
+inline constexpr std::size_t kPhiloxLanes = 64;
+
+/// One compiled body of the lane kernel (rng/philox_lanes.cpp): its name,
+/// whether this host's CPU can run it, and its entry point. `run` has
+/// philox_block0_lanes' contract without the argument check.
+struct PhiloxLaneVariant {
+  using Fn = void (*)(std::uint64_t seed, std::uint64_t salt,
+                      std::uint64_t first, std::uint64_t event,
+                      std::size_t count, std::uint64_t* w0, std::uint64_t* w1);
+  const char* name;
+  bool supported;
+  Fn run;
+};
+
+/// Every compiled variant, portable first, the rest in order of preference.
+[[nodiscard]] std::span<const PhiloxLaneVariant> philox_lane_variants();
+
+/// The first two words CounterRng draws from each of `count` consecutive
+/// streams: for i < count <= kPhiloxLanes, w0[i] and w1[i] are the first and
+/// second draw of CounterRng(seed, hash_combine(first + i, salt), event),
+/// i.e. Philox block 0 of `event` under each stream's key. Outputs past
+/// `count` are left untouched. One call draws a block of processors side by
+/// side (models::BurstModel::step_actions); the last supported variant of
+/// philox_lane_variants() runs it, chosen on the first call.
+void philox_block0_lanes(std::uint64_t seed, std::uint64_t salt,
+                         std::uint64_t first, std::uint64_t event,
+                         std::size_t count, std::span<std::uint64_t> w0,
+                         std::span<std::uint64_t> w1);
 
 /// UniformRandomBitGenerator over Philox blocks for a fixed (key, counter)
 /// pair: yields two u64 per block, then bumps an internal block index.

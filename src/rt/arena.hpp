@@ -4,24 +4,28 @@
 // every step. TaskArena fixes the *placement*: one bump allocator per worker
 // shard, so the ring buffers of consecutive processors are laid out
 // consecutively in memory and the sequential per-shard step loop walks the
-// arena almost linearly. TaskQueue fixes the *layout*: a power-of-two ring
-// holding the task record as SoA — birth_step / origin / weight / birth_us
-// in four parallel contiguous arrays — so scans that need one field stream
-// 4-byte lanes instead of 16-byte records.
+// arena almost linearly. TaskQueue fixes the *layout*: a power-of-two ring of
+// 16-byte RtTask records, one per slot, so a push or a pop touches one cache
+// line of the ring (the sweep pushes and pops at both ends of every queue it
+// visits, and those ring misses, not the headers, are its memory cost).
 //
-// The SoA ring is the only queue layout. A queue bound to an arena takes its
+// The ring is the only queue layout. A queue bound to an arena takes its
 // ring blocks from it (the runtime binds every shard queue at construction);
 // an unbound queue (transport state shipping, tests) owns one heap block.
 // Both keep the FIFO contract: push_back at the tail, pop_front at the head,
 // transfers extracted from the back.
 //
-// The header is 32 bytes, because the runtime holds one per processor and
-// its sweeps are bandwidth-bound on that array. One block pointer replaces
-// four lane pointers (lane k of a ring with capacity cap starts at
-// block + k*cap). head/tail/mask are u32: the counters run free and wrap
-// modulo 2^32, which every power-of-two capacity up to 2^31 divides, so
-// size = tail - head and slot = (head + i) & mask are exact across the wrap;
-// grow() refuses a ring past 2^31 tasks.
+// The header is 32 bytes, and RtProcessor around it 80 (tests/
+// rt_arena_test.cpp asserts both). The sweep reads that per-processor array
+// once per step, but it is not what bounds the sweep: in a replica of the
+// sweep at n = 2^20 on a 4-vCPU AVX-512 Xeon, cutting the record stride from
+// 80 to 48 bytes saved about 2 of about 34 ns per processor-step, while the
+// ring pushes and pops cost about 20-25.
+//
+// head/tail/mask are u32: the counters run free and wrap modulo 2^32, which
+// every power-of-two capacity up to 2^31 divides, so size = tail - head and
+// slot = (head + i) & mask are exact across the wrap; grow() refuses a ring
+// past 2^31 tasks.
 //
 // Threading: a queue (and its arena) is owned by the shard's worker; the
 // main thread's deposit() runs between runs, at a quiescent point.
@@ -84,10 +88,11 @@ class TaskArena {
   std::size_t bytes_reserved_ = 0;
 };
 
-/// FIFO task queue over an SoA ring (see file header). head_/tail_ are
-/// free-running counters masked on access, exactly like sim::FifoQueue, so
-/// FIFO semantics match the simulator by construction. Move-only: the block
-/// is arena storage (bound) or a heap block this queue owns (unbound).
+/// FIFO task queue over a ring of RtTask records (see file header).
+/// head_/tail_ are free-running counters masked on access, exactly like
+/// sim::FifoQueue, so FIFO semantics match the simulator by construction.
+/// Move-only: the block is arena storage (bound) or a heap block this queue
+/// owns (unbound).
 class TaskQueue {
  public:
   /// The largest ring the u32 counters index exactly (see file header).
@@ -125,23 +130,15 @@ class TaskQueue {
 
   void push_back(const RtTask& t) {
     if (block_ == nullptr || tail_ - head_ == mask_ + 1) grow();
-    const std::uint64_t cap = std::uint64_t{mask_} + 1;
-    const std::uint32_t i = tail_ & mask_;
-    block_[i] = t.task.birth_step;
-    block_[cap + i] = t.task.origin;
-    block_[2 * cap + i] = t.task.weight;
-    block_[3 * cap + i] = t.birth_us;
+    block_[tail_ & mask_] = t;
     ++tail_;
   }
 
-  [[nodiscard]] RtTask operator[](std::uint64_t i) const {
-    const std::uint64_t cap = std::uint64_t{mask_} + 1;
-    const std::uint32_t j = (head_ + static_cast<std::uint32_t>(i)) & mask_;
-    return RtTask{sim::Task{block_[j], block_[cap + j], block_[2 * cap + j]},
-                  block_[3 * cap + j]};
+  [[nodiscard]] const RtTask& operator[](std::uint64_t i) const {
+    return block_[(head_ + static_cast<std::uint32_t>(i)) & mask_];
   }
 
-  [[nodiscard]] RtTask front() const { return (*this)[0]; }
+  [[nodiscard]] const RtTask& front() const { return (*this)[0]; }
 
   void pop_front() {
     CLB_DCHECK(tail_ != head_, "pop_front on empty TaskQueue");
@@ -160,13 +157,12 @@ class TaskQueue {
 
   void clear() { head_ = tail_ = 0; }
 
-  /// Forward iteration yielding RtTask by value; supports
-  /// `for (const rt::RtTask& t : proc.queue)` — the const reference binds to
-  /// the materialised temporary per iteration.
+  /// Forward iteration in FIFO order:
+  /// `for (const rt::RtTask& t : proc.queue)`.
   class const_iterator {
    public:
     const_iterator(const TaskQueue* q, std::uint64_t i) : q_(q), i_(i) {}
-    RtTask operator*() const { return (*q_)[i_]; }
+    const RtTask& operator*() const { return (*q_)[i_]; }
     const_iterator& operator++() {
       ++i_;
       return *this;
@@ -183,22 +179,14 @@ class TaskQueue {
 
  private:
   void grow() {
-    // One block for all four lanes keeps a queue's SoA arrays on adjacent
-    // cache lines: lane k of a ring of capacity cap starts at block + k*cap.
-    const std::uint64_t old_cap = block_ ? std::uint64_t{mask_} + 1 : 0;
-    const std::uint64_t cap = grown_capacity(old_cap);
-    std::uint32_t* nb =
-        arena_ != nullptr
-            ? reinterpret_cast<std::uint32_t*>(
-                  arena_->allocate(cap * 4 * sizeof(std::uint32_t)))
-            : new std::uint32_t[cap * 4];
+    const std::uint64_t cap =
+        grown_capacity(block_ ? std::uint64_t{mask_} + 1 : 0);
+    RtTask* nb = arena_ != nullptr
+                     ? reinterpret_cast<RtTask*>(
+                           arena_->allocate(cap * sizeof(RtTask)))
+                     : new RtTask[cap];
     const std::uint32_t sz = tail_ - head_;
-    for (std::uint32_t i = 0; i < sz; ++i) {
-      const std::uint32_t j = (head_ + i) & mask_;
-      for (std::uint64_t k = 0; k < 4; ++k) {
-        nb[k * cap + i] = block_[k * old_cap + j];
-      }
-    }
+    for (std::uint32_t i = 0; i < sz; ++i) nb[i] = block_[(head_ + i) & mask_];
     release();
     block_ = nb;
     owns_block_ = arena_ == nullptr;
@@ -221,7 +209,7 @@ class TaskQueue {
   }
 
   TaskArena* arena_ = nullptr;
-  std::uint32_t* block_ = nullptr;  // four lanes of mask_ + 1 words each
+  RtTask* block_ = nullptr;  // mask_ + 1 records
   std::uint32_t mask_ = 0;
   std::uint32_t head_ = 0;
   std::uint32_t tail_ = 0;

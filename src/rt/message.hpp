@@ -22,6 +22,8 @@ struct RtTask {
   sim::Task task;
   std::uint32_t birth_us = 0;  ///< microseconds since the run's clock origin
 };
+/// One ring slot of rt::TaskQueue.
+static_assert(sizeof(RtTask) == 16 && std::is_trivially_copyable_v<RtTask>);
 
 enum class MsgKind : std::uint8_t {
   kQuery,        ///< collision game: request slot queries a target

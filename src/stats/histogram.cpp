@@ -4,13 +4,6 @@
 
 namespace clb::stats {
 
-void IntHistogram::add(std::uint64_t value, std::uint64_t count) {
-  if (count == 0) return;
-  if (value >= counts_.size()) counts_.resize(value + 1, 0);
-  counts_[value] += count;
-  total_ += count;
-}
-
 void IntHistogram::merge(const IntHistogram& other) {
   if (other.counts_.size() > counts_.size()) {
     counts_.resize(other.counts_.size(), 0);

@@ -11,8 +11,15 @@ namespace clb::stats {
 /// times (Corollary 1).
 class IntHistogram {
  public:
-  /// Adds `count` observations of `value`.
-  void add(std::uint64_t value, std::uint64_t count = 1);
+  /// Adds `count` observations of `value`. Inline: the runtime books one
+  /// per consumed task (sojourn steps), so the common case is a bounds check
+  /// and two adds in the caller's loop.
+  void add(std::uint64_t value, std::uint64_t count = 1) {
+    if (count == 0) return;
+    if (value >= counts_.size()) counts_.resize(value + 1, 0);
+    counts_[value] += count;
+    total_ += count;
+  }
 
   /// Merges another histogram into this one.
   void merge(const IntHistogram& other);

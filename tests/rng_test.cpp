@@ -3,7 +3,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "rng/dist.hpp"
@@ -88,53 +90,96 @@ TEST(Philox, OutputLooksUniform) {
   EXPECT_NEAR(sum / kDraws, 0.5, 0.005);
 }
 
-// The lane kernel is Philox4x32::block under each lane's key, with the key
-// split the way CounterRng splits it: every lane count the kernel accepts,
-// random keys, and counters whose high words are set (block index and
-// event past 2^32). Past kLanes keys it refuses, and outputs past the lane
-// count stay untouched.
-TEST(Philox, LanesMatchScalarBlock) {
-  constexpr std::size_t kLanes = Philox4x32::kLanes;
+// Checks one lane-kernel entry point `run(seed, salt, first, event, count,
+// w0, w1)` against the scalar definitions: for every lane count from 0 to
+// kPhiloxLanes, lane i must hold Philox4x32::block of counter {event lo,
+// event hi, 0, 0} under the key hash_combine(seed, hash_combine(first + i,
+// salt)), split the way CounterRng splits it, and the first two words that
+// CounterRng draws from that stream; outputs past the lane count stay
+// untouched. Events whose high word is set and stream ids past 2^32 (with
+// and without a carry across 2^32 inside the block) are covered.
+template <class Run>
+void expect_lanes_match(const char* variant, Run run) {
+  constexpr std::size_t kLanes = kPhiloxLanes;
   Xoshiro256 rng(2024);
-  const std::array<std::array<std::uint32_t, 4>, 4> counters = {{
-      {0, 0, 0, 0},
-      {7, 0, 0, 0},
-      {0xFFFFFFFFu, 0x1u, 0x2u, 0x80000000u},
-      {0x12345678u, 0x9ABCDEF0u, 0xFFFFFFFFu, 0xFFFFFFFFu},
-  }};
-  const std::array<std::uint32_t, 4> sentinel = {1, 2, 3, 4};
-  for (const std::array<std::uint32_t, 4>& ctr : counters) {
+  const std::array<std::uint64_t, 4> events = {
+      0, 7, (std::uint64_t{1} << 32) | 0xFFFFFFFFu, 0x9ABCDEF012345678ULL};
+  const std::array<std::uint64_t, 4> firsts = {
+      0, 1000, (std::uint64_t{1} << 32) - 17, std::uint64_t{5} << 40};
+  constexpr std::uint64_t kSentinel = 0x5E5E5E5E5E5E5E5EULL;
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    const std::uint64_t event = events[e];
+    const std::uint64_t first = firsts[e];
+    const std::array<std::uint32_t, 4> ctr = {
+        static_cast<std::uint32_t>(event),
+        static_cast<std::uint32_t>(event >> 32), 0, 0};
     for (std::size_t lanes = 0; lanes <= kLanes; ++lanes) {
-      std::vector<std::uint64_t> keys(lanes);
-      for (std::uint64_t& k : keys) k = rng();
-      std::vector<std::array<std::uint32_t, 4>> out(kLanes + 1, sentinel);
-      Philox4x32::block_lanes(ctr, keys, out);
+      const std::uint64_t seed = rng(), salt = rng();
+      std::vector<std::uint64_t> w0(kLanes + 1, kSentinel);
+      std::vector<std::uint64_t> w1(kLanes + 1, kSentinel);
+      run(seed, salt, first, event, lanes, w0.data(), w1.data());
       for (std::size_t i = 0; i < lanes; ++i) {
-        const std::array<std::uint32_t, 2> key = {
-            static_cast<std::uint32_t>(keys[i]),
-            static_cast<std::uint32_t>(keys[i] >> 32)};
-        ASSERT_EQ(out[i], Philox4x32::block(ctr, key))
-            << "lane " << i << " of " << lanes;
+        const std::uint64_t k =
+            hash_combine(seed, hash_combine(first + i, salt));
+        const std::array<std::uint32_t, 4> b = Philox4x32::block(
+            ctr, {static_cast<std::uint32_t>(k),
+                  static_cast<std::uint32_t>(k >> 32)});
+        ASSERT_EQ(w0[i], (std::uint64_t{b[0]} << 32) | b[1])
+            << variant << ": lane " << i << " of " << lanes;
+        ASSERT_EQ(w1[i], (std::uint64_t{b[2]} << 32) | b[3])
+            << variant << ": lane " << i << " of " << lanes;
+        CounterRng stream(seed, hash_combine(first + i, salt), event);
+        ASSERT_EQ(stream(), w0[i]) << variant << ": lane " << i;
+        ASSERT_EQ(stream(), w1[i]) << variant << ": lane " << i;
       }
-      for (std::size_t i = lanes; i < out.size(); ++i) {
-        ASSERT_EQ(out[i], sentinel) << "lane " << i << " of " << lanes;
+      for (std::size_t i = lanes; i < w0.size(); ++i) {
+        ASSERT_EQ(w0[i], kSentinel) << variant << ": lane " << i << " of "
+                                    << lanes;
+        ASSERT_EQ(w1[i], kSentinel) << variant << ": lane " << i << " of "
+                                    << lanes;
       }
     }
   }
-  // The same words CounterRng draws from block 0 of an event.
-  const std::uint64_t event = (std::uint64_t{5} << 32) | 9;
-  const std::uint64_t key = hash_combine(11, 3);
-  std::array<std::uint32_t, 4> b[1];
-  Philox4x32::block_lanes({static_cast<std::uint32_t>(event),
-                           static_cast<std::uint32_t>(event >> 32), 0, 0},
-                          {&key, 1}, b);
-  CounterRng stream(11, 3, event);
-  EXPECT_EQ(stream(), (std::uint64_t{b[0][0]} << 32) | b[0][1]);
-  EXPECT_EQ(stream(), (std::uint64_t{b[0][2]} << 32) | b[0][3]);
+}
 
-  const std::vector<std::uint64_t> too_many(kLanes + 1, 1);
-  std::vector<std::array<std::uint32_t, 4>> out(kLanes + 1);
-  EXPECT_DEATH(Philox4x32::block_lanes({}, too_many, out), "at most kLanes");
+// The dispatched lane kernel (the variant this host runs). Past
+// kPhiloxLanes streams, or with an output span shorter than the count, it
+// refuses. The kernel draws block 0 only, so a counter's block-index words
+// are always 0 here; the event words carry the high bits.
+TEST(Philox, LanesMatchScalarBlock) {
+  expect_lanes_match("dispatched",
+                     [](std::uint64_t seed, std::uint64_t salt,
+                        std::uint64_t first, std::uint64_t event,
+                        std::size_t count, std::uint64_t* w0,
+                        std::uint64_t* w1) {
+                       philox_block0_lanes(seed, salt, first, event, count,
+                                           {w0, kPhiloxLanes + 1},
+                                           {w1, kPhiloxLanes + 1});
+                     });
+  std::vector<std::uint64_t> w0(kPhiloxLanes + 1), w1(kPhiloxLanes + 1);
+  EXPECT_DEATH(philox_block0_lanes(1, 2, 3, 4, kPhiloxLanes + 1, w0, w1),
+               "at most kPhiloxLanes");
+  EXPECT_DEATH(philox_block0_lanes(1, 2, 3, 4, 8, {w0.data(), 7}, w1),
+               "at most kPhiloxLanes");
+}
+
+// Every compiled variant this host's CPU can run, each against the scalar
+// definitions, so a variant that disagrees is named even when the dispatch
+// picks another. The portable variant is always compiled and always runs.
+TEST(Philox, EveryLaneVariantMatchesScalarBlock) {
+  const std::span<const PhiloxLaneVariant> variants = philox_lane_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_STREQ(variants[0].name, "portable");
+  EXPECT_TRUE(variants[0].supported);
+  for (const PhiloxLaneVariant& v : variants) {
+    if (!v.supported) {
+      std::printf("lane kernel variant %s: not supported by this CPU\n",
+                  v.name);
+      continue;
+    }
+    SCOPED_TRACE(v.name);
+    expect_lanes_match(v.name, v.run);
+  }
 }
 
 TEST(Dist, BoundedStaysInRangeAndHitsAll) {

@@ -1,4 +1,4 @@
-// rt::TaskQueue and rt::TaskArena: the SoA ring's FIFO contract across
+// rt::TaskQueue and rt::TaskArena: the ring's FIFO contract across
 // growth and ring wrap, its hand-written ownership (owned and
 // arena-bound blocks under move), and the per-processor and per-message
 // footprints the runtime's sweeps and exchanges depend on.
@@ -21,7 +21,7 @@ using clb::rt::TaskArena;
 using clb::rt::TaskQueue;
 
 // Growing either is a deliberate edit: the generate/consume sweep walks one
-// RtProcessor per processor every step and is bandwidth-bound on it.
+// RtProcessor per processor every step (see rt/arena.hpp on what that costs).
 static_assert(sizeof(TaskQueue) <= 32, "TaskQueue header grew past 32 bytes");
 static_assert(sizeof(RtProcessor) <= 80, "RtProcessor grew past 80 bytes");
 // Every protocol message is copied into an outbox, out of it, and sorted by

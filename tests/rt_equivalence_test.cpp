@@ -421,7 +421,7 @@ TEST(RtEquivalenceAir, ScatterDeterministicAcrossWorkers) {
   }
 }
 
-// Scale knobs (the million-processor tentpole): with the arena-backed SoA
+// Scale knobs (the million-processor tentpole): with the arena-backed ring
 // queue layout, deterministic work stealing must match a shadow engine
 // running the same pure rule — for any worker count, steal on or off. The
 // parameter is (arena, steal); the arena is the only queue layout, so the

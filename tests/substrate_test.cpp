@@ -369,8 +369,13 @@ TEST(SubstrateInspectionDeathTest, ProcessRuntimeRefusesFutureBornDeposit) {
 // (the repository benchmark's burst model, n = 2^16, seed 1, 64 steps) a
 // step costs the classify and closing exchanges, a phase's level costs
 // 3 exchanges per collision round plus children, reports and scan, and a
-// phase that ran a level one more to deliver its last transfers.
-TEST(SubstrateSchedule, ThresholdExchangesPerStepRoundAndLevel) {
+// phase that ran a level one more to deliver its last transfers: 1,154
+// exchanges, 18.03 per step. One case per substrate and worker count, so
+// each runs (and is timed) on its own.
+constexpr std::uint64_t kScheduleSteps = 64;
+constexpr std::uint64_t kScheduleExchanges = 1154;
+
+models::BurstConfig schedule_burst() {
   models::BurstConfig bc;
   bc.p_base = 0.2;
   bc.p_consume = 0.5;
@@ -379,43 +384,62 @@ TEST(SubstrateSchedule, ThresholdExchangesPerStepRoundAndLevel) {
   bc.hot_fraction = 0.05;
   bc.burst_rate = 8;
   bc.rotate_hotspot = true;
-  constexpr std::uint64_t kSteps = 64;
+  return bc;
+}
+
+rt::RtConfig schedule_config(unsigned workers) {
   rt::RtConfig cfg;
   cfg.n = 1u << 16;
   cfg.seed = 1;
+  cfg.workers = workers;
   cfg.policy = rt::RtPolicy::kThreshold;
   cfg.params = core::PhaseParams::from_n(cfg.n);
+  return cfg;
+}
+
+// The in-proc runtime at `workers`: the exchange count the phase summaries
+// imply is 1,154, and every worker met the barrier that many times.
+void expect_in_proc_schedule(unsigned workers) {
+  rt::RtConfig cfg = schedule_config(workers);
   cfg.telemetry = true;
   ASSERT_EQ(cfg.params.phase_len, 1u);  // every step classifies
-
-  std::uint64_t expected = 0;
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    cfg.workers = workers;
-    models::BurstModel model(bc, cfg.n);
-    rt::Runtime r(cfg, &model);
-    r.run(kSteps);
-    const std::vector<rt::RtPhaseSummary>& phases = r.result().out.phases;
-    ASSERT_EQ(phases.size(), kSteps);
-    std::uint64_t count = 2 * kSteps;
-    for (const rt::RtPhaseSummary& ps : phases) {
-      count += 3 * std::uint64_t{ps.collision_rounds} +
-               3 * std::uint64_t{ps.levels_used} + (ps.levels_used > 0);
-    }
-    if (expected == 0) expected = count;
-    EXPECT_EQ(count, expected) << workers << " workers";
-    for (unsigned i = 0; i < workers; ++i) {
-      EXPECT_EQ(r.worker_telemetry(i).barrier_waits, count)
-          << "worker " << i << " of " << workers;
-    }
+  models::BurstModel model(schedule_burst(), cfg.n);
+  rt::Runtime r(cfg, &model);
+  r.run(kScheduleSteps);
+  const std::vector<rt::RtPhaseSummary>& phases = r.result().out.phases;
+  ASSERT_EQ(phases.size(), kScheduleSteps);
+  std::uint64_t count = 2 * kScheduleSteps;
+  for (const rt::RtPhaseSummary& ps : phases) {
+    count += 3 * std::uint64_t{ps.collision_rounds} +
+             3 * std::uint64_t{ps.levels_used} + (ps.levels_used > 0);
   }
-  EXPECT_EQ(expected, 1154u);  // 18.03 exchanges per step
+  EXPECT_EQ(count, kScheduleExchanges) << workers << " workers";
+  for (unsigned i = 0; i < workers; ++i) {
+    EXPECT_EQ(r.worker_telemetry(i).barrier_waits, count)
+        << "worker " << i << " of " << workers;
+  }
+}
 
-  cfg.workers = 2;
-  cfg.telemetry = false;
+TEST(SubstrateSchedule, ThresholdExchangesInProcOneWorker) {
+  expect_in_proc_schedule(1);
+}
+
+TEST(SubstrateSchedule, ThresholdExchangesInProcTwoWorkers) {
+  expect_in_proc_schedule(2);
+}
+
+TEST(SubstrateSchedule, ThresholdExchangesInProcFourWorkers) {
+  expect_in_proc_schedule(4);
+}
+
+// The same schedule over 2 UDS shard processes: each shard does 1,154
+// exchanges, so the wire counts 2 x 1,154.
+TEST(SubstrateSchedule, ThresholdExchangesUdsTwoShards) {
+  rt::RtConfig cfg = schedule_config(2);
   cfg.transport = rt::Transport::kUds;
-  ProcessRuntime pr(cfg, ModelSpec::bursty(bc));
-  pr.run(kSteps);
-  EXPECT_EQ(pr.wire_stats().barriers, 2 * expected);
+  ProcessRuntime pr(cfg, ModelSpec::bursty(schedule_burst()));
+  pr.run(kScheduleSteps);
+  EXPECT_EQ(pr.wire_stats().barriers, 2 * kScheduleExchanges);
 }
 
 // The wire form carries every RtConfig field the kernel reads, the clock
