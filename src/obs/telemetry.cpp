@@ -11,6 +11,7 @@ void WorkerTelemetry::merge(const WorkerTelemetry& other) {
   barrier_waits += other.barrier_waits;
   for (std::size_t i = 0; i < kStageCount; ++i) {
     stage_ns[i] += other.stage_ns[i];
+    stage_stall_ns[i] += other.stage_stall_ns[i];
   }
   enq_self += other.enq_self;
   enq_remote += other.enq_remote;
@@ -42,6 +43,8 @@ void merge_worker_telemetry(MetricsRegistry& m, const WorkerTelemetry& t,
   std::uint64_t staged = 0;
   for (std::size_t i = 0; i < kStageCount; ++i) {
     m.counter(prefix + "stage." + kStageNames[i] + "_ns") = t.stage_ns[i];
+    m.counter(prefix + "stage." + kStageNames[i] + ".stall_ns") =
+        t.stage_stall_ns[i];
     staged += t.stage_ns[i];
   }
   m.counter(prefix + "enq_self") = t.enq_self;

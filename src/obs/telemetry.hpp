@@ -47,7 +47,8 @@ enum class Stage : std::uint8_t {
 };
 inline constexpr std::size_t kStageCount =
     static_cast<std::size_t>(Stage::kOther) + 1;
-/// Export names, indexed by Stage (`<prefix>stage.<name>_ns`).
+/// Export names, indexed by Stage (`<prefix>stage.<name>_ns`, and the
+/// stage's barrier wait `<prefix>stage.<name>.stall_ns`).
 inline constexpr const char* kStageNames[kStageCount] = {
     "gen_consume",   "steal",    "classify",       "collision_rounds",
     "tree_children", "tree_ids", "tree_transfers", "end_step",
@@ -65,6 +66,9 @@ struct WorkerTelemetry {
   std::uint64_t stall_ns = 0;       ///< ns blocked in barrier arrive->release
   std::uint64_t barrier_waits = 0;  ///< barrier arrivals on the step path
   std::uint64_t stage_ns[kStageCount] = {};  ///< wall ns per Stage
+  /// The part of stage_ns[s] spent in barrier waits; the stages' stalls
+  /// sum to stall_ns.
+  std::uint64_t stage_stall_ns[kStageCount] = {};
 
   // ---- mailbox traffic ----
   std::uint64_t enq_self = 0;    ///< pushes into the worker's own mailbox

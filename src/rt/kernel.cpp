@@ -40,12 +40,16 @@ inline void spin(std::uint32_t iters) {
   }
 }
 
-bool key_less(const Msg& a, const Msg& b) {
+// Sort orders as lambdas, not functions: std::sort inlines a lambda's
+// comparison, where a function pointer costs an indirect call per compare.
+constexpr auto key_less = [](const Msg& a, const Msg& b) {
   if (a.key != b.key) return a.key < b.key;
   return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-}
+};
 
-bool sender_less(const Msg& a, const Msg& b) { return a.a < b.a; }
+constexpr auto sender_less = [](const Msg& a, const Msg& b) {
+  return a.a < b.a;
+};
 
 Envelope envelope(MsgKind kind, std::uint32_t from, std::uint32_t to,
                   std::uint32_t a = 0, std::uint32_t b = 0) {
@@ -83,7 +87,10 @@ ShardKernel::ShardKernel(const RtConfig& cfg, sim::LoadModel* model,
   if (!cfg_.crashes.empty()) {
     liveness_ = core::LivenessSchedule(cfg_.n, cfg_.crashes);
   }
-  if (cfg_.policy == RtPolicy::kThreshold) stamps_.resize(end_ - begin_);
+  if (cfg_.policy == RtPolicy::kThreshold) {
+    stamps_.resize(end_ - begin_);
+    light_bits_.resize((end_ - begin_ + 63) / 64);
+  }
   if (cfg_.telemetry_interval != 0) {
     snap_ = std::make_unique<obs::WorkerTelemetry>();
   }
@@ -124,8 +131,15 @@ std::uint32_t ShardKernel::now_us() const {
           .count());
 }
 
-void ShardKernel::touch(std::uint64_t p) {
-  block_load_[(p - begin_) / kDrawBlock].dirty = true;
+void ShardKernel::touch(std::uint64_t p, std::uint64_t old_load) {
+  BlockLoad& summary = block_load_[(p - begin_) / kDrawBlock];
+  const std::uint64_t load = proc(p).queue.size();
+  summary.sum = summary.sum + load - old_load;
+  if (load > summary.max) {
+    summary.max = load;
+  } else if (load < old_load && old_load == summary.max) {
+    summary.dirty = true;  // the max may have left; end_step rescans
+  }
 }
 
 void ShardKernel::deposit(std::uint32_t p, sim::Task t) {
@@ -163,9 +177,12 @@ void ShardKernel::release_logs() {
 void ShardKernel::lap(obs::Stage s) {
   if (!telemetry_) return;
   const Clock::time_point now = Clock::now();
-  telem_.stage_ns[static_cast<std::size_t>(s)] += static_cast<std::uint64_t>(
+  const auto k = static_cast<std::size_t>(s);
+  telem_.stage_ns[k] += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(now - lap_t0_)
           .count());
+  telem_.stage_stall_ns[k] += lap_stall_ns_;
+  lap_stall_ns_ = 0;
   lap_t0_ = now;
 }
 
@@ -181,6 +198,7 @@ Comm::Blobs ShardKernel::exchange(std::span<const std::uint64_t> blob) {
     telem_.stall_ns += ns;
     telem_.stall_ns_hist.add(ns);
     step_stall_ns_ += ns;
+    lap_stall_ns_ += ns;
     CLB_TRACE_EVENT(cfg_.trace, obs::EventKind::kBarrierWait, cur_step_, 0, 0,
                     ns);
     return all;
@@ -195,9 +213,13 @@ void ShardKernel::drain(bool keep_transfers) {
   if (!keep_transfers) {
     // Order-insensitive: at most one transfer reaches a given light per
     // phase (the assigned flag), so applying on arrival keeps determinism.
+    // Messages before the first transfer stay where they are.
     std::vector<Msg>& msgs = batch_.msgs;
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
+    while (kept < msgs.size() && msgs[kept].kind != MsgKind::kTransfer) {
+      ++kept;
+    }
+    for (std::size_t i = kept; i < msgs.size(); ++i) {
       if (msgs[i].kind == MsgKind::kTransfer) {
         apply_transfer(msgs[i]);
       } else {
@@ -217,9 +239,10 @@ void ShardKernel::drain(bool keep_transfers) {
 
 void ShardKernel::apply_transfer(const Msg& m) {
   RtProcessor& dst = proc(m.b);
-  touch(m.b);
+  const std::uint64_t old_load = dst.queue.size();
   dst.tasks_received += m.task_count;
   for (const RtTask& t : batch_.payload(m)) dst.queue.push_back(t);
+  touch(m.b, old_load);
 }
 
 void ShardKernel::apply_sorted_transfers() {
@@ -253,25 +276,27 @@ void ShardKernel::step(std::uint64_t step) {
     lap(obs::Stage::kOther);
   }
 
+  // An instant-fabric threshold phase runs this step: the sweep classifies.
+  const bool phase_step = !lat_policy_ &&
+                          cfg_.policy == RtPolicy::kThreshold &&
+                          step % cfg_.params.phase_len == 0;
+
   // ---- generate / consume (mirrors Engine::generate_consume_block) ----
-  generate_consume(step);
+  generate_consume(step, phase_step);
   lap(obs::Stage::kGenConsume);
 
   // ---- work stealing (mirrors Engine::apply_steals) ----
   if (cfg_.steal.enabled) {
-    run_steal(step);
+    run_steal(step, phase_step);
     lap(obs::Stage::kSteal);
   }
 
   // ---- balancing policy ----
-  bool phase_step = false;
   std::uint64_t scattered = 0;
   phase_matched_ = 0;
   if (lat_policy_) {
     run_lat_protocol(step);
-  } else if (cfg_.policy == RtPolicy::kThreshold &&
-             step % cfg_.params.phase_len == 0) {
-    phase_step = true;
+  } else if (phase_step) {
     run_phase(step);
   } else if (cfg_.policy == RtPolicy::kAllInAir &&
              step % air_interval_ == 0) {
@@ -355,12 +380,16 @@ void ShardKernel::process_crashes(std::uint64_t step) {
   batch_.clear();
 }
 
-void ShardKernel::generate_consume(std::uint64_t step) {
+void ShardKernel::generate_consume(std::uint64_t step, bool phase_step) {
   // Tracked unconditionally (two register adds per processor); folded into
   // the telemetry struct once per step.
   std::uint64_t gen_total = 0, cons_total = 0;
   const bool steal_on = cfg_.steal.enabled;
   if (steal_on) steal_.reset(cfg_.steal);
+  if (phase_step) {
+    heavy_local_.clear();
+    light_count_ = 0;
+  }
   const auto live = [&](std::uint64_t p) {
     return liveness_.empty() || liveness_.alive(p, step);
   };
@@ -390,48 +419,56 @@ void ShardKernel::generate_consume(std::uint64_t step) {
     const std::uint32_t stamp_us = cfg_.time_sojourn ? now_us() : 0;
     BlockLoad& summary = block_load_[(first - begin_) / kDrawBlock];
     summary = BlockLoad{};
+    if (phase_step) {
+      // Blocks start at multiples of 256 within the shard, so this block
+      // owns whole words of the bitset: clearing them here is the phase's
+      // only clear.
+      std::fill_n(light_bits_.begin() +
+                      static_cast<std::ptrdiff_t>((first - begin_) / 64),
+                  (count + 63) / 64, 0);
+    }
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::uint64_t p = first + i;
-      if (!live(p)) {
-        summary.sum += loads[i];
-        summary.max = std::max(summary.max, loads[i]);
-        continue;
-      }
-      RtProcessor& pr = proc(p);
-      const sim::StepAction& act = acts[i];
-      for (std::uint32_t g = 0; g < act.generate; ++g) {
-        pr.queue.push_back(
-            RtTask{sim::Task{static_cast<std::uint32_t>(step),
-                             static_cast<std::uint32_t>(p), act.weight},
-                   stamp_us});
-      }
-      pr.generated += act.generate;
-      gen_total += act.generate;
-      std::uint32_t c = act.consume;
-      while (c > 0 && !pr.queue.empty()) {
-        const RtTask t = pr.queue.front();
-        pr.queue.pop_front();
-        ++pr.consumed;
-        ++cons_total;
-        if (t.task.origin == p) ++pr.consumed_on_origin;
-        if (cfg_.track_sojourn) {
-          out_.sojourn_steps.add(step - t.task.birth_step);
+      std::uint64_t load = loads[i];  // a dead processor's stays unchanged
+      if (live(p)) {
+        RtProcessor& pr = proc(p);
+        const sim::StepAction& act = acts[i];
+        for (std::uint32_t g = 0; g < act.generate; ++g) {
+          pr.queue.push_back(
+              RtTask{sim::Task{static_cast<std::uint32_t>(step),
+                               static_cast<std::uint32_t>(p), act.weight},
+                     stamp_us});
         }
-        if (cfg_.time_sojourn) out_.sojourn_us.add(stamp_us - t.birth_us);
-        if (cfg_.spin_work != 0) spin(cfg_.spin_work);
-        --c;
+        pr.generated += act.generate;
+        gen_total += act.generate;
+        std::uint32_t c = act.consume;
+        while (c > 0 && !pr.queue.empty()) {
+          const RtTask t = pr.queue.front();
+          pr.queue.pop_front();
+          ++pr.consumed;
+          ++cons_total;
+          if (t.task.origin == p) ++pr.consumed_on_origin;
+          if (cfg_.track_sojourn) {
+            out_.sojourn_steps.add(step - t.task.birth_step);
+          }
+          if (cfg_.time_sojourn) out_.sojourn_us.add(stamp_us - t.birth_us);
+          if (cfg_.spin_work != 0) spin(cfg_.spin_work);
+          --c;
+        }
+        // Dry = leftover consume budget (the loop invariant makes c > 0
+        // imply an emptied queue): this processor is a steal thief this
+        // step.
+        load = pr.queue.size();
+        if (steal_on) {
+          steal_.offer(static_cast<std::uint32_t>(p),
+                       static_cast<std::uint32_t>(load), c > 0);
+        }
       }
-      // The post-consume load is final here, so neither the block summary
-      // nor the steal candidates need an extra pass. Dry = leftover consume
-      // budget (the loop invariant makes c > 0 imply an emptied queue):
-      // this processor is a steal thief this step.
-      const std::uint64_t load = pr.queue.size();
+      // The load is final here, so neither the block summary, the steal
+      // candidates nor the phase's classes need an extra pass.
       summary.sum += load;
       summary.max = std::max(summary.max, load);
-      if (steal_on) {
-        steal_.offer(static_cast<std::uint32_t>(p),
-                     static_cast<std::uint32_t>(load), c > 0);
-      }
+      if (phase_step) classify(p, load);
     }
   }
   if (telemetry_) {
@@ -512,8 +549,9 @@ void ShardKernel::send_transfer(std::uint64_t step, std::uint32_t root,
   m.a = root;
   m.b = partner;
   send_tasks_.clear();
+  const std::uint64_t old_load = src.queue.size();
   src.queue.extract_back(count, send_tasks_);
-  touch(root);
+  touch(root, old_load);
   src.tasks_sent += count;
   ++out_.msg.transfers;
   out_.msg.tasks_moved += count;
@@ -564,7 +602,7 @@ void ShardKernel::apply_staged_transfers(std::uint64_t step,
 // Steal, scatter, zoo
 // ---------------------------------------------------------------------------
 
-void ShardKernel::run_steal(std::uint64_t step) {
+void ShardKernel::run_steal(std::uint64_t step, bool phase_step) {
   // Exchange only the candidates; every shard merges them into the same
   // decision list, and with it the canonical transfer numbering (the same
   // ordinal stream mailbox-drop victims are chosen from).
@@ -587,8 +625,9 @@ void ShardKernel::run_steal(std::uint64_t step) {
     }
     send_transfer(step, d.from, d.to, transfer_seen_ + i + 1, d.count);
     if (dup) {
-      // No touch of its own: send_transfer touched this processor.
+      const std::uint64_t old_load = src.queue.size();
       src.queue.push_back(*dup);
+      touch(d.from, old_load);
       ++out_.mutation_applied;
     }
     ++out_.steal_events;
@@ -602,6 +641,14 @@ void ShardKernel::run_steal(std::uint64_t step) {
   (void)exchange({});
   drain(true);
   apply_sorted_transfers();
+  if (phase_step) {
+    // The sweep classified the pre-steal loads; only the processors a
+    // steal touched can have changed class.
+    for (const sim::Transfer& d : ds) {
+      if (owns(d.from)) reclassify(d.from);
+      if (owns(d.to)) reclassify(d.to);
+    }
+  }
 }
 
 std::uint64_t ShardKernel::run_scatter(std::uint64_t step) {
@@ -706,22 +753,35 @@ void ShardKernel::run_zoo(std::uint64_t step) {
 // Threshold phase (instant fabric): Figure 2's trees, Figure 1's game
 // ---------------------------------------------------------------------------
 
-std::uint64_t ShardKernel::classify() {
-  const core::PhaseParams& pp = cfg_.params;
+void ShardKernel::classify_shard() {
   heavy_local_.clear();
-  std::uint64_t light_count = 0;
+  light_count_ = 0;
+  std::fill(light_bits_.begin(), light_bits_.end(), 0);
   for (std::uint64_t p = begin_; p < end_; ++p) {
-    RtProcessor& pr = proc(p);
-    const std::uint64_t load = pr.queue.size();
-    if (load >= pp.heavy_threshold) {
-      heavy_local_.push_back(static_cast<std::uint32_t>(p));
-      ++pr.balance_initiations;
-    } else if (load <= pp.light_threshold) {
-      stamps(p).light_epoch = phase_epoch_;
-      ++light_count;
+    classify(p, proc(p).queue.size());
+  }
+}
+
+void ShardKernel::reclassify(std::uint64_t p) {
+  const LoadClass cls = load_class(proc(p).queue.size());
+  const auto id = static_cast<std::uint32_t>(p);
+  const auto it =
+      std::lower_bound(heavy_local_.begin(), heavy_local_.end(), id);
+  const bool was_heavy = it != heavy_local_.end() && *it == id;
+  if (was_heavy && cls != LoadClass::kHeavy) {
+    heavy_local_.erase(it);
+  } else if (!was_heavy && cls == LoadClass::kHeavy) {
+    heavy_local_.insert(it, id);
+  }
+  const bool is_light = cls == LoadClass::kLight;
+  if (light(p) != is_light) {
+    light_bits_[(p - begin_) >> 6] ^= 1ULL << ((p - begin_) & 63);
+    if (is_light) {
+      ++light_count_;
+    } else {
+      --light_count_;
     }
   }
-  return light_count;
 }
 
 void ShardKernel::run_phase(std::uint64_t step) {
@@ -731,11 +791,11 @@ void ShardKernel::run_phase(std::uint64_t step) {
   ph_levels_ = 0;
   ph_rounds_ = 0;
 
-  // Classification from post-generation loads. Blob: [heavy count, light
-  // count, heavy procs...] — the counts feed the slot prefix, the heavy
-  // lists feed shard 0's phase summary.
-  const std::uint64_t light_count = classify();
-  blob_.assign({heavy_local_.size(), light_count});
+  // The sweep classified the post-generation loads (and the steal pass the
+  // processors it moved). Blob: [heavy count, light count, heavy procs...]
+  // — the counts feed the slot prefix, the heavy lists feed shard 0's
+  // phase summary.
+  blob_.assign({heavy_local_.size(), light_count_});
   blob_.insert(blob_.end(), heavy_local_.begin(), heavy_local_.end());
   const Comm::Blobs all = exchange(blob_);
 
@@ -756,7 +816,8 @@ void ShardKernel::run_phase(std::uint64_t step) {
   }
 
   // Level-1 nodes: the heavy processors themselves, slots in ascending
-  // processor order (shard order = processor order by construction).
+  // processor order (shard order = processor order by construction). The
+  // heavy list is final here, so each heavy books its initiation.
   nodes_.clear();
   for (std::size_t i = 0; i < heavy_local_.size(); ++i) {
     Node node;
@@ -764,6 +825,7 @@ void ShardKernel::run_phase(std::uint64_t step) {
     node.proc = heavy_local_[i];
     node.root = heavy_local_[i];
     nodes_.push_back(std::move(node));
+    ++proc(heavy_local_[i]).balance_initiations;
   }
 
   lap(obs::Stage::kClassify);
@@ -808,12 +870,15 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
     node.active = true;
     node.status_nonapp = 0;
   }
+  // A shard's nodes hold one contiguous slot range at every level: level-1
+  // slots are heavy_base..heavy_base + h, and the scan merge below numbers
+  // children in parent-slot order, so the contiguous partition's shards
+  // keep their ranges in shard order level after level.
   const auto node_at = [&](std::uint64_t slot) -> Node& {
-    auto it = std::lower_bound(
-        nodes_.begin(), nodes_.end(), slot,
-        [](const Node& n, std::uint64_t s) { return n.slot < s; });
-    CLB_DCHECK(it != nodes_.end() && it->slot == slot, "unknown tree node");
-    return *it;
+    const std::uint64_t i = nodes_.empty() ? 0 : slot - nodes_.front().slot;
+    CLB_CHECK(i < nodes_.size() && nodes_[i].slot == slot,
+              "unknown tree node");
+    return nodes_[i];
   };
 
   // ---- collision rounds (Figure 1) as 3-exchange supersteps ----
@@ -931,8 +996,8 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
   for (const Msg& m : batch_.msgs) {
     CLB_DCHECK(m.kind == MsgKind::kChild, "unexpected message in L2");
     Stamps& qp = stamps(m.a);
-    const bool applicative = qp.light_epoch == phase_epoch_ &&
-                             qp.assigned_epoch != phase_epoch_;
+    const bool applicative =
+        light(m.a) && qp.assigned_epoch != phase_epoch_;
     if (applicative) {
       qp.assigned_epoch = phase_epoch_;
       ++out_.msg.id_messages;
@@ -1002,7 +1067,8 @@ std::uint64_t ShardKernel::run_level(std::uint64_t step,
   // Dense global numbering for next-level nodes: merge the per-shard
   // (g, count) lists by parent slot g (each ascends in g, so nodes_ stays
   // sorted by slot).
-  std::vector<std::size_t> pos(shards_, 1);
+  std::vector<std::size_t>& pos = merge_pos_;
+  pos.assign(shards_, 1);
   std::uint64_t base = 0;
   for (;;) {
     unsigned best = shards_;
@@ -1238,8 +1304,7 @@ void ShardKernel::lat_process_due(std::uint64_t step) {
         tp.accepted_total = already + static_cast<std::uint32_t>(count);
         for (const Envelope* q : query_batch_) {
           bool applicative = false;
-          if (tp.light_epoch == phase_epoch_ &&
-              tp.assigned_epoch != phase_epoch_) {
+          if (light(recipient) && tp.assigned_epoch != phase_epoch_) {
             applicative = true;
             tp.assigned_epoch = phase_epoch_;
             // Announce directly to the boss (its id rode in the query).
@@ -1385,14 +1450,14 @@ void ShardKernel::run_lat_protocol(std::uint64_t step) {
   // S4: start a phase. Classification reads the queues before this step's
   // transfers are applied — the engine's balancer sees exactly that state.
   const bool phase_start = !lat_running_ && step >= lat_next_phase_;
-  std::uint64_t light_count = 0;
   if (phase_start) {
     ++phase_epoch_;
     ++lat_phase_index_;
     lat_running_ = true;
     lat_phase_start_ = step;
-    light_count = classify();
+    classify_shard();
     for (const std::uint32_t h : heavy_local_) {
+      ++proc(h).balance_initiations;
       seq_stage_ = net::SendStage::kPhaseStart;
       seq_major_ = h;
       seq_minor_ = 0;
@@ -1404,7 +1469,7 @@ void ShardKernel::run_lat_protocol(std::uint64_t step) {
   apply_staged_transfers(step, staged_base, staged_total);
   blob_.clear();
   if (phase_start) {
-    blob_.push_back(light_count);
+    blob_.push_back(light_count_);
     blob_.insert(blob_.end(), heavy_local_.begin(), heavy_local_.end());
   }
   const Comm::Blobs all = exchange(blob_);  // exchange B

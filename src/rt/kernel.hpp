@@ -10,14 +10,19 @@
 // engine), the steal pass, then the balancing policy as message exchanges,
 // then one closing exchange that doubles as the running-max reduction (no
 // model the runtime accepts reads a system load). A shard's part of it comes
-// from the (sum, max) summary the sweep leaves per draw block: a queue
-// changed later in the step marks its block dirty (touch), and end_step
-// rescans only the dirty blocks instead of walking the shard again. A
-// threshold phase (instant fabric) classifies in one exchange, then runs
-// each query-tree level on its roots' shards: three exchanges per collision
+// from the (sum, max) summary the sweep leaves per draw block. A queue
+// changed later in the step moves its block's sum and raises its max in
+// place (touch); only a shrinking queue that held the max marks the block
+// dirty, and end_step rescans only the dirty blocks. On a threshold phase
+// step (instant fabric) the sweep also classifies every processor from the
+// final load it already reads, so the shard is walked once per step; the
+// steal pass reclassifies exactly the processors it moved tasks between.
+// The phase then publishes the classes in one exchange and runs each
+// query-tree level on its roots' shards: three exchanges per collision
 // round (queries, accepts, active count), then three more (children, child
 // reports to the root, the scan numbering the next level); transfers ride
-// the next exchange, the last level's on one closing exchange.
+// the next exchange, the last level's on one closing exchange. Past the
+// sweep, a phase costs in proportion to its messages.
 //
 // Determinism contract: drained batches whose processing order matters
 // (child assignment, id matching, scatter arrival, zoo/steal/re-home
@@ -91,8 +96,9 @@ class ShardKernel {
  private:
   /// One query-tree node of processor `proc`, hosted at owner(root) like its
   /// whole tree. `slot` is its global index at its level (dense over the
-  /// level, ascending in nodes_), which keys the collision game's target
-  /// draws exactly like the simulator's requesters vector index.
+  /// level, ascending and contiguous in nodes_), which keys the collision
+  /// game's target draws exactly like the simulator's requesters vector
+  /// index.
   struct Node {
     std::uint64_t slot = 0;
     std::uint32_t proc = 0;
@@ -109,9 +115,12 @@ class ShardKernel {
   /// The threshold protocol's per-processor flags, stamped with lockstep
   /// epochs so phases need no clears. Held in stamps_, not RtProcessor, so
   /// the policies that never read them do not carry them through every
-  /// generate/consume sweep.
-  struct Stamps {
-    std::uint64_t light_epoch = 0;     ///< light at phase start
+  /// generate/consume sweep. The light-at-phase-start flag is not here: it
+  /// is the light_bits_ bitset, which the classifying sweep overwrites
+  /// block by block. One cache line each: the collision rounds touch one
+  /// processor's stamps per query, and a 56-byte stride would put half of
+  /// those accesses on two lines.
+  struct alignas(64) Stamps {
     std::uint64_t assigned_epoch = 0;  ///< reserved by an id message
     std::uint64_t matched_epoch = 0;   ///< (roots) matched this phase
     std::uint64_t accept_epoch = 0;    ///< collision: accepted_total validity
@@ -125,13 +134,18 @@ class ShardKernel {
   /// One draw block's load summary: the sum and max queue length of its
   /// kDrawBlock processors (kernel.cpp), dead ones included. The
   /// generate/consume sweep writes it from the final loads it already
-  /// reads; a later queue change that step marks it dirty (touch), and
-  /// end_step rescans only dirty blocks.
+  /// reads. A later queue change that step keeps it exact through touch:
+  /// the sum moves by the change and a growing queue raises the max; only
+  /// a shrinking queue that held the max marks it dirty, and end_step
+  /// rescans only dirty blocks.
   struct BlockLoad {
     std::uint64_t sum = 0;
     std::uint64_t max = 0;
     bool dirty = false;
   };
+
+  /// The threshold balancer's heavy/light rule on one load.
+  enum class LoadClass : std::uint8_t { kMiddle, kHeavy, kLight };
 
   /// A forwarding parent's contribution to the next level; the replicated
   /// scan assigns `base` = the global slot of child s=0.
@@ -170,9 +184,18 @@ class ShardKernel {
   [[nodiscard]] bool owns(std::uint64_t p) const {
     return p >= begin_ && p < end_;
   }
-  /// Marks owned processor p's block for end_step's rescan: p's queue
-  /// changed after this step's generate/consume sweep.
-  void touch(std::uint64_t p);
+  /// Keeps owned processor p's block summary exact after p's queue went
+  /// from `old_load` to its current length, past this step's sweep.
+  void touch(std::uint64_t p, std::uint64_t old_load);
+  [[nodiscard]] LoadClass load_class(std::uint64_t load) const {
+    if (load >= cfg_.params.heavy_threshold) return LoadClass::kHeavy;
+    if (load <= cfg_.params.light_threshold) return LoadClass::kLight;
+    return LoadClass::kMiddle;
+  }
+  [[nodiscard]] bool light(std::uint64_t p) const {
+    const std::uint64_t i = p - begin_;
+    return ((light_bits_[i >> 6] >> (i & 63)) & 1) != 0;
+  }
   [[nodiscard]] std::uint32_t now_us() const;
 
   /// Books the time since the previous lap into stage `s` (telemetry on).
@@ -188,8 +211,12 @@ class ShardKernel {
   void apply_sorted_transfers();
 
   void process_crashes(std::uint64_t step);
-  void generate_consume(std::uint64_t step);
-  void run_steal(std::uint64_t step);
+  /// The sweep. On an instant-fabric threshold `phase_step` it also
+  /// classifies every processor by its final load.
+  void generate_consume(std::uint64_t step, bool phase_step);
+  /// On a `phase_step` the sweep classified, so the steals' endpoints are
+  /// reclassified.
+  void run_steal(std::uint64_t step, bool phase_step);
   void run_phase(std::uint64_t step);
   std::uint64_t run_level(std::uint64_t step, std::uint64_t phase_index,
                           std::uint32_t level, std::uint64_t node_count);
@@ -202,8 +229,25 @@ class ShardKernel {
                      std::uint64_t count);
   void apply_staged_transfers(std::uint64_t step, std::uint64_t base,
                               std::uint64_t total);
-  /// Classifies own processors (the balancer's begin_phase).
-  std::uint64_t classify();
+  /// Applies load_class to owned processor p at `load`: appends a heavy
+  /// to heavy_local_, or sets a light's (clear) bit and counts it. Forced
+  /// inline: the sweep runs it for every processor, and left to itself gcc
+  /// inlines either this or the steal offer there, never both.
+  [[gnu::always_inline]] void classify(std::uint64_t p, std::uint64_t load) {
+    const LoadClass cls = load_class(load);
+    if (cls == LoadClass::kHeavy) {
+      heavy_local_.push_back(static_cast<std::uint32_t>(p));
+    } else if (cls == LoadClass::kLight) {
+      light_bits_[(p - begin_) >> 6] |= 1ULL << ((p - begin_) & 63);
+      ++light_count_;
+    }
+  }
+  /// Classifies own processors in a pass of its own (the latency
+  /// protocol's phase start).
+  void classify_shard();
+  /// Re-applies load_class to owned processor p after a steal moved its
+  /// load past the sweep's classification.
+  void reclassify(std::uint64_t p);
 
   // Latency fabric (RtConfig::latency >= 1).
   void run_lat_protocol(std::uint64_t step);
@@ -236,6 +280,11 @@ class ShardKernel {
   std::uint64_t phase_matched_ = 0;
   std::uint64_t transfer_seen_ = 0;  // replicated global transfer count
   std::vector<Stamps> stamps_;  // own shard, index p - begin_; kThreshold only
+  // Light at phase start, bit p - begin_ (kThreshold only). Valid for the
+  // current phase: the classifying sweep or classify_shard() writes every
+  // word.
+  std::vector<std::uint64_t> light_bits_;
+  std::uint64_t light_count_ = 0;  // own lights of the current phase
   std::vector<BlockLoad> block_load_;  // own shard's draw blocks, in order
   std::uint64_t shard_load_ = 0;  // own load at the last end_step (snapshots)
 
@@ -244,8 +293,9 @@ class ShardKernel {
   std::vector<RtTask> send_tasks_;  // payload of the message being sent
   std::vector<std::uint64_t> blob_;
   std::vector<Node> nodes_;
-  std::vector<std::uint32_t> heavy_local_;
+  std::vector<std::uint32_t> heavy_local_;  // own heavies, ascending
   std::vector<ScanEntry> scan_;
+  std::vector<std::size_t> merge_pos_;  // run_level's per-shard merge cursor
   std::vector<Staged> staged_;
   std::vector<std::uint32_t> phase_heavy_all_;  // shard 0: phase summary
   std::uint64_t phase_light_total_ = 0;
@@ -283,6 +333,7 @@ class ShardKernel {
   std::unique_ptr<obs::WorkerTelemetry> snap_;  // with telemetry_interval
   std::uint64_t snap_load_ = 0;
   std::uint64_t step_stall_ns_ = 0;
+  std::uint64_t lap_stall_ns_ = 0;  // exchange wait since the last lap
   std::uint64_t cur_step_ = 0;
   Clock::time_point lap_t0_{};  // end of the last booked stage
 

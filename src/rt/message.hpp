@@ -103,8 +103,16 @@ struct Batch {
   }
 
   /// Moves every record of `src` to the end of this batch, rebasing the
-  /// payload spans onto this task lane, and empties `src`.
+  /// payload spans onto this task lane, and empties `src`. Into an empty
+  /// batch the lanes are swapped, not copied: the spans need no rebase,
+  /// and `src` keeps this batch's (empty) buffers for its next fill.
   void append(Batch& src) {
+    if (empty() && tasks.empty()) {
+      msgs.swap(src.msgs);
+      tasks.swap(src.tasks);
+      envs.swap(src.envs);
+      return;
+    }
     const auto base = static_cast<std::uint32_t>(tasks.size());
     const std::size_t first = msgs.size();
     msgs.insert(msgs.end(), src.msgs.begin(), src.msgs.end());

@@ -85,6 +85,9 @@ struct RunRecord {
   std::uint64_t stolen = 0;
   std::vector<rt::LedgerEntry> ledger;
   std::vector<PhaseRecord> phases;
+  /// Phase steps on which a steal took a victim below the heavy threshold
+  /// and gave a thief more than the light threshold (engine side only).
+  std::uint64_t steal_flip_steps = 0;
 };
 
 RunRecord run_sim(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
@@ -106,6 +109,20 @@ RunRecord run_sim(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
                           static_cast<std::uint32_t>(cnt)});
     }
     if (e.step() % params.phase_len == 0) {
+      // The balancer classified the post-steal loads; undo this step's
+      // steals to see what a classification before them would have said.
+      bool victim_flip = false, thief_flip = false;
+      const std::vector<sim::StealRecord>& log = e.steal_log();
+      for (auto it = log.rbegin(); it != log.rend() && it->step == e.step();
+           ++it) {
+        const std::uint64_t victim = e.load(it->from);
+        const std::uint64_t thief = e.load(it->to);
+        victim_flip |= victim + it->count >= params.heavy_threshold &&
+                       victim < params.heavy_threshold;
+        thief_flip |= thief - it->count <= params.light_threshold &&
+                      thief > params.light_threshold;
+      }
+      if (victim_flip && thief_flip) ++r.steal_flip_steps;
       // Atomic execution finalises the phase inside the same on_step, so
       // last_phase() is the phase that just ran at this very step.
       const core::PhaseStats& ps = inner.last_phase();
@@ -194,21 +211,13 @@ void drive(rt::Runtime& run, std::uint64_t steps, std::uint64_t seed,
   run.run(steps - done);
 }
 
-RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
-                 WhichModel which, const core::PhaseParams& params,
-                 unsigned workers, const sim::StealConfig& steal = {}) {
-  auto model = make_model(which, n);
-  rt::RtConfig cfg;
-  cfg.n = n;
-  cfg.seed = seed;
-  cfg.workers = workers;
-  cfg.policy = rt::RtPolicy::kThreshold;
-  cfg.params = params;
-  cfg.steal = steal;
-  rt::Runtime run(cfg, model.get());
-  drive(run, steps, seed, n);
-  const rt::RunResult& res = run.result();
+/// A runtime and the model it reads, which must outlive it.
+struct DiffRun {
+  std::unique_ptr<sim::LoadModel> model;
+  std::unique_ptr<rt::Runtime> run;
+};
 
+RunRecord record_of(const rt::RunResult& res, std::uint64_t n) {
   RunRecord r;
   for (std::uint64_t p = 0; p < n; ++p) {
     const rt::RtProcessor& proc = res.processor(p);
@@ -242,6 +251,22 @@ RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
   }
   EXPECT_TRUE(res.conservation_holds());
   return r;
+}
+
+RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
+                 WhichModel which, const core::PhaseParams& params,
+                 unsigned workers, const sim::StealConfig& steal = {}) {
+  auto model = make_model(which, n);
+  rt::RtConfig cfg;
+  cfg.n = n;
+  cfg.seed = seed;
+  cfg.workers = workers;
+  cfg.policy = rt::RtPolicy::kThreshold;
+  cfg.params = params;
+  cfg.steal = steal;
+  rt::Runtime run(cfg, model.get());
+  drive(run, steps, seed, n);
+  return record_of(run.result(), n);
 }
 
 void expect_equal(const RunRecord& sim_r, const RunRecord& rt_r,
@@ -484,6 +509,48 @@ TEST(RtEquivalenceScale64k, ArenaStealMatchesEngine) {
   }
 }
 
+// The sweep classifies every processor from its post-generation load, and
+// the steal pass runs between it and the phase, so a steal that takes a
+// victim below the heavy threshold and lifts a thief above the light
+// threshold must reclassify both. Default fractions at n = 192 (T = 16:
+// heavy 8, light 1, a phase every step) and 4-task steal batches make
+// that happen: a victim at 8..11 tasks drops below 8, a dry thief rises to
+// 4. The engine classifies after its steals, so it is the reference; the
+// worker counts must also agree with each other field by field.
+TEST(RtEquivalenceStealClasses, StealFlipsClassesBeforeThePhase) {
+  const std::uint64_t n = 192;
+  const std::uint64_t steps = 48;
+  const std::uint64_t seed = 5;
+  const core::PhaseParams params = core::PhaseParams::from_n(n);
+  ASSERT_EQ(params.phase_len, 1u);
+  sim::StealConfig steal;
+  steal.enabled = true;
+  const RunRecord sim_r =
+      run_sim(n, seed, steps, WhichModel::kBurst, params, steal);
+  EXPECT_GT(sim_r.steal_flip_steps, 0u);
+
+  std::vector<DiffRun> runs;
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    DiffRun r{make_model(WhichModel::kBurst, n), nullptr};
+    rt::RtConfig cfg;
+    cfg.n = n;
+    cfg.seed = seed;
+    cfg.workers = workers;
+    cfg.policy = rt::RtPolicy::kThreshold;
+    cfg.params = params;
+    cfg.steal = steal;
+    r.run = std::make_unique<rt::Runtime>(cfg, r.model.get());
+    drive(*r.run, steps, seed, n);
+    expect_equal(sim_r, record_of(r.run->result(), n),
+                 "steal flips, workers=" + std::to_string(workers));
+    if (!runs.empty()) {
+      EXPECT_EQ(rt::diff(runs.front().run->result(), r.run->result()), "")
+          << "1 vs " << workers << " workers";
+    }
+    runs.push_back(std::move(r));
+  }
+}
+
 // The end-of-step load reduction reads per-block summaries that the
 // generate/consume sweep writes and only rescans the blocks whose queues
 // changed later in the step, so check it where every block boundary can
@@ -579,11 +646,6 @@ TEST(RtEquivalenceBlocks, LoadReductionMatchesEngineEveryStep) {
 
 /// A spiked threshold run with both sojourn clocks on, so every group diff
 /// compares (and each wall-clock field it leaves out) is populated.
-struct DiffRun {
-  std::unique_ptr<sim::LoadModel> model;
-  std::unique_ptr<rt::Runtime> run;
-};
-
 DiffRun diff_run(unsigned workers) {
   const std::uint64_t n = 192;
   DiffRun r{make_model(WhichModel::kBurst, n), nullptr};

@@ -287,6 +287,22 @@ TEST(TelemetryRuntime, StagesPartitionTheStep) {
     EXPECT_GT(ns(s), 0u) << obs::kStageNames[static_cast<std::size_t>(s)];
   }
   EXPECT_EQ(ns(obs::Stage::kSteal), 0u);  // stealing is off
+  // Each stage's barrier wait lies inside it, and every exchange of the
+  // step falls in exactly one stage.
+  std::uint64_t stalled = 0;
+  for (std::size_t k = 0; k < obs::kStageCount; ++k) {
+    EXPECT_LE(total.stage_stall_ns[k], total.stage_ns[k])
+        << obs::kStageNames[k];
+    stalled += total.stage_stall_ns[k];
+  }
+  EXPECT_EQ(stalled, total.stall_ns);
+  // gen_consume exchanges nothing; the collision rounds always do.
+  EXPECT_EQ(
+      total.stage_stall_ns[static_cast<std::size_t>(obs::Stage::kGenConsume)],
+      0u);
+  EXPECT_GT(total.stage_stall_ns[static_cast<std::size_t>(
+                obs::Stage::kCollisionRounds)],
+            0u);
 
   obs::MetricsRegistry m;
   run.export_telemetry(m, "t.");
@@ -295,6 +311,12 @@ TEST(TelemetryRuntime, StagesPartitionTheStep) {
   EXPECT_EQ(m.counter("t.w1.stage.tree_ids_ns"),
             run.worker_telemetry(1)
                 .stage_ns[static_cast<std::size_t>(obs::Stage::kTreeIds)]);
+  EXPECT_EQ(m.counter("t.stage.collision_rounds.stall_ns"),
+            total.stage_stall_ns[static_cast<std::size_t>(
+                obs::Stage::kCollisionRounds)]);
+  EXPECT_EQ(m.counter("t.w0.stage.end_step.stall_ns"),
+            run.worker_telemetry(0).stage_stall_ns[static_cast<std::size_t>(
+                obs::Stage::kEndStep)]);
   EXPECT_GT(m.gauge("t.stage_coverage"), 0.0);
   EXPECT_LE(m.gauge("t.stage_coverage"), 1.0);
 }
@@ -310,6 +332,7 @@ TEST(TelemetryRuntime, DisabledRunsRecordNothing) {
   EXPECT_EQ(total.step_ns, 0u);
   EXPECT_EQ(total.deq, 0u);
   for (const std::uint64_t v : total.stage_ns) EXPECT_EQ(v, 0u);
+  for (const std::uint64_t v : total.stage_stall_ns) EXPECT_EQ(v, 0u);
   EXPECT_TRUE(run.telemetry_jsonl().empty());
 }
 

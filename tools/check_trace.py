@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 FAILURES: list[str] = []
@@ -47,6 +48,11 @@ SNAPSHOT_COUNTERS = (
     "enq_self", "enq_remote", "deq", "drains", "generated", "consumed",
     "phases",
 )
+
+
+# A stage's wall-time counter (obs::kStageNames), e.g.
+# `rt.x.telemetry.w0.stage.gen_consume_ns`: group 1 is the prefix.
+STAGE_WALL = re.compile(r"^(.*)stage\.([a-z_]+)_ns$")
 
 
 def fail(msg: str) -> None:
@@ -240,6 +246,23 @@ def check_metrics(path: str) -> None:
     for name, v in doc["counters"].items():
         if not isinstance(v, int) or v < 0:
             fail(f"{path}: counter {name} not a non-negative integer: {v!r}")
+    # rt telemetry: every stage's wall time `<p>stage.<name>_ns` comes with
+    # the barrier wait inside it, `<p>stage.<name>.stall_ns`, never longer.
+    stages = 0
+    for name, v in doc["counters"].items():
+        m = STAGE_WALL.match(name)
+        if not m:
+            continue
+        stages += 1
+        stall = f"{m.group(1)}stage.{m.group(2)}.stall_ns"
+        if stall not in doc["counters"]:
+            fail(f"{path}: counter {name} has no {stall}")
+        elif isinstance(v, int) and doc["counters"][stall] > v:
+            fail(f"{path}: {stall} = {doc['counters'][stall]} exceeds "
+                 f"{name} = {v}")
+    if stages:
+        print(f"check_trace: {path}: {stages} stage counters checked for "
+              f"their stall")
     for name, v in doc["gauges"].items():
         if not isinstance(v, (int, float)) and v is not None:
             fail(f"{path}: gauge {name} not numeric/null: {v!r}")

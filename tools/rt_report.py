@@ -7,9 +7,10 @@ interval, cumulative counters) and/or a metrics registry export carrying
 `<run>.telemetry.*` gauges, and prints the runtime's health report:
 per-worker utilization, queue imbalance, barrier-stall breakdown, and
 (from the `<run>.telemetry.stage.*_ns` counters) where the step's time
-went, stage by stage, and (from the per-worker `w<k>.stage.*_ns` and
-`w<k>.stall_ns` counters) each worker's busy time, its stall, and max/mean
-busy.
+went, stage by stage, split into busy time and barrier stall (the
+`stage.*.stall_ns` counters), and (from the per-worker `w<k>.stage.*_ns`
+and `w<k>.stall_ns` counters) each worker's busy time, its stall, and
+max/mean busy.
 
     tools/rt_report.py --snapshots build/rt_telemetry/snapshots.jsonl
     tools/rt_report.py --metrics bench_rt.metrics.json
@@ -186,29 +187,52 @@ def report_metrics(path: str) -> None:
     report_workers(doc.get("counters", {}), prefixes)
 
 
+def stage_counters(counters: dict, prefix: str) -> tuple:
+    """Splits `<prefix>stage.<name>_ns` (a stage's wall time) from
+    `<prefix>stage.<name>.stall_ns` (the barrier wait inside it)."""
+    wall, stall = {}, {}
+    for name, v in counters.items():
+        if not name.startswith(prefix + "stage.") or \
+                not isinstance(v, (int, float)):
+            continue
+        rest = name[len(prefix) + len("stage."):]
+        if rest.endswith(".stall_ns"):
+            stall[rest[:-len(".stall_ns")]] = v
+        elif rest.endswith("_ns"):
+            wall[rest[:-len("_ns")]] = v
+    return wall, stall
+
+
 def report_stages(counters: dict, prefixes: list) -> None:
     """Where each run's step time went: the <run>.telemetry.stage.*_ns
-    counters (summed over workers) per step and as a share of step time."""
+    counters (summed over workers) per step and as a share of step time,
+    split into busy (stage time minus its barrier wait) and stall (the
+    stage.*.stall_ns counters)."""
     marker = ".telemetry."
     for p in prefixes:
-        stages = {name[len(p) + len("stage."):-len("_ns")]: v
-                  for name, v in counters.items()
-                  if name.startswith(p + "stage.") and name.endswith("_ns")
-                  and isinstance(v, (int, float))}
+        stages, stalls = stage_counters(counters, p)
         steps = counters.get(p + "steps", 0)
         step_ns = counters.get(p + "step_ns", 0)
         if not stages or not steps:
             continue
+        missing = sorted(set(stages) - set(stalls))
+        if missing:
+            fail(f"{p}: no stage.<name>.stall_ns counter for {missing}")
         print(f"\n== rt report: stages of {p[:-len(marker)]} "
               f"({steps} worker-steps) ==")
         order = [n for n in STAGES if n in stages]
         order += sorted(n for n in stages if n not in STAGES)
-        rows = [[name, f"{ratio(stages[name], steps) / 1e3:.1f}",
-                 f"{100.0 * ratio(stages[name], step_ns):.1f}%"]
-                for name in order]
-        rows.append(["(sum)", f"{ratio(sum(stages.values()), steps) / 1e3:.1f}",
-                     f"{100.0 * ratio(sum(stages.values()), step_ns):.1f}%"])
-        print_table(["stage", "us/step", "of step"], rows)
+
+        def row(name: str, wall: float, stall: float) -> list:
+            return [name, f"{ratio(wall, steps) / 1e3:.1f}",
+                    f"{ratio(wall - stall, steps) / 1e3:.1f}",
+                    f"{ratio(stall, steps) / 1e3:.1f}",
+                    f"{100.0 * ratio(wall, step_ns):.1f}%"]
+        rows = [row(name, stages[name], stalls[name]) for name in order]
+        rows.append(row("(sum)", sum(stages.values()),
+                        sum(stalls[name] for name in order)))
+        print_table(["stage", "us/step", "busy us/step", "stall us/step",
+                     "of step"], rows)
 
 
 def report_workers(counters: dict, prefixes: list) -> None:
@@ -222,10 +246,7 @@ def report_workers(counters: dict, prefixes: list) -> None:
         k = 0
         while isinstance(counters.get(f"{p}w{k}.stall_ns"), (int, float)):
             w = f"{p}w{k}."
-            staged = sum(v for name, v in counters.items()
-                         if name.startswith(w + "stage.")
-                         and name.endswith("_ns")
-                         and isinstance(v, (int, float)))
+            staged = sum(stage_counters(counters, w)[0].values())
             stall = counters[w + "stall_ns"]
             busy.append(staged - stall)
             rows.append([k, f"{(staged - stall) / 1e6:.1f}",
