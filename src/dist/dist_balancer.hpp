@@ -96,6 +96,13 @@ class DistThresholdBalancer final : public sim::Balancer {
   void on_reset(sim::Engine& engine) override;
 
   [[nodiscard]] const DistStats& stats() const { return stats_; }
+  /// The phase begun most recently: its index (from 1; 0 before the first
+  /// phase) and start step. It is still running unless the last entry of
+  /// stats().phase_log carries its index.
+  [[nodiscard]] std::uint64_t phase_index() const { return phase_index_; }
+  [[nodiscard]] std::uint64_t phase_start_step() const {
+    return phase_start_step_;
+  }
   [[nodiscard]] const DistConfig& config() const { return cfg_; }
   [[nodiscard]] const Network& network() const { return *net_; }
 

@@ -71,11 +71,10 @@ struct TraceEvent {
   std::uint32_t peer = 0;  ///< secondary actor (receiver / partner)
   std::uint64_t step = 0;  ///< simulation step the event happened at
   std::uint64_t v0 = 0, v1 = 0, v2 = 0;  ///< kind-specific payload
-  /// Emitting worker thread — stamped by emit() from
-  /// util::ThreadPool::worker_index(), never by call sites. rt::Runtime
-  /// shard threads bind their shard index at spawn, so multi-worker traces
-  /// attribute every event (kTransfer, kPhaseBegin/End, the worker-lane
-  /// kinds) to the thread that produced it.
+  /// Emitting worker thread — stamped by emit() from util::worker_index(),
+  /// never by call sites. rt::Runtime shard threads bind their shard index
+  /// at spawn, so multi-worker traces attribute every event (kTransfer,
+  /// kPhaseBegin/End, the worker-lane kinds) to the thread that produced it.
   std::uint32_t worker = 0;
 };
 
@@ -108,7 +107,7 @@ class TraceSink {
   void emit(TraceEvent e) {
     if (!cfg_.enabled) return;
     e.step += time_base_;
-    e.worker = util::ThreadPool::worker_index();
+    e.worker = util::worker_index();
     Buffer& b = local_buffer();
     ++b.seen;
     if (event_kind_sampled(e.kind) && cfg_.sample_every > 1 &&

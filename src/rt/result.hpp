@@ -1,9 +1,11 @@
 // rt::RunResult — the outcome of a run, in the one shape both substrates
 // report it: the processors (queues and per-processor counters), every
 // shard's ShardOutputs merged by ShardOutputs::merge, and the step count.
-// rt::Runtime::result() and transport::ProcessRuntime::result() return it;
-// rt::diff() is the one comparison between two of them (the transport's
-// shadow check, the worker-count invariance checks, the tests).
+// rt::Runtime::result() and transport::ProcessRuntime::result() return it,
+// and so does testing::Reference, the serial specification's run of the
+// same config. rt::diff() is the one comparison between two of them (the
+// transport's shadow check, the worker-count invariance checks, every
+// runtime-against-specification check in the tests and the fuzz oracle).
 #pragma once
 
 #include <cstdint>

@@ -76,7 +76,7 @@ Runtime::Runtime(RtConfig cfg, sim::LoadModel* model)
     wp->thread = std::thread([this, wp, i] {
       // Adopt the shard index as this thread's worker ID so trace events
       // and telemetry emitted from here carry the right lane.
-      util::ThreadPool::bind_worker_index(i);
+      util::bind_worker_index(i);
       worker_main(*wp);
     });
   }

@@ -18,10 +18,6 @@ Engine::Engine(EngineConfig cfg, LoadModel* model, Balancer* balancer)
     steal_load_.resize(cfg_.n, 0);
     steal_alive_.resize(cfg_.n, 1);
   }
-  const bool must_be_serial = cfg_.track_sojourn || model_->serial_generation();
-  if (!must_be_serial && cfg_.threads != 1) {
-    pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
-  }
   reset();
 }
 
@@ -52,11 +48,10 @@ void Engine::run(std::uint64_t steps) {
   for (std::uint64_t s = 0; s < steps; ++s) step_once();
 }
 
-void Engine::generate_consume_block(std::uint64_t begin, std::uint64_t end,
-                                    std::uint64_t step) {
+void Engine::generate_consume(std::uint64_t step) {
   const std::uint64_t system_load = total_load_;  // start-of-step snapshot
   const bool steal_on = cfg_.steal.enabled;
-  for (std::uint64_t p = begin; p < end; ++p) {
+  for (std::uint64_t p = 0; p < cfg_.n; ++p) {
     if (steal_on) dry_[p] = 0;  // dead processors are never dry
     if (cfg_.liveness != nullptr && !cfg_.liveness->alive(p, step)) continue;
     Processor& proc = procs_[p];
@@ -136,13 +131,7 @@ void Engine::apply_steals(std::uint64_t step) {
 void Engine::step_once() {
   const std::uint64_t step = step_;
   process_crashes(step);
-  if (pool_) {
-    pool_->parallel_for(cfg_.n, [this, step](std::uint64_t b, std::uint64_t e) {
-      generate_consume_block(b, e, step);
-    });
-  } else {
-    generate_consume_block(0, cfg_.n, step);
-  }
+  generate_consume(step);
   apply_steals(step);
   if (balancer_ != nullptr) balancer_->on_step(*this);
   apply_transfers();

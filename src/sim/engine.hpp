@@ -5,18 +5,19 @@
 // of four steps — generate and consume load, perform balancing decisions,
 // and actually move load"):
 //
-//   1. generation + consumption, per processor (data-parallel; randomness is
-//      a counter-RNG function of (seed, proc, step), so results are
-//      identical for any thread count),
-//   2. the balancer's decision logic (serial),
+//   1. generation + consumption, per processor (randomness is a counter-RNG
+//      function of (seed, proc, step), so any order of the processors
+//      gives the same result),
+//   2. the balancer's decision logic,
 //   3. application of the transfers the balancer scheduled.
 //
-// The engine owns processor state and global accounting; models and
-// balancers are plugged in via the LoadModel / Balancer interfaces.
+// The engine is serial: it is the specification the concurrent runtime
+// (src/rt) must match bit for bit. It owns processor state and global
+// accounting; models and balancers are plugged in via the LoadModel /
+// Balancer interfaces.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -26,7 +27,6 @@
 #include "sim/processor.hpp"
 #include "sim/steal.hpp"
 #include "stats/histogram.hpp"
-#include "util/thread_pool.hpp"
 
 namespace clb::core {
 class LivenessSchedule;
@@ -39,10 +39,8 @@ struct EngineConfig {
   std::uint64_t n = 1024;
   /// Master seed; every random decision in the run derives from it.
   std::uint64_t seed = 1;
-  /// Worker threads for the generation pass (1 = serial; 0 = hardware).
-  unsigned threads = 1;
   /// Record task sojourn (waiting) times into a histogram. Costs one
-  /// histogram update per consumed task and forces the serial path.
+  /// histogram update per consumed task.
   bool track_sojourn = false;
   /// Optional event-trace sink (borrowed; must outlive the engine). Null or
   /// disabled costs one pointer test per traced site; see obs/trace.hpp.
@@ -230,8 +228,7 @@ class Engine {
   }
 
  private:
-  void generate_consume_block(std::uint64_t begin, std::uint64_t end,
-                              std::uint64_t step);
+  void generate_consume(std::uint64_t step);
   void process_crashes(std::uint64_t step);
   /// Replays the pure steal rule over the post-generation loads and applies
   /// the batches immediately (before the balancer sees the loads), exactly
@@ -247,7 +244,6 @@ class Engine {
   std::vector<Transfer> pending_;
   MessageCounters msg_;
   stats::IntHistogram sojourn_;
-  std::unique_ptr<util::ThreadPool> pool_;  // null when serial
 
   std::uint64_t step_ = 0;
   std::uint64_t total_load_ = 0;
@@ -263,8 +259,7 @@ class Engine {
   std::uint64_t rehomed_events_ = 0;
 
   // Work stealing (EngineConfig::steal). dry_ is written by the
-  // generate/consume pass (disjoint ranges under the pool, so no races) and
-  // consumed serially by apply_steals.
+  // generate/consume pass and consumed by apply_steals.
   std::vector<std::uint8_t> dry_;
   std::vector<std::uint32_t> steal_load_;
   std::vector<std::uint8_t> steal_alive_;

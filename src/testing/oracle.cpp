@@ -138,12 +138,11 @@ void arm_mutation(const Scenario& s, CaptureBalancer& cap, bool* applied) {
 
 /// Runs the scenario start to finish with no checks; used for the
 /// determinism replay (the checked run already validated the invariants).
-std::string replay_fingerprint(const Scenario& s, unsigned threads) {
+std::string replay_fingerprint(const Scenario& s) {
   ScenarioRuntime rt = build_runtime(s);
   sim::EngineConfig ec;
   ec.n = s.n;
   ec.seed = s.engine_seed;
-  ec.threads = threads;
   ec.liveness = rt.liveness.get();
   sim::Engine engine(ec, rt.model.get(), rt.balancer.get());
   for (std::uint64_t step = 0; step < s.steps; ++step) {
@@ -164,7 +163,6 @@ OracleReport run_engine_scenario(const Scenario& s) {
   sim::EngineConfig ec;
   ec.n = s.n;
   ec.seed = s.engine_seed;
-  ec.threads = s.threads;
   ec.liveness = rt.liveness.get();
   sim::Engine engine(ec, rt.model.get(), &cap);
 
@@ -333,14 +331,11 @@ OracleReport run_engine_scenario(const Scenario& s) {
     }
   }
 
-  // Determinism: an unmutated scenario must replay bit-identically under a
-  // different thread-pool size.
+  // Determinism: an unmutated scenario must replay bit-identically.
   if (s.mutation == sim::MutationKind::kNone &&
-      fingerprint(engine) != replay_fingerprint(s, s.threads_replay)) {
+      fingerprint(engine) != replay_fingerprint(s)) {
     return OracleReport::failure(
-        s.steps, fmt("nondeterminism: replay with %u threads diverged from "
-                     "the %u-thread run",
-                     s.threads_replay, s.threads));
+        s.steps, "nondeterminism: a replay of the same config diverged");
   }
   return ok_rep;
   }();

@@ -26,8 +26,8 @@
 //     PhaseStats::messages must equal the engine's global protocol_total()
 //     (a message accounted outside any phase window escapes every per-phase
 //     delta check; this is the only check that catches it);
-//   * determinism — a fresh runtime re-runs the scenario with a different
-//     thread-pool size and must produce a bit-identical state fingerprint.
+//   * determinism — a fresh engine replays the same scenario config and
+//     must produce a bit-identical state fingerprint.
 //
 // Scenarios with a MutationKind inject one deliberately broken behaviour
 // with consistent-looking accounting; the oracle is expected to FAIL such
@@ -104,13 +104,15 @@ class CaptureBalancer final : public sim::Balancer {
 /// collision_only.
 OracleReport run_engine_scenario(const Scenario& s);
 
-/// Runs a runtime (rt::Runtime) scenario. Threshold and unbalanced runs
-/// execute in lockstep with a shadow sim::Engine and are compared
-/// task-by-task (per-queue identity in FIFO order — the check that convicts
-/// the kMailboxDrop mutation, whose sender-side books stay consistent);
-/// all-in-air runs (whose per-processor scatter streams deliberately differ
-/// from the serial baseline) are checked for count conservation and
-/// bit-identical determinism under a different worker count.
+/// Runs a runtime (rt::Runtime) scenario. Every policy but all-in-air runs
+/// in lockstep with a testing::Reference (the serial engine on the same
+/// config) and ends in rt::diff of the two results: every counter, the
+/// ledger, the phase log and per-queue identity in FIFO order (the check
+/// that convicts the kMailboxDrop mutation, whose sender-side books stay
+/// consistent). All-in-air runs (whose per-processor scatter streams
+/// deliberately differ from the serial baseline) are checked for count
+/// conservation and bit-identical determinism under a different worker
+/// count.
 OracleReport run_rt_scenario(const Scenario& s);
 
 /// Runs a standalone collision-game scenario: <= c accepts per processor,

@@ -71,8 +71,11 @@ struct Scenario {
   std::uint64_t n = 64;
   std::uint64_t steps = 128;
   std::uint64_t engine_seed = 1;
-  unsigned threads = 1;        // first run
-  unsigned threads_replay = 1; // determinism re-run (may differ!)
+  /// rt::Runtime worker counts (runtime scenarios): the checked run, and
+  /// the all-in-air determinism re-run (may differ!). The serial engine
+  /// ignores both.
+  unsigned threads = 1;
+  unsigned threads_replay = 1;
 
   // Either a standalone collision game...
   bool collision_only = false;

@@ -9,8 +9,8 @@ namespace clb::util {
 
 namespace {
 
-// Worker ID of the current thread. Pool threads set this once at spawn;
-// everything else (main thread, detached helpers) keeps the default 0.
+// Worker index of the current thread (see bind_worker_index); threads that
+// never bind one keep the default 0.
 thread_local unsigned t_worker_index = 0;
 
 }  // namespace
@@ -56,82 +56,8 @@ std::uint64_t PhaseBarrier::generation() const {
   return generation_;
 }
 
-ThreadPool::ThreadPool(unsigned workers) {
-  if (workers == 0) {
-    workers = std::max(1u, std::thread::hardware_concurrency());
-  }
-  // The calling thread is worker 0; spawn the rest.
-  threads_.reserve(workers - 1);
-  for (unsigned i = 1; i < workers; ++i) {
-    threads_.emplace_back([this, i] {
-      t_worker_index = i;
-      worker_loop(i);
-    });
-  }
-}
+unsigned worker_index() { return t_worker_index; }
 
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mu_);
-    stop_ = true;
-  }
-  cv_start_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-unsigned ThreadPool::worker_index() { return t_worker_index; }
-
-void ThreadPool::bind_worker_index(unsigned index) { t_worker_index = index; }
-
-void ThreadPool::parallel_for(
-    std::uint64_t count,
-    const std::function<void(std::uint64_t, std::uint64_t)>& body) {
-  if (count == 0) return;
-  const unsigned parts = worker_count();
-  if (parts == 1 || count < 2 * parts) {
-    body(0, count);
-    return;
-  }
-  {
-    std::lock_guard lock(mu_);
-    CLB_CHECK(pending_ == 0, "nested parallel_for is not supported");
-    job_.body = &body;
-    job_.count = count;
-    ++job_.generation;
-    pending_ = parts - 1;
-  }
-  cv_start_.notify_all();
-
-  auto [begin, end] = block_range(count, parts, 0);
-  body(begin, end);
-
-  std::unique_lock lock(mu_);
-  cv_done_.wait(lock, [this] { return pending_ == 0; });
-  job_.body = nullptr;
-}
-
-void ThreadPool::worker_loop(unsigned index) {
-  std::uint64_t seen_generation = 0;
-  for (;;) {
-    const std::function<void(std::uint64_t, std::uint64_t)>* body = nullptr;
-    std::uint64_t count = 0;
-    {
-      std::unique_lock lock(mu_);
-      cv_start_.wait(lock, [&] {
-        return stop_ || (job_.body != nullptr && job_.generation > seen_generation);
-      });
-      if (stop_) return;
-      seen_generation = job_.generation;
-      body = job_.body;
-      count = job_.count;
-    }
-    auto [begin, end] = block_range(count, worker_count(), index);
-    (*body)(begin, end);
-    {
-      std::lock_guard lock(mu_);
-      if (--pending_ == 0) cv_done_.notify_one();
-    }
-  }
-}
+void bind_worker_index(unsigned index) { t_worker_index = index; }
 
 }  // namespace clb::util

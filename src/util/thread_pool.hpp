@@ -1,30 +1,21 @@
-// Fixed-size thread pool with a blocking parallel_for, plus the two
-// primitives the concurrent runtime (src/rt) builds its supersteps from:
-// a reusable phase barrier and stable per-thread worker IDs.
-//
-// The simulator's per-step work (task generation, query placement) is data
-// parallel over processors. Per-processor counter-based RNG streams make the
-// result independent of how the index range is split, so the engine is
-// deterministic for any worker count — including the single-threaded
-// fallback used when hardware_concurrency() == 1.
+// The threading primitives the concurrent runtime (src/rt) builds its
+// supersteps from: the contiguous block partition, a reusable phase barrier
+// and the calling thread's worker index. The simulator itself is serial;
+// only rt::Runtime's shard threads run concurrently.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <thread>
 #include <utility>
-#include <vector>
 
 namespace clb::util {
 
 /// Splits [0, count) into `parts` contiguous blocks; returns [begin, end) of
 /// block `index`. Blocks differ in size by at most 1, and earlier blocks get
 /// the larger sizes, so concatenating blocks 0..parts-1 walks [0, count) in
-/// order. Both ThreadPool::parallel_for and the rt shard partition use this,
-/// which is what makes "worker order = ascending processor order" a property
-/// the runtime can rely on.
+/// order. The rt shard partition uses this, which is what makes "worker
+/// order = ascending processor order" a property the runtime can rely on.
 [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> block_range(
     std::uint64_t count, unsigned parts, unsigned index);
 
@@ -72,59 +63,14 @@ class PhaseBarrier {
   std::uint64_t generation_ = 0;
 };
 
-class ThreadPool {
- public:
-  /// Creates `workers` threads; 0 means hardware_concurrency (at least 1).
-  explicit ThreadPool(unsigned workers = 0);
-  ~ThreadPool();
+/// The calling thread's worker index: what it last passed to
+/// bind_worker_index, or 0 for a thread that never bound one (the main
+/// thread included). obs::TraceSink stamps every event with it.
+[[nodiscard]] unsigned worker_index();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] unsigned worker_count() const {
-    return static_cast<unsigned>(threads_.size() + 1);  // workers + caller
-  }
-
-  /// Stable ID of the calling thread within its owning pool: the caller of
-  /// parallel_for is worker 0, spawned threads are 1..worker_count()-1, and
-  /// a given pool thread reports the same index for its whole lifetime (IDs
-  /// are pinned at spawn, not assigned per job). Threads that belong to no
-  /// pool — including the main thread — report 0, matching their role as
-  /// "worker 0" when they call parallel_for.
-  [[nodiscard]] static unsigned worker_index();
-
-  /// Adopts the calling thread into the worker-ID scheme: worker_index()
-  /// returns `index` for this thread from now on. For threads that behave
-  /// like pool workers but are spawned elsewhere — rt::Runtime's shard
-  /// threads bind their shard index at startup so trace events and
-  /// telemetry they emit carry the right lane. Pool threads never need
-  /// this (their ID is pinned at spawn).
-  static void bind_worker_index(unsigned index);
-
-  /// Runs body(begin, end) over [0, count) split into contiguous blocks, one
-  /// per worker (the calling thread participates). Blocks until all finish.
-  /// `body` must be safe to call concurrently on disjoint ranges. Inside
-  /// `body`, worker_index() identifies the executing worker, and worker i
-  /// always receives block i (block_range(count, worker_count(), i)).
-  void parallel_for(std::uint64_t count,
-                    const std::function<void(std::uint64_t, std::uint64_t)>& body);
-
- private:
-  void worker_loop(unsigned index);
-
-  struct Job {
-    const std::function<void(std::uint64_t, std::uint64_t)>* body = nullptr;
-    std::uint64_t count = 0;
-    std::uint64_t generation = 0;
-  };
-
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  Job job_;
-  unsigned pending_ = 0;
-  bool stop_ = false;
-};
+/// Makes worker_index() return `index` on the calling thread from now on.
+/// rt::Runtime's shard threads bind their shard index at spawn, so the
+/// trace events and telemetry they emit carry the right lane.
+void bind_worker_index(unsigned index);
 
 }  // namespace clb::util

@@ -1,9 +1,8 @@
-// Cross-thread determinism: the same seed must produce byte-identical
-// results for any worker-pool size. The engine's generation pass keys all
-// randomness on (seed, proc, step) via counter RNG precisely so the thread
-// count cannot leak into results; these tests pin that contract through the
-// obs metrics JSON export — the same artefact the bench harnesses and
-// statcheck consume.
+// Replay determinism: the same seed and config must produce byte-identical
+// results run after run. The engine keys all randomness on (seed, proc,
+// step) via counter RNG, so nothing outside the config can leak into a
+// result; these tests pin that contract through the obs metrics JSON
+// export — the same artefact the bench harnesses and statcheck consume.
 #include <gtest/gtest.h>
 
 #include "clb.hpp"
@@ -12,12 +11,11 @@ namespace {
 
 using namespace clb;
 
-std::string engine_metrics_json(unsigned threads, std::uint64_t seed) {
+std::string engine_metrics_json(std::uint64_t seed) {
   models::SingleModel model(0.4, 0.1);
   core::ThresholdBalancer balancer(
       {.params = core::PhaseParams::from_n(512)});
-  sim::Engine engine({.n = 512, .seed = seed, .threads = threads}, &model,
-                     &balancer);
+  sim::Engine engine({.n = 512, .seed = seed}, &model, &balancer);
   engine.run(400);
   obs::MetricsRegistry m;
   obs::snapshot_engine(m, engine, "det.");
@@ -26,32 +24,27 @@ std::string engine_metrics_json(unsigned threads, std::uint64_t seed) {
   return m.to_json();
 }
 
-TEST(Determinism, EngineMetricsJsonIdenticalAcrossThreadPools) {
-  const std::string one = engine_metrics_json(1, 7);
-  EXPECT_EQ(one, engine_metrics_json(2, 7));
-  EXPECT_EQ(one, engine_metrics_json(8, 7));
+TEST(Determinism, EngineMetricsJsonIdenticalOnReplay) {
+  EXPECT_EQ(engine_metrics_json(7), engine_metrics_json(7));
 }
 
 TEST(Determinism, DifferentSeedsActuallyDiffer) {
   // Guards the test above against vacuity (e.g. an export that ignores the
   // run entirely would also be "identical").
-  EXPECT_NE(engine_metrics_json(1, 7), engine_metrics_json(1, 8));
+  EXPECT_NE(engine_metrics_json(7), engine_metrics_json(8));
 }
 
-TEST(Determinism, AllInAirImmediateModeIdenticalAcrossThreadPools) {
-  const auto fingerprint = [](unsigned threads) {
+TEST(Determinism, AllInAirImmediateModeIdenticalOnReplay) {
+  const auto fingerprint = [] {
     models::SingleModel model(0.4, 0.1);
     baselines::AllInAirBalancer balancer;
-    sim::Engine engine({.n = 256, .seed = 3, .threads = threads}, &model,
-                       &balancer);
+    sim::Engine engine({.n = 256, .seed = 3}, &model, &balancer);
     engine.run(300);
     obs::MetricsRegistry m;
     obs::snapshot_engine(m, engine, "det.");
     return m.to_json();
   };
-  const std::string one = fingerprint(1);
-  EXPECT_EQ(one, fingerprint(2));
-  EXPECT_EQ(one, fingerprint(8));
+  EXPECT_EQ(fingerprint(), fingerprint());
 }
 
 TEST(Determinism, CollisionGameReplaysIdentically) {

@@ -144,21 +144,6 @@ TEST(Integration, AdversarialBoundedByCapPlusT) {
   EXPECT_LE(eng.running_max_load(), 3 * (4 + params.T));
 }
 
-TEST(Integration, FullStackDeterministicAcrossThreads) {
-  const std::uint64_t n = 1 << 10;
-  models::SingleModel m1(0.4, 0.1), m2(0.4, 0.1);
-  ThresholdBalancer b1({.params = PhaseParams::from_n(n)});
-  ThresholdBalancer b2({.params = PhaseParams::from_n(n)});
-  sim::Engine e1({.n = n, .seed = 10, .threads = 1}, &m1, &b1);
-  sim::Engine e2({.n = n, .seed = 10, .threads = 4}, &m2, &b2);
-  e1.run(1000);
-  e2.run(1000);
-  EXPECT_EQ(e1.total_load(), e2.total_load());
-  EXPECT_EQ(e1.running_max_load(), e2.running_max_load());
-  EXPECT_EQ(e1.messages().queries, e2.messages().queries);
-  EXPECT_EQ(e1.messages().tasks_moved, e2.messages().tasks_moved);
-}
-
 TEST(Integration, CommunicationFarBelowBallsIntoBins) {
   // §1.2: parallel balls-into-bins spends >= 1 message per generated task;
   // the threshold scheme's protocol messages per generated task vanish.

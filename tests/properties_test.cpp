@@ -253,40 +253,5 @@ TEST_P(DistLatencyProperty, ConservativeAndMatching) {
 INSTANTIATE_TEST_SUITE_P(Latencies, DistLatencyProperty,
                          ::testing::Values(1, 2, 3, 5, 8));
 
-// ------------------------------------------------ threaded equivalence ---
-// Property: for every model that allows parallel generation, thread count
-// never changes the trajectory.
-class ThreadEquivalenceProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(ThreadEquivalenceProperty, SameTrajectoryAnyThreads) {
-  const int model_id = GetParam();
-  const std::uint64_t n = 512;
-  auto make_model = [&]() -> std::unique_ptr<sim::LoadModel> {
-    switch (model_id) {
-      case 0: return std::make_unique<models::SingleModel>(0.4, 0.1);
-      case 1: return std::make_unique<models::GeometricModel>(3);
-      default:
-        return std::make_unique<models::MultiModel>(
-            std::vector<double>{0.6, 0.25, 0.15});
-    }
-  };
-  auto m1 = make_model();
-  auto m2 = make_model();
-  core::ThresholdBalancer b1(
-      {.params = core::PhaseParams::from_n(n, {.scale = 3.0})});
-  core::ThresholdBalancer b2(
-      {.params = core::PhaseParams::from_n(n, {.scale = 3.0})});
-  sim::Engine e1({.n = n, .seed = 41, .threads = 1}, m1.get(), &b1);
-  sim::Engine e2({.n = n, .seed = 41, .threads = 3}, m2.get(), &b2);
-  e1.run(600);
-  e2.run(600);
-  for (std::uint64_t p = 0; p < n; ++p) {
-    ASSERT_EQ(e1.load(p), e2.load(p)) << "model " << model_id << " proc " << p;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Models, ThreadEquivalenceProperty,
-                         ::testing::Values(0, 1, 2));
-
 }  // namespace
 }  // namespace clb

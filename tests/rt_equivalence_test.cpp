@@ -1,30 +1,30 @@
-// Bit-for-bit equivalence of rt::Runtime against
-// sim::Engine + core::ThresholdBalancer: same seed must yield identical
-// heavy/light classifications, transfer ledger, message counters, and final
-// per-task queue contents — for ANY worker count. The sim side replays the
-// engine's clamp rule on the transfers a CaptureBalancer snapshots, so the
-// two ledgers are directly comparable.
+// Bit-for-bit equivalence of rt::Runtime against its serial specification,
+// sim::Engine + core::ThresholdBalancer (testing::Reference): the same seed
+// must yield the same rt::RunResult — classifications, transfer ledger,
+// every counter and the final per-task queue contents — for ANY worker
+// count, so each check is one rt::diff against the reference's result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/params.hpp"
-#include "core/threshold_balancer.hpp"
 #include "models/burst.hpp"
 #include "models/single.hpp"
 #include "rt/runtime.hpp"
 #include "sim/engine.hpp"
-#include "testing/oracle.hpp"
+#include "testing/reference.hpp"
 
 namespace {
 
 using namespace clb;
+using clb::testing::Reference;
 
 enum class WhichModel { kSingle, kBurst };
 
@@ -59,143 +59,10 @@ std::vector<Spike> spikes_for(std::uint64_t seed, std::uint64_t n) {
   return {{4, p(0), 40}, {9, p(1), 56}, {17, p(2), 48}};
 }
 
-struct PhaseRecord {
-  std::uint64_t start_step = 0;
-  std::uint64_t num_heavy = 0;
-  std::uint64_t num_light = 0;
-  std::uint64_t matched = 0;
-  std::uint64_t unmatched = 0;
-  std::uint64_t requests = 0;
-  std::uint32_t levels_used = 0;
-  std::uint64_t collision_rounds = 0;
-  std::vector<std::uint32_t> heavy_procs;
-};
-
-struct RunRecord {
-  std::vector<std::vector<sim::Task>> queues;
-  std::vector<std::uint64_t> generated;
-  std::vector<std::uint64_t> consumed;
-  std::vector<std::uint64_t> consumed_on_origin;
-  std::vector<std::uint64_t> initiations;
-  sim::MessageCounters msg;
-  std::uint64_t clamped = 0;
-  std::uint64_t running_max = 0;
-  std::uint64_t total_load = 0;
-  std::uint64_t steal_events = 0;
-  std::uint64_t stolen = 0;
-  std::vector<rt::LedgerEntry> ledger;
-  std::vector<PhaseRecord> phases;
-  /// Phase steps on which a steal took a victim below the heavy threshold
-  /// and gave a thief more than the light threshold (engine side only).
-  std::uint64_t steal_flip_steps = 0;
-};
-
-RunRecord run_sim(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
-                  WhichModel which, const core::PhaseParams& params,
-                  const sim::StealConfig& steal = {}) {
-  auto model = make_model(which, n);
-  core::ThresholdBalancer inner({.params = params});
-  clb::testing::CaptureBalancer cap(&inner);
-  sim::Engine eng({.n = n, .seed = seed, .steal = steal}, model.get(), &cap);
-
-  RunRecord r;
-  cap.set_post_capture_hook([&](sim::Engine& e) {
-    // The hook runs after on_step, before apply_transfers: loads are still
-    // the post-generation loads the balancer classified, and the scheduled
-    // counts can be clamped exactly like Engine::apply_transfers will.
-    for (const sim::Transfer& t : cap.captured()) {
-      const std::uint64_t cnt = std::min<std::uint64_t>(t.count, e.load(t.from));
-      r.ledger.push_back({e.step(), t.from, t.to,
-                          static_cast<std::uint32_t>(cnt)});
-    }
-    if (e.step() % params.phase_len == 0) {
-      // The balancer classified the post-steal loads; undo this step's
-      // steals to see what a classification before them would have said.
-      bool victim_flip = false, thief_flip = false;
-      const std::vector<sim::StealRecord>& log = e.steal_log();
-      for (auto it = log.rbegin(); it != log.rend() && it->step == e.step();
-           ++it) {
-        const std::uint64_t victim = e.load(it->from);
-        const std::uint64_t thief = e.load(it->to);
-        victim_flip |= victim + it->count >= params.heavy_threshold &&
-                       victim < params.heavy_threshold;
-        thief_flip |= thief - it->count <= params.light_threshold &&
-                      thief > params.light_threshold;
-      }
-      if (victim_flip && thief_flip) ++r.steal_flip_steps;
-      // Atomic execution finalises the phase inside the same on_step, so
-      // last_phase() is the phase that just ran at this very step.
-      const core::PhaseStats& ps = inner.last_phase();
-      PhaseRecord pr;
-      pr.start_step = ps.start_step;
-      pr.num_heavy = ps.num_heavy;
-      pr.num_light = ps.num_light;
-      pr.matched = ps.matched_heavy;
-      pr.unmatched = ps.unmatched_heavy;
-      pr.requests = ps.requests;
-      pr.levels_used = ps.levels_used;
-      pr.collision_rounds = ps.collision_rounds;
-      for (std::uint64_t p = 0; p < n; ++p) {
-        if (e.load(p) >= params.heavy_threshold) {
-          pr.heavy_procs.push_back(static_cast<std::uint32_t>(p));
-        }
-      }
-      r.phases.push_back(std::move(pr));
-    }
-  });
-
-  const std::vector<Spike> spikes = spikes_for(seed, n);
-  for (std::uint64_t s = 0; s < steps; ++s) {
-    for (const Spike& sp : spikes) {
-      if (sp.step != s) continue;
-      for (std::uint32_t i = 0; i < sp.tasks; ++i) {
-        eng.deposit(sp.proc, sim::Task{static_cast<std::uint32_t>(s), sp.proc, 1});
-      }
-    }
-    eng.step_once();
-  }
-
-  for (std::uint64_t p = 0; p < n; ++p) {
-    const sim::Processor& proc = eng.processor(p);
-    std::vector<sim::Task> q;
-    for (std::uint64_t i = 0; i < proc.queue.size(); ++i) {
-      q.push_back(proc.queue.at(i));
-    }
-    r.queues.push_back(std::move(q));
-    r.generated.push_back(proc.generated);
-    r.consumed.push_back(proc.consumed);
-    r.consumed_on_origin.push_back(proc.consumed_on_origin);
-    r.initiations.push_back(proc.balance_initiations);
-  }
-  r.msg = eng.messages();
-  r.clamped = eng.clamped_transfers();
-  r.running_max = eng.running_max_load();
-  r.total_load = eng.total_load();
-  r.steal_events = eng.steal_events();
-  r.stolen = eng.stolen_tasks();
-  // The engine books steals into a separate log (the runtime folds them
-  // into its ledger alongside balancer transfers); merge before sorting so
-  // the two event sets match.
-  for (const sim::StealRecord& t : eng.steal_log()) {
-    r.ledger.push_back({t.step, t.from, t.to, t.count});
-  }
-  // The engine schedules transfers in id-delivery order, which leaves root
-  // order once trees deepen; the runtime's merged ledger is canonically
-  // sorted by (step, from, to, count) — count joins the key because a steal
-  // and a phase transfer may share the same (step, from, to).
-  std::sort(r.ledger.begin(), r.ledger.end(),
-            [](const rt::LedgerEntry& a, const rt::LedgerEntry& b) {
-              if (a.step != b.step) return a.step < b.step;
-              if (a.from != b.from) return a.from < b.from;
-              if (a.to != b.to) return a.to < b.to;
-              return a.count < b.count;
-            });
-  EXPECT_TRUE(eng.conservation_holds());
-  return r;
-}
-
-/// Runs `steps` steps on `run`, depositing spikes_for(seed, n) on the way.
-void drive(rt::Runtime& run, std::uint64_t steps, std::uint64_t seed,
+/// Runs `steps` steps on `run` (an rt::Runtime or a testing::Reference),
+/// depositing spikes_for(seed, n) on the way.
+template <typename Run>
+void drive(Run& run, std::uint64_t steps, std::uint64_t seed,
            std::uint64_t n) {
   std::uint64_t done = 0;
   for (const Spike& sp : spikes_for(seed, n)) {
@@ -211,118 +78,54 @@ void drive(rt::Runtime& run, std::uint64_t steps, std::uint64_t seed,
   run.run(steps - done);
 }
 
-/// A runtime and the model it reads, which must outlive it.
-struct DiffRun {
+/// A runtime or a reference and the model it reads, which must outlive it.
+template <typename Run>
+struct Owned {
   std::unique_ptr<sim::LoadModel> model;
-  std::unique_ptr<rt::Runtime> run;
+  std::unique_ptr<Run> run;
 };
 
-RunRecord record_of(const rt::RunResult& res, std::uint64_t n) {
-  RunRecord r;
-  for (std::uint64_t p = 0; p < n; ++p) {
-    const rt::RtProcessor& proc = res.processor(p);
-    std::vector<sim::Task> q;
-    for (const rt::RtTask& t : proc.queue) q.push_back(t.task);
-    r.queues.push_back(std::move(q));
-    r.generated.push_back(proc.generated);
-    r.consumed.push_back(proc.consumed);
-    r.consumed_on_origin.push_back(proc.consumed_on_origin);
-    r.initiations.push_back(proc.balance_initiations);
-  }
-  r.msg = res.out.msg;
-  r.clamped = res.out.clamped;
-  r.running_max = res.out.running_max;
-  r.total_load = res.total_load();
-  r.steal_events = res.out.steal_events;
-  r.stolen = res.out.stolen_tasks;
-  r.ledger = res.out.ledger;
-  for (const rt::RtPhaseSummary& ps : res.out.phases) {
-    PhaseRecord pr;
-    pr.start_step = ps.start_step;
-    pr.num_heavy = ps.num_heavy;
-    pr.num_light = ps.num_light;
-    pr.matched = ps.matched;
-    pr.unmatched = ps.unmatched;
-    pr.requests = ps.requests;
-    pr.levels_used = ps.levels_used;
-    pr.collision_rounds = ps.collision_rounds;
-    pr.heavy_procs = ps.heavy_procs;
-    r.phases.push_back(std::move(pr));
-  }
-  EXPECT_TRUE(res.conservation_holds());
+template <typename Run>
+Owned<Run> build(const rt::RtConfig& cfg, WhichModel which) {
+  Owned<Run> r{make_model(which, cfg.n), nullptr};
+  r.run = std::make_unique<Run>(cfg, r.model.get());
   return r;
 }
 
-RunRecord run_rt(std::uint64_t n, std::uint64_t seed, std::uint64_t steps,
-                 WhichModel which, const core::PhaseParams& params,
-                 unsigned workers, const sim::StealConfig& steal = {}) {
-  auto model = make_model(which, n);
+/// `cfg` run for `steps` steps with the spikes deposited.
+template <typename Run>
+Owned<Run> run_of(const rt::RtConfig& cfg, WhichModel which,
+                  std::uint64_t steps) {
+  Owned<Run> r = build<Run>(cfg, which);
+  drive(*r.run, steps, cfg.seed, cfg.n);
+  return r;
+}
+
+rt::RtConfig threshold_config(std::uint64_t n, std::uint64_t seed,
+                              const core::PhaseParams& params,
+                              const sim::StealConfig& steal = {}) {
   rt::RtConfig cfg;
   cfg.n = n;
   cfg.seed = seed;
-  cfg.workers = workers;
   cfg.policy = rt::RtPolicy::kThreshold;
   cfg.params = params;
   cfg.steal = steal;
-  rt::Runtime run(cfg, model.get());
-  drive(run, steps, seed, n);
-  return record_of(run.result(), n);
+  return cfg;
 }
 
-void expect_equal(const RunRecord& sim_r, const RunRecord& rt_r,
-                  const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(sim_r.queues.size(), rt_r.queues.size());
-  for (std::size_t p = 0; p < sim_r.queues.size(); ++p) {
-    const auto& a = sim_r.queues[p];
-    const auto& b = rt_r.queues[p];
-    ASSERT_EQ(a.size(), b.size()) << "queue length, proc " << p;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].birth_step, b[i].birth_step)
-          << "proc " << p << " pos " << i;
-      EXPECT_EQ(a[i].origin, b[i].origin) << "proc " << p << " pos " << i;
-    }
-    EXPECT_EQ(sim_r.generated[p], rt_r.generated[p]) << "generated, proc " << p;
-    EXPECT_EQ(sim_r.consumed[p], rt_r.consumed[p]) << "consumed, proc " << p;
-    EXPECT_EQ(sim_r.consumed_on_origin[p], rt_r.consumed_on_origin[p])
-        << "consumed_on_origin, proc " << p;
-    EXPECT_EQ(sim_r.initiations[p], rt_r.initiations[p])
-        << "initiations, proc " << p;
-  }
-
-  EXPECT_EQ(sim_r.msg.queries, rt_r.msg.queries);
-  EXPECT_EQ(sim_r.msg.accepts, rt_r.msg.accepts);
-  EXPECT_EQ(sim_r.msg.id_messages, rt_r.msg.id_messages);
-  EXPECT_EQ(sim_r.msg.control, rt_r.msg.control);
-  EXPECT_EQ(sim_r.msg.transfers, rt_r.msg.transfers);
-  EXPECT_EQ(sim_r.msg.tasks_moved, rt_r.msg.tasks_moved);
-  EXPECT_EQ(sim_r.clamped, rt_r.clamped);
-  EXPECT_EQ(sim_r.running_max, rt_r.running_max);
-  EXPECT_EQ(sim_r.total_load, rt_r.total_load);
-  EXPECT_EQ(sim_r.steal_events, rt_r.steal_events);
-  EXPECT_EQ(sim_r.stolen, rt_r.stolen);
-
-  ASSERT_EQ(sim_r.ledger.size(), rt_r.ledger.size());
-  for (std::size_t i = 0; i < sim_r.ledger.size(); ++i) {
-    EXPECT_EQ(sim_r.ledger[i].step, rt_r.ledger[i].step) << "ledger " << i;
-    EXPECT_EQ(sim_r.ledger[i].from, rt_r.ledger[i].from) << "ledger " << i;
-    EXPECT_EQ(sim_r.ledger[i].to, rt_r.ledger[i].to) << "ledger " << i;
-    EXPECT_EQ(sim_r.ledger[i].count, rt_r.ledger[i].count) << "ledger " << i;
-  }
-
-  ASSERT_EQ(sim_r.phases.size(), rt_r.phases.size());
-  for (std::size_t i = 0; i < sim_r.phases.size(); ++i) {
-    const PhaseRecord& a = sim_r.phases[i];
-    const PhaseRecord& b = rt_r.phases[i];
-    EXPECT_EQ(a.start_step, b.start_step) << "phase " << i;
-    EXPECT_EQ(a.num_heavy, b.num_heavy) << "phase " << i;
-    EXPECT_EQ(a.num_light, b.num_light) << "phase " << i;
-    EXPECT_EQ(a.matched, b.matched) << "phase " << i;
-    EXPECT_EQ(a.unmatched, b.unmatched) << "phase " << i;
-    EXPECT_EQ(a.requests, b.requests) << "phase " << i;
-    EXPECT_EQ(a.levels_used, b.levels_used) << "phase " << i;
-    EXPECT_EQ(a.collision_rounds, b.collision_rounds) << "phase " << i;
-    EXPECT_EQ(a.heavy_procs, b.heavy_procs) << "phase " << i;
+/// The runtime at each worker count must give the reference's result, and
+/// both must conserve tasks (rt::diff leaves the drop counters out).
+void expect_matches(const rt::RunResult& want, rt::RtConfig cfg,
+                    WhichModel which, std::uint64_t steps,
+                    std::initializer_list<unsigned> workers) {
+  EXPECT_TRUE(want.conservation_holds()) << "reference";
+  for (const unsigned w : workers) {
+    cfg.workers = w;
+    const Owned<rt::Runtime> got = run_of<rt::Runtime>(cfg, which, steps);
+    const rt::RunResult& res = got.run->result();
+    EXPECT_EQ(rt::diff(want, res), "")
+        << model_name(which) << " seed=" << cfg.seed << " workers=" << w;
+    EXPECT_TRUE(res.conservation_holds()) << "workers=" << w;
   }
 }
 
@@ -338,14 +141,9 @@ TEST_P(RtEquivalence, MatchesEngineForAllWorkerCounts) {
   f.t_min = 64;  // phase_len 4: phases interleave with plain steps
   const core::PhaseParams params = core::PhaseParams::from_n(n, f);
 
-  const RunRecord sim_r = run_sim(n, seed, steps, which, params);
-  for (unsigned workers : {1u, 2u, 8u}) {
-    const RunRecord rt_r = run_rt(n, seed, steps, which, params, workers);
-    expect_equal(sim_r, rt_r,
-                 std::string(model_name(which)) + " seed=" +
-                     std::to_string(seed) + " workers=" +
-                     std::to_string(workers));
-  }
+  const rt::RtConfig cfg = threshold_config(n, seed, params);
+  const auto ref = run_of<Reference>(cfg, which, steps);
+  expect_matches(ref.run->result(), cfg, which, steps, {1, 2, 8});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -366,41 +164,22 @@ TEST(RtEquivalenceDense, PhaseEveryStep) {
   const std::uint64_t steps = 24;
   const core::PhaseParams params = core::PhaseParams::from_n(n);
   ASSERT_EQ(params.phase_len, 1u);
-  const RunRecord sim_r = run_sim(n, 5, steps, WhichModel::kSingle, params);
-  for (unsigned workers : {1u, 3u, 8u}) {
-    const RunRecord rt_r =
-        run_rt(n, 5, steps, WhichModel::kSingle, params, workers);
-    expect_equal(sim_r, rt_r, "dense workers=" + std::to_string(workers));
-  }
+  const rt::RtConfig cfg = threshold_config(n, 5, params);
+  const auto ref = run_of<Reference>(cfg, WhichModel::kSingle, steps);
+  expect_matches(ref.run->result(), cfg, WhichModel::kSingle, steps,
+                 {1, 3, 8});
 }
 
 // NoBalancing policy: generation/consumption alone must already match the
 // engine exactly (same per-processor Philox streams, any worker count).
 TEST(RtEquivalenceNone, UnbalancedMatchesEngine) {
-  const std::uint64_t n = 128;
   const std::uint64_t steps = 64;
-  auto sim_model = make_model(WhichModel::kBurst, n);
-  sim::Engine eng({.n = n, .seed = 11}, sim_model.get(), nullptr);
-  eng.run(steps);
-
-  auto rt_model = make_model(WhichModel::kBurst, n);
   rt::RtConfig cfg;
-  cfg.n = n;
+  cfg.n = 128;
   cfg.seed = 11;
-  cfg.workers = 4;
   cfg.policy = rt::RtPolicy::kNone;
-  rt::Runtime run(cfg, rt_model.get());
-  run.run(steps);
-
-  const rt::RunResult& res = run.result();
-  EXPECT_EQ(eng.total_load(), res.total_load());
-  EXPECT_EQ(eng.total_generated(), res.total_generated());
-  EXPECT_EQ(eng.total_consumed(), res.total_consumed());
-  EXPECT_EQ(eng.running_max_load(), res.out.running_max);
-  for (std::uint64_t p = 0; p < n; ++p) {
-    ASSERT_EQ(eng.load(p), res.processor(p).queue.size()) << "proc " << p;
-  }
-  EXPECT_TRUE(res.conservation_holds());
+  const auto ref = run_of<Reference>(cfg, WhichModel::kBurst, steps);
+  expect_matches(ref.run->result(), cfg, WhichModel::kBurst, steps, {4});
 }
 
 // Deterministic mode must be bit-identical across worker counts for the
@@ -413,18 +192,13 @@ TEST(RtEquivalenceAir, ScatterDeterministicAcrossWorkers) {
   const std::uint64_t n = 128;
   const std::uint64_t steps = 48;
 
-  struct AirRun {
-    std::unique_ptr<sim::LoadModel> model;
-    std::unique_ptr<rt::Runtime> run;
-  };
   auto run_air = [&](unsigned workers) {
-    AirRun r{make_model(WhichModel::kSingle, n), nullptr};
     rt::RtConfig cfg;
     cfg.n = n;
     cfg.seed = 7;
     cfg.workers = workers;
     cfg.policy = rt::RtPolicy::kAllInAir;
-    r.run = std::make_unique<rt::Runtime>(cfg, r.model.get());
+    Owned<rt::Runtime> r = build<rt::Runtime>(cfg, WhichModel::kSingle);
     std::uint64_t max_seen = 0;
     for (std::uint64_t s = 0; s < steps; ++s) {
       r.run->run(1);
@@ -437,10 +211,10 @@ TEST(RtEquivalenceAir, ScatterDeterministicAcrossWorkers) {
     return r;
   };
 
-  const AirRun base = run_air(1);
+  const Owned<rt::Runtime> base = run_air(1);
   EXPECT_GT(base.run->result().out.msg.transfers, 0u);
   for (const unsigned workers : {2u, 8u}) {
-    const AirRun other = run_air(workers);
+    const Owned<rt::Runtime> other = run_air(workers);
     EXPECT_EQ(rt::diff(base.run->result(), other.run->result()), "")
         << "1 vs " << workers << " workers";
   }
@@ -464,20 +238,15 @@ TEST_P(RtEquivalenceScale, ArenaAndStealMatchEngine) {
   sim::StealConfig steal;
   steal.enabled = steal_on;
 
-  const RunRecord sim_r = run_sim(n, 2, steps, WhichModel::kBurst, params,
-                                  steal);
+  const rt::RtConfig cfg = threshold_config(n, 2, params, steal);
+  const auto ref = run_of<Reference>(cfg, WhichModel::kBurst, steps);
+  const rt::RunResult& want = ref.run->result();
   if (steal_on) {
     // The burst spikes guarantee loaded victims while quiet processors run
     // dry, so an all-green run with zero steals would be vacuous.
-    EXPECT_GT(sim_r.steal_events, 0u);
+    EXPECT_GT(want.out.steal_events, 0u);
   }
-  for (unsigned workers : {1u, 2u, 8u}) {
-    const RunRecord rt_r = run_rt(n, 2, steps, WhichModel::kBurst, params,
-                                  workers, steal);
-    expect_equal(sim_r, rt_r,
-                 std::string("scale steal=") + (steal_on ? "on" : "off") +
-                     " workers=" + std::to_string(workers));
-  }
+  expect_matches(want, cfg, WhichModel::kBurst, steps, {1, 2, 8});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -499,14 +268,11 @@ TEST(RtEquivalenceScale64k, ArenaStealMatchesEngine) {
   sim::StealConfig steal;
   steal.enabled = true;
 
-  const RunRecord sim_r = run_sim(n, 3, steps, WhichModel::kBurst, params,
-                                  steal);
-  EXPECT_GT(sim_r.steal_events, 0u);
-  for (unsigned workers : {1u, 4u}) {
-    const RunRecord rt_r = run_rt(n, 3, steps, WhichModel::kBurst, params,
-                                  workers, steal);
-    expect_equal(sim_r, rt_r, "n64k workers=" + std::to_string(workers));
-  }
+  const rt::RtConfig cfg = threshold_config(n, 3, params, steal);
+  const auto ref = run_of<Reference>(cfg, WhichModel::kBurst, steps);
+  const rt::RunResult& want = ref.run->result();
+  EXPECT_GT(want.out.steal_events, 0u);
+  expect_matches(want, cfg, WhichModel::kBurst, steps, {1, 4});
 }
 
 // The sweep classifies every processor from its post-generation load, and
@@ -515,40 +281,40 @@ TEST(RtEquivalenceScale64k, ArenaStealMatchesEngine) {
 // threshold must reclassify both. Default fractions at n = 192 (T = 16:
 // heavy 8, light 1, a phase every step) and 4-task steal batches make
 // that happen: a victim at 8..11 tasks drops below 8, a dry thief rises to
-// 4. The engine classifies after its steals, so it is the reference; the
-// worker counts must also agree with each other field by field.
+// 4. The engine classifies after its steals, so it is the reference.
 TEST(RtEquivalenceStealClasses, StealFlipsClassesBeforeThePhase) {
   const std::uint64_t n = 192;
   const std::uint64_t steps = 48;
-  const std::uint64_t seed = 5;
   const core::PhaseParams params = core::PhaseParams::from_n(n);
   ASSERT_EQ(params.phase_len, 1u);
   sim::StealConfig steal;
   steal.enabled = true;
-  const RunRecord sim_r =
-      run_sim(n, seed, steps, WhichModel::kBurst, params, steal);
-  EXPECT_GT(sim_r.steal_flip_steps, 0u);
+  const rt::RtConfig cfg = threshold_config(n, 5, params, steal);
 
-  std::vector<DiffRun> runs;
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    DiffRun r{make_model(WhichModel::kBurst, n), nullptr};
-    rt::RtConfig cfg;
-    cfg.n = n;
-    cfg.seed = seed;
-    cfg.workers = workers;
-    cfg.policy = rt::RtPolicy::kThreshold;
-    cfg.params = params;
-    cfg.steal = steal;
-    r.run = std::make_unique<rt::Runtime>(cfg, r.model.get());
-    drive(*r.run, steps, seed, n);
-    expect_equal(sim_r, record_of(r.run->result(), n),
-                 "steal flips, workers=" + std::to_string(workers));
-    if (!runs.empty()) {
-      EXPECT_EQ(rt::diff(runs.front().run->result(), r.run->result()), "")
-          << "1 vs " << workers << " workers";
+  // Steps on which a steal took a victim below the heavy threshold and gave
+  // a thief more than the light threshold. The balancer classified the
+  // post-steal loads; undoing this step's steals shows what a
+  // classification before them would have said.
+  std::uint64_t flip_steps = 0;
+  auto ref = build<Reference>(cfg, WhichModel::kBurst);
+  ref.run->on_decided([&](const sim::Engine& e) {
+    bool victim_flip = false, thief_flip = false;
+    const std::vector<sim::StealRecord>& log = e.steal_log();
+    for (auto it = log.rbegin(); it != log.rend() && it->step == e.step();
+         ++it) {
+      const std::uint64_t victim = e.load(it->from);
+      const std::uint64_t thief = e.load(it->to);
+      victim_flip |= victim + it->count >= params.heavy_threshold &&
+                     victim < params.heavy_threshold;
+      thief_flip |= thief - it->count <= params.light_threshold &&
+                    thief > params.light_threshold;
     }
-    runs.push_back(std::move(r));
-  }
+    if (victim_flip && thief_flip) ++flip_steps;
+  });
+  drive(*ref.run, steps, cfg.seed, n);
+  EXPECT_GT(flip_steps, 0u);
+  expect_matches(ref.run->result(), cfg, WhichModel::kBurst, steps,
+                 {1, 2, 4});
 }
 
 // The end-of-step load reduction reads per-block summaries that the
@@ -559,7 +325,8 @@ TEST(RtEquivalenceStealClasses, StealFlipsClassesBeforeThePhase) {
 // unique maximum (light 7 and transfer 8 at T = 16: a light ends at up to
 // 15 while its heavy sender ends at its load minus 8). After each step the
 // runtime's running max and its summed snapshot shard loads (telemetry
-// snapshot every step) must equal the engine's.
+// snapshot every step) must equal the reference's, and at the end so must
+// the whole result.
 TEST(RtEquivalenceBlocks, LoadReductionMatchesEngineEveryStep) {
   const std::uint64_t n = 1024;
   const std::uint64_t steps = 40;
@@ -573,52 +340,42 @@ TEST(RtEquivalenceBlocks, LoadReductionMatchesEngineEveryStep) {
   for (const bool steal_on : {false, true}) {
     sim::StealConfig steal;
     steal.enabled = steal_on;
-    auto sim_model = make_model(WhichModel::kBurst, n);
-    core::ThresholdBalancer balancer({.params = params});
-    sim::Engine eng({.n = n, .seed = seed, .steal = steal}, sim_model.get(),
-                    &balancer);
-    std::vector<std::uint64_t> total(steps), running_max(steps);
+    rt::RtConfig cfg = threshold_config(n, seed, params, steal);
+    cfg.telemetry = true;
+    cfg.telemetry_interval = 1;
     const std::vector<Spike> spikes = spikes_for(seed, n);
-    const auto deposit_spikes = [&](std::uint64_t s, auto&& deposit) {
+    const auto deposit_spikes = [&](std::uint64_t s, auto& run) {
       for (const Spike& sp : spikes) {
         if (sp.step != s) continue;
         for (std::uint32_t i = 0; i < sp.tasks; ++i) {
-          deposit(sp.proc,
-                  sim::Task{static_cast<std::uint32_t>(s), sp.proc, 1});
+          run.deposit(sp.proc,
+                      sim::Task{static_cast<std::uint32_t>(s), sp.proc, 1});
         }
       }
     };
+    auto ref = build<Reference>(cfg, WhichModel::kBurst);
+    std::vector<std::uint64_t> total(steps), running_max(steps);
     for (std::uint64_t s = 0; s < steps; ++s) {
-      deposit_spikes(s, [&](std::uint32_t p, sim::Task t) {
-        eng.deposit(p, t);
-      });
-      eng.step_once();
-      total[s] = eng.total_load();
-      running_max[s] = eng.running_max_load();
+      deposit_spikes(s, *ref.run);
+      ref.run->run(1);
+      total[s] = ref.run->engine().total_load();
+      running_max[s] = ref.run->engine().running_max_load();
     }
-    EXPECT_GT(eng.messages().transfers, 0u);
+    const rt::RunResult& want = ref.run->result();
+    EXPECT_GT(want.out.msg.transfers, 0u);
 
     for (const unsigned workers : {1u, 2u, 8u}) {
       SCOPED_TRACE("steal=" + std::to_string(steal_on) +
                    " workers=" + std::to_string(workers));
-      auto rt_model = make_model(WhichModel::kBurst, n);
-      rt::RtConfig cfg;
-      cfg.n = n;
-      cfg.seed = seed;
       cfg.workers = workers;
-      cfg.policy = rt::RtPolicy::kThreshold;
-      cfg.params = params;
-      cfg.steal = steal;
-      cfg.telemetry = true;
-      cfg.telemetry_interval = 1;
+      auto rt_model = make_model(WhichModel::kBurst, n);
       rt::Runtime run(cfg, rt_model.get());
       for (std::uint64_t s = 0; s < steps; ++s) {
-        deposit_spikes(s, [&](std::uint32_t p, sim::Task t) {
-          run.deposit(p, t);
-        });
+        deposit_spikes(s, run);
         run.run(1);
         ASSERT_EQ(run.running_max_load(), running_max[s]) << "step " << s;
       }
+      EXPECT_EQ(rt::diff(want, run.result()), "");
       // One snapshot line per worker per step: sum its shard loads by step.
       std::vector<std::uint64_t> summed(steps, 0);
       std::uint64_t lines = 0;
@@ -646,22 +403,15 @@ TEST(RtEquivalenceBlocks, LoadReductionMatchesEngineEveryStep) {
 
 /// A spiked threshold run with both sojourn clocks on, so every group diff
 /// compares (and each wall-clock field it leaves out) is populated.
-DiffRun diff_run(unsigned workers) {
+Owned<rt::Runtime> diff_run(unsigned workers) {
   const std::uint64_t n = 192;
-  DiffRun r{make_model(WhichModel::kBurst, n), nullptr};
-  rt::RtConfig cfg;
-  cfg.n = n;
-  cfg.seed = 2;
-  cfg.workers = workers;
-  cfg.policy = rt::RtPolicy::kThreshold;
   core::Fractions f;
   f.t_min = 64;
-  cfg.params = core::PhaseParams::from_n(n, f);
+  rt::RtConfig cfg = threshold_config(n, 2, core::PhaseParams::from_n(n, f));
+  cfg.workers = workers;
   cfg.track_sojourn = true;
   cfg.time_sojourn = true;
-  r.run = std::make_unique<rt::Runtime>(cfg, r.model.get());
-  drive(*r.run, 48, cfg.seed, n);
-  return r;
+  return run_of<rt::Runtime>(cfg, WhichModel::kBurst, 48);
 }
 
 /// Own copies of `procs` (unbound queues), for perturbing a processor.
@@ -700,8 +450,8 @@ void edit_first_task(std::vector<rt::RtProcessor>& procs, std::size_t p,
 }
 
 TEST(RunResultDiff, EqualRunsGiveEmpty) {
-  const DiffRun one = diff_run(1);
-  const DiffRun four = diff_run(4);
+  const Owned<rt::Runtime> one = diff_run(1);
+  const Owned<rt::Runtime> four = diff_run(4);
   EXPECT_EQ(rt::diff(one.run->result(), one.run->result()), "");
   EXPECT_EQ(rt::diff(four.run->result(), four.run->result()), "");
   EXPECT_EQ(rt::diff(one.run->result(), four.run->result()), "");
@@ -713,7 +463,7 @@ TEST(RunResultDiff, EqualRunsGiveEmpty) {
 }
 
 TEST(RunResultDiff, NamesTheFirstDivergentField) {
-  const DiffRun r = diff_run(1);
+  const Owned<rt::Runtime> r = diff_run(1);
   const rt::RunResult& a = r.run->result();
   ASSERT_GE(a.out.ledger.size(), 3u);
   ASSERT_GE(a.out.phases.size(), 2u);
@@ -759,7 +509,7 @@ TEST(RunResultDiff, NamesTheFirstDivergentField) {
 }
 
 TEST(RunResultDiff, IgnoresWallClockAndWitnesses) {
-  const DiffRun r = diff_run(1);
+  const Owned<rt::Runtime> r = diff_run(1);
   const rt::RunResult& a = r.run->result();
   ASSERT_GT(a.out.sojourn_us.count(), 0u);
   const std::size_t q = first_queued(a.procs);
@@ -810,11 +560,11 @@ TEST(RunResultDiff, PhaseLogSameWhetherInspectedEachStepOrOnce) {
         saw_open |= !ph.empty() && !ph.back().completed;
       }
     }
-    return DiffRun{std::move(model), std::move(r)};
+    return Owned<rt::Runtime>{std::move(model), std::move(r)};
   };
   bool saw_open = false, unused = false;
-  const DiffRun each = run(true, saw_open);
-  const DiffRun once = run(false, unused);
+  const Owned<rt::Runtime> each = run(true, saw_open);
+  const Owned<rt::Runtime> once = run(false, unused);
   EXPECT_TRUE(saw_open);
   EXPECT_GE(once.run->result().out.phases.size(), 4u);
   EXPECT_EQ(rt::diff(each.run->result(), once.run->result()), "");

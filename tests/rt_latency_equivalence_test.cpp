@@ -1,12 +1,14 @@
-// Lockstep cross-validation of rt::Runtime's latency fabric against
-// sim::Engine + dist::DistThresholdBalancer: with the same seed, latency
-// and game parameters, the two fabrics must produce identical
-// transfer ledgers, final per-task queue contents, message counters and
-// per-phase records (start/end step, heavy count, matched/unmatched,
-// forced) — for ANY worker count, for uniform latencies and for per-hop
-// topology routing. Both fabrics derive delivery times from the shared
-// net::DeliveryPolicy and order deliveries by the shared net::SeqKey, so a
-// divergence here means one of them broke the contract.
+// Lockstep cross-validation of rt::Runtime's latency fabric against its
+// serial specification, sim::Engine + dist::DistThresholdBalancer
+// (testing::Reference): with the same seed, latency and game parameters the
+// two must give the same rt::RunResult — transfer ledger, final per-task
+// queue contents, every counter, the fabric's sent/delivered and link
+// counters and the phase log (start/end step, heavy set, matched/unmatched,
+// forced) — for ANY worker count, for uniform latencies, for per-hop
+// topology routing and for failsafe phase ends. Both fabrics derive
+// delivery times from the shared net::DeliveryPolicy and order deliveries
+// by the shared net::SeqKey, so a divergence here means one of them broke
+// the contract.
 //
 // Also covered, per the latency tier's charter:
 //   * the dist phase-duration ∝ latency result reproduced on real threads;
@@ -18,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,12 +30,12 @@
 #include "models/single.hpp"
 #include "net/topology.hpp"
 #include "rt/runtime.hpp"
-#include "sim/engine.hpp"
-#include "testing/oracle.hpp"
+#include "testing/reference.hpp"
 
 namespace {
 
 using namespace clb;
+using clb::testing::Reference;
 
 std::unique_ptr<sim::LoadModel> make_model() {
   return std::make_unique<models::SingleModel>(0.45, 0.1);
@@ -53,255 +56,101 @@ std::vector<Spike> spikes_for(std::uint64_t seed, std::uint64_t n) {
   return {{0, p(0), 48}, {11, p(1), 56}, {29, p(2), 64}};
 }
 
-struct PhaseRecord {
-  std::uint64_t phase_index = 0;
-  std::uint64_t start_step = 0;
-  std::uint64_t end_step = 0;
-  std::uint64_t num_heavy = 0;
-  std::uint64_t matched = 0;
-  std::uint64_t unmatched = 0;
-  bool forced = false;
-};
-
-struct RunRecord {
-  std::vector<std::vector<sim::Task>> queues;
-  std::vector<std::uint64_t> generated;
-  std::vector<std::uint64_t> consumed;
-  std::vector<std::uint64_t> initiations;
-  sim::MessageCounters msg;
-  std::uint64_t clamped = 0;
-  std::uint64_t running_max = 0;
-  std::uint64_t total_load = 0;
-  // Link-model counters (all zero on an unshaped fabric). Both fabrics plan
-  // every link's sends in the same order, so these must agree exactly.
-  std::uint64_t retransmits = 0;
-  std::uint64_t dup_suppressed = 0;
-  std::uint64_t queued_delay = 0;
-  std::vector<rt::LedgerEntry> ledger;
-  std::vector<PhaseRecord> phases;
-};
-
+/// One lockstep setup: the runtime's config (the reference reads the same
+/// one) and the run length.
 struct Lockstep {
-  std::uint64_t n = 128;
-  std::uint64_t seed = 1;
+  rt::RtConfig cfg;
   std::uint64_t steps = 160;
-  std::uint32_t latency = 1;
-  const net::Topology* topology = nullptr;
-  net::NetConfig link{};
-  core::PhaseParams params;
 
-  explicit Lockstep(std::uint64_t n_procs) : n(n_procs) {
+  explicit Lockstep(std::uint64_t n) {
+    cfg.n = n;
+    cfg.seed = 1;
+    cfg.policy = rt::RtPolicy::kThreshold;
     core::Fractions f;
     f.t_min = 64;
-    params = core::PhaseParams::from_n(n, f);
+    cfg.params = core::PhaseParams::from_n(n, f);
+    cfg.latency = 1;
   }
 };
 
-RunRecord run_dist(const Lockstep& su) {
-  auto model = make_model();
-  dist::DistConfig dc;
-  dc.params = su.params;
-  dc.latency = su.latency;
-  dc.topology = su.topology;
-  dc.link = su.link;
-  dist::DistThresholdBalancer inner(dc);
-  clb::testing::CaptureBalancer cap(&inner);
-  sim::Engine eng({.n = su.n, .seed = su.seed}, model.get(), &cap);
+/// A runtime or a reference and the model it reads, which must outlive it.
+template <typename Run>
+struct Owned {
+  std::unique_ptr<sim::LoadModel> model;
+  std::unique_ptr<Run> run;
+};
 
-  RunRecord r;
-  cap.set_post_capture_hook([&](sim::Engine& e) {
-    // After on_step, before apply_transfers: loads are what the protocol
-    // saw, so the scheduled counts can be clamped exactly like
-    // Engine::apply_transfers will (sources are distinct within a step).
-    for (const sim::Transfer& t : cap.captured()) {
-      const std::uint64_t cnt =
-          std::min<std::uint64_t>(t.count, e.load(t.from));
-      r.ledger.push_back(
-          {e.step(), t.from, t.to, static_cast<std::uint32_t>(cnt)});
-    }
-  });
-
-  const std::vector<Spike> spikes = spikes_for(su.seed, su.n);
-  for (std::uint64_t s = 0; s < su.steps; ++s) {
-    for (const Spike& sp : spikes) {
-      if (sp.step != s) continue;
-      for (std::uint32_t i = 0; i < sp.tasks; ++i) {
-        eng.deposit(sp.proc,
-                    sim::Task{static_cast<std::uint32_t>(s), sp.proc, 1});
-      }
-    }
-    eng.step_once();
-  }
-
-  for (std::uint64_t p = 0; p < su.n; ++p) {
-    const sim::Processor& proc = eng.processor(p);
-    std::vector<sim::Task> q;
-    for (std::uint64_t i = 0; i < proc.queue.size(); ++i) {
-      q.push_back(proc.queue.at(i));
-    }
-    r.queues.push_back(std::move(q));
-    r.generated.push_back(proc.generated);
-    r.consumed.push_back(proc.consumed);
-    r.initiations.push_back(proc.balance_initiations);
-  }
-  r.msg = eng.messages();
-  r.clamped = eng.clamped_transfers();
-  r.running_max = eng.running_max_load();
-  r.total_load = eng.total_load();
-  r.retransmits = inner.network().retransmits();
-  r.dup_suppressed = inner.network().dup_suppressed();
-  r.queued_delay = inner.network().link_queued_delay();
-  std::sort(r.ledger.begin(), r.ledger.end(),
-            [](const rt::LedgerEntry& a, const rt::LedgerEntry& b) {
-              if (a.step != b.step) return a.step < b.step;
-              if (a.from != b.from) return a.from < b.from;
-              return a.to < b.to;
-            });
-  for (const dist::DistPhaseRecord& pr : inner.stats().phase_log) {
-    r.phases.push_back({pr.phase_index, pr.start_step, pr.end_step,
-                        pr.num_heavy, pr.matched, pr.unmatched, pr.forced});
-  }
-  EXPECT_TRUE(eng.conservation_holds());
-  return r;
-}
-
-/// Runs `su` on the runtime, depositing the spikes between run() calls.
-void drive(rt::Runtime& run, const Lockstep& su) {
-  const std::vector<Spike> spikes = spikes_for(su.seed, su.n);
+/// `cfg` run for `steps` steps, the spikes deposited between run() calls.
+template <typename Run>
+Owned<Run> run_of(const rt::RtConfig& cfg, std::uint64_t steps) {
+  Owned<Run> r{make_model(), nullptr};
+  r.run = std::make_unique<Run>(cfg, r.model.get());
   std::uint64_t done = 0;
-  for (const Spike& sp : spikes) {
+  for (const Spike& sp : spikes_for(cfg.seed, cfg.n)) {
     if (sp.step > done) {
-      run.run(sp.step - done);
+      r.run->run(sp.step - done);
       done = sp.step;
     }
     for (std::uint32_t i = 0; i < sp.tasks; ++i) {
-      run.deposit(sp.proc,
-                  sim::Task{static_cast<std::uint32_t>(sp.step), sp.proc, 1});
+      r.run->deposit(sp.proc, sim::Task{static_cast<std::uint32_t>(sp.step),
+                                        sp.proc, 1});
     }
   }
-  run.run(su.steps - done);
-}
-
-RunRecord run_rt(const Lockstep& su, unsigned workers,
-                 std::uint64_t skew_message = 0) {
-  auto model = make_model();
-  rt::RtConfig cfg;
-  cfg.n = su.n;
-  cfg.seed = su.seed;
-  cfg.workers = workers;
-  cfg.policy = rt::RtPolicy::kThreshold;
-  cfg.params = su.params;
-  cfg.latency = su.latency;
-  cfg.topology = su.topology;
-  cfg.link = su.link;
-  if (skew_message != 0) {
-    cfg.mutation = sim::MutationKind::kDelaySkew;
-    cfg.mutation_ordinal = skew_message;
-  }
-  rt::Runtime run(cfg, model.get());
-
-  drive(run, su);
-  const rt::RunResult& res = run.result();
-
-  RunRecord r;
-  for (std::uint64_t p = 0; p < su.n; ++p) {
-    const rt::RtProcessor& proc = res.processor(p);
-    std::vector<sim::Task> q;
-    for (const rt::RtTask& t : proc.queue) q.push_back(t.task);
-    r.queues.push_back(std::move(q));
-    r.generated.push_back(proc.generated);
-    r.consumed.push_back(proc.consumed);
-    r.initiations.push_back(proc.balance_initiations);
-  }
-  r.msg = res.out.msg;
-  r.clamped = res.out.clamped;
-  r.running_max = res.out.running_max;
-  r.total_load = res.total_load();
-  r.retransmits = res.out.retransmits;
-  r.dup_suppressed = res.out.dup_suppressed;
-  r.queued_delay = res.out.queued_delay;
-  r.ledger = res.out.ledger;
-  for (const rt::RtPhaseSummary& ps : res.out.phases) {
-    if (!ps.completed) continue;  // run ended mid-phase
-    r.phases.push_back({ps.phase_index, ps.start_step, ps.end_step,
-                        ps.num_heavy, ps.matched, ps.unmatched, ps.forced});
-    EXPECT_EQ(ps.heavy_procs.size(), ps.num_heavy);
-    EXPECT_TRUE(std::is_sorted(ps.heavy_procs.begin(), ps.heavy_procs.end()));
-  }
-  EXPECT_TRUE(res.conservation_holds());
-  EXPECT_EQ(res.fabric_in_flight(), 0u) << "undelivered messages at exit";
+  r.run->run(steps - done);
   return r;
 }
 
-void expect_equal(const RunRecord& dist_r, const RunRecord& rt_r,
-                  const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(dist_r.queues.size(), rt_r.queues.size());
-  for (std::size_t p = 0; p < dist_r.queues.size(); ++p) {
-    const auto& a = dist_r.queues[p];
-    const auto& b = rt_r.queues[p];
-    ASSERT_EQ(a.size(), b.size()) << "queue length, proc " << p;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].birth_step, b[i].birth_step)
-          << "proc " << p << " pos " << i;
-      EXPECT_EQ(a[i].origin, b[i].origin) << "proc " << p << " pos " << i;
+std::uint64_t total_transferred(const rt::RunResult& r) {
+  std::uint64_t total = 0;
+  for (const rt::LedgerEntry& e : r.out.ledger) total += e.count;
+  return total;
+}
+
+/// The reference run of `su`, which must move tasks, or a test matching it
+/// proves nothing.
+Owned<Reference> reference(const Lockstep& su) {
+  Owned<Reference> ref = run_of<Reference>(su.cfg, su.steps);
+  EXPECT_GT(total_transferred(ref.run->result()), 0u);
+  return ref;
+}
+
+/// The runtime at each worker count must give the reference's result. Both
+/// must conserve tasks (rt::diff leaves the drop counters out), and the
+/// runtime must leave no message on the fabric and report every completed
+/// phase's heavy set in full and sorted.
+void expect_matches(const rt::RunResult& want, const Lockstep& su,
+                    std::initializer_list<unsigned> workers) {
+  EXPECT_TRUE(want.conservation_holds()) << "reference";
+  rt::RtConfig cfg = su.cfg;
+  for (const unsigned w : workers) {
+    cfg.workers = w;
+    const Owned<rt::Runtime> got = run_of<rt::Runtime>(cfg, su.steps);
+    const rt::RunResult& res = got.run->result();
+    EXPECT_EQ(rt::diff(want, res), "")
+        << "latency=" << cfg.latency << " seed=" << cfg.seed
+        << " workers=" << w;
+    EXPECT_TRUE(res.conservation_holds()) << "workers=" << w;
+    EXPECT_EQ(res.fabric_in_flight(), 0u)
+        << "undelivered messages at exit, workers=" << w;
+    for (const rt::RtPhaseSummary& ps : res.out.phases) {
+      if (!ps.completed) continue;
+      EXPECT_EQ(ps.heavy_procs.size(), ps.num_heavy);
+      EXPECT_TRUE(
+          std::is_sorted(ps.heavy_procs.begin(), ps.heavy_procs.end()));
     }
-    EXPECT_EQ(dist_r.generated[p], rt_r.generated[p]) << "generated " << p;
-    EXPECT_EQ(dist_r.consumed[p], rt_r.consumed[p]) << "consumed " << p;
-    EXPECT_EQ(dist_r.initiations[p], rt_r.initiations[p])
-        << "initiations " << p;
-  }
-
-  EXPECT_EQ(dist_r.msg.queries, rt_r.msg.queries);
-  EXPECT_EQ(dist_r.msg.accepts, rt_r.msg.accepts);
-  EXPECT_EQ(dist_r.msg.id_messages, rt_r.msg.id_messages);
-  EXPECT_EQ(dist_r.msg.control, rt_r.msg.control);
-  EXPECT_EQ(dist_r.msg.transfers, rt_r.msg.transfers);
-  EXPECT_EQ(dist_r.msg.tasks_moved, rt_r.msg.tasks_moved);
-  EXPECT_EQ(dist_r.clamped, rt_r.clamped);
-  EXPECT_EQ(dist_r.running_max, rt_r.running_max);
-  EXPECT_EQ(dist_r.total_load, rt_r.total_load);
-  EXPECT_EQ(dist_r.retransmits, rt_r.retransmits);
-  EXPECT_EQ(dist_r.dup_suppressed, rt_r.dup_suppressed);
-  EXPECT_EQ(dist_r.queued_delay, rt_r.queued_delay);
-
-  ASSERT_EQ(dist_r.ledger.size(), rt_r.ledger.size());
-  for (std::size_t i = 0; i < dist_r.ledger.size(); ++i) {
-    EXPECT_EQ(dist_r.ledger[i].step, rt_r.ledger[i].step) << "ledger " << i;
-    EXPECT_EQ(dist_r.ledger[i].from, rt_r.ledger[i].from) << "ledger " << i;
-    EXPECT_EQ(dist_r.ledger[i].to, rt_r.ledger[i].to) << "ledger " << i;
-    EXPECT_EQ(dist_r.ledger[i].count, rt_r.ledger[i].count) << "ledger " << i;
-  }
-
-  ASSERT_EQ(dist_r.phases.size(), rt_r.phases.size());
-  for (std::size_t i = 0; i < dist_r.phases.size(); ++i) {
-    const PhaseRecord& a = dist_r.phases[i];
-    const PhaseRecord& b = rt_r.phases[i];
-    EXPECT_EQ(a.phase_index, b.phase_index) << "phase " << i;
-    EXPECT_EQ(a.start_step, b.start_step) << "phase " << i;
-    EXPECT_EQ(a.end_step, b.end_step) << "phase " << i;
-    EXPECT_EQ(a.num_heavy, b.num_heavy) << "phase " << i;
-    EXPECT_EQ(a.matched, b.matched) << "phase " << i;
-    EXPECT_EQ(a.unmatched, b.unmatched) << "phase " << i;
-    EXPECT_EQ(a.forced, b.forced) << "phase " << i;
   }
 }
 
-double mean_duration(const RunRecord& r) {
+double mean_duration(const rt::RunResult& r) {
   double sum = 0;
   std::size_t count = 0;
-  for (const PhaseRecord& p : r.phases) {
-    if (p.num_heavy == 0) continue;  // idle phases finish in one step anyway
+  for (const rt::RtPhaseSummary& p : r.out.phases) {
+    // Idle phases finish in one step anyway; an open one has no end yet.
+    if (p.num_heavy == 0 || !p.completed) continue;
     sum += static_cast<double>(p.end_step - p.start_step);
     ++count;
   }
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
-}
-
-std::uint64_t total_transferred(const RunRecord& r) {
-  std::uint64_t total = 0;
-  for (const auto& e : r.ledger) total += e.count;
-  return total;
 }
 
 class RtLatencyEquivalence
@@ -310,19 +159,10 @@ class RtLatencyEquivalence
 
 TEST_P(RtLatencyEquivalence, MatchesDistForAllWorkerCounts) {
   Lockstep su(128);
-  su.seed = std::get<0>(GetParam());
-  su.latency = std::get<1>(GetParam());
-
-  const RunRecord dist_r = run_dist(su);
-  // The protocol must actually move tasks, or the test proves nothing.
-  ASSERT_GT(total_transferred(dist_r), 0u);
-  for (unsigned workers : {1u, 2u, 8u}) {
-    const RunRecord rt_r = run_rt(su, workers);
-    expect_equal(dist_r, rt_r,
-                 "latency=" + std::to_string(su.latency) + " seed=" +
-                     std::to_string(su.seed) + " workers=" +
-                     std::to_string(workers));
-  }
+  su.cfg.seed = std::get<0>(GetParam());
+  su.cfg.latency = std::get<1>(GetParam());
+  const Owned<Reference> ref = reference(su);
+  expect_matches(ref.run->result(), su, {1, 2, 8});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -339,18 +179,12 @@ INSTANTIATE_TEST_SUITE_P(
 // the shared DeliveryPolicy on both sides.
 TEST(RtLatencyTopology, MatchesDistOnHypercube) {
   Lockstep su(128);
-  su.seed = 3;
-  su.latency = 1;
+  su.cfg.seed = 3;
   su.steps = 192;
-  net::HypercubeTopology cube(su.n);
-  su.topology = &cube;
-
-  const RunRecord dist_r = run_dist(su);
-  ASSERT_GT(total_transferred(dist_r), 0u);
-  for (unsigned workers : {1u, 4u}) {
-    const RunRecord rt_r = run_rt(su, workers);
-    expect_equal(dist_r, rt_r, "hypercube workers=" + std::to_string(workers));
-  }
+  net::HypercubeTopology cube(su.cfg.n);
+  su.cfg.topology = &cube;
+  const Owned<Reference> ref = reference(su);
+  expect_matches(ref.run->result(), su, {1, 4});
 }
 
 // Link-model lockstep grid: the same bit-identical equivalence with each of
@@ -360,59 +194,42 @@ TEST(RtLatencyTopology, MatchesDistOnHypercube) {
 // count), so the equivalence is never vacuous.
 TEST(RtLatencyLinks, HeterogeneousJitterMatchesDist) {
   Lockstep su(128);
-  su.seed = 1;
-  su.latency = 2;
-  su.link.jitter = 3;
-  const RunRecord dist_r = run_dist(su);
-  ASSERT_GT(total_transferred(dist_r), 0u);
-  for (unsigned workers : {1u, 2u, 8u}) {
-    expect_equal(dist_r, run_rt(su, workers),
-                 "jitter workers=" + std::to_string(workers));
-  }
+  su.cfg.latency = 2;
+  su.cfg.link.jitter = 3;
+  const Owned<Reference> ref = reference(su);
+  expect_matches(ref.run->result(), su, {1, 2, 8});
 }
 
 TEST(RtLatencyLinks, BandwidthCapMatchesDist) {
   Lockstep su(128);
-  su.seed = 2;
-  su.latency = 2;
-  su.link.bandwidth = 1;  // one message per link per step; bursts queue
-  const RunRecord dist_r = run_dist(su);
-  ASSERT_GT(total_transferred(dist_r), 0u);
-  ASSERT_GT(dist_r.queued_delay, 0u) << "the cap never queued anything";
-  for (unsigned workers : {1u, 2u, 8u}) {
-    expect_equal(dist_r, run_rt(su, workers),
-                 "bandwidth workers=" + std::to_string(workers));
-  }
+  su.cfg.seed = 2;
+  su.cfg.latency = 2;
+  su.cfg.link.bandwidth = 1;  // one message per link per step; bursts queue
+  const Owned<Reference> ref = reference(su);
+  expect_matches(ref.run->result(), su, {1, 2, 8});
+  EXPECT_GT(ref.run->result().out.queued_delay, 0u)
+      << "the cap never queued anything";
 }
 
 TEST(RtLatencyLinks, LossRetransmitMatchesDist) {
   Lockstep su(128);
-  su.seed = 1;
-  su.latency = 2;
-  su.link.loss_per_64k = 16384;  // 25% per transmission
-  const RunRecord dist_r = run_dist(su);
-  ASSERT_GT(total_transferred(dist_r), 0u);
-  ASSERT_GT(dist_r.retransmits, 0u) << "the wire never lost anything";
-  for (unsigned workers : {1u, 2u, 8u}) {
-    expect_equal(dist_r, run_rt(su, workers),
-                 "loss workers=" + std::to_string(workers));
-  }
+  su.cfg.latency = 2;
+  su.cfg.link.loss_per_64k = 16384;  // 25% per transmission
+  const Owned<Reference> ref = reference(su);
+  expect_matches(ref.run->result(), su, {1, 2, 8});
+  EXPECT_GT(ref.run->result().out.retransmits, 0u)
+      << "the wire never lost anything";
 }
 
 TEST(RtLatencyLinks, AllKnobsTogetherMatchesDist) {
   Lockstep su(128);
-  su.seed = 2;
-  su.latency = 1;
+  su.cfg.seed = 2;
   su.steps = 224;  // shaped phases run longer; leave room to quiesce
-  su.link.jitter = 2;
-  su.link.bandwidth = 1;
-  su.link.loss_per_64k = 8192;  // 12.5%
-  const RunRecord dist_r = run_dist(su);
-  ASSERT_GT(total_transferred(dist_r), 0u);
-  for (unsigned workers : {1u, 2u, 8u}) {
-    expect_equal(dist_r, run_rt(su, workers),
-                 "all-knobs workers=" + std::to_string(workers));
-  }
+  su.cfg.link.jitter = 2;
+  su.cfg.link.bandwidth = 1;
+  su.cfg.link.loss_per_64k = 8192;  // 12.5%
+  const Owned<Reference> ref = reference(su);
+  expect_matches(ref.run->result(), su, {1, 2, 8});
 }
 
 // The arena-backed queue layout under the latency fabric with jittered
@@ -420,15 +237,38 @@ TEST(RtLatencyLinks, AllKnobsTogetherMatchesDist) {
 // steal dimension.)
 TEST(RtLatencyArena, ArenaMatchesDistForAllWorkerCounts) {
   Lockstep su(128);
-  su.seed = 2;
-  su.latency = 2;
-  su.link.jitter = 2;
-  const RunRecord dist_r = run_dist(su);
-  ASSERT_GT(total_transferred(dist_r), 0u);
-  for (unsigned workers : {1u, 2u, 8u}) {
-    expect_equal(dist_r, run_rt(su, workers),
-                 "arena workers=" + std::to_string(workers));
+  su.cfg.seed = 2;
+  su.cfg.latency = 2;
+  su.cfg.link.jitter = 2;
+  const Owned<Reference> ref = reference(su);
+  expect_matches(ref.run->result(), su, {1, 2, 8});
+}
+
+// No phase above ends by the failsafe; here every one does. A 3-step bound
+// at latency 2 cuts each phase before its round trips resolve (the
+// reference hands RtConfig::max_phase_steps to dist::DistConfig), so the
+// forced net reset — requests aborted, undelivered messages discarded —
+// runs on both sides phase after phase. The runtime books a discarded
+// message as delivered; dist::Network::total_delivered() does not, which is
+// why the reference reports total_sent() - in_flight() instead (at seed 1:
+// 40 phases, 1,499 messages sent, 540 of them delivered by dist's count).
+TEST(RtLatencyForced, FailsafePhaseEndsMatchDist) {
+  Lockstep su(128);
+  su.cfg.latency = 2;
+  su.cfg.max_phase_steps = 3;
+  const Owned<Reference> ref = run_of<Reference>(su.cfg, su.steps);
+  const rt::RunResult& want = ref.run->result();
+  expect_matches(want, su, {1, 2, 8});
+  std::uint64_t completed = 0, forced = 0;
+  for (const rt::RtPhaseSummary& ps : want.out.phases) {
+    completed += ps.completed;
+    forced += ps.forced;
   }
+  EXPECT_GT(completed, 0u);
+  EXPECT_EQ(forced, completed) << "a phase ended without the failsafe";
+  const dist::Network& net = ref.run->dist()->network();
+  EXPECT_LT(net.total_delivered(), want.out.fab_delivered)
+      << "no forced end discarded a message";
 }
 
 // The paper's EXP-19 effect on real threads: a round trip costs 2*latency
@@ -438,41 +278,38 @@ TEST(RtLatencyArena, ArenaMatchesDistForAllWorkerCounts) {
 TEST(RtLatencyScaling, PhaseDurationGrowsWithLatency) {
   Lockstep lo(128);
   Lockstep hi(128);
-  hi.latency = 8;
-  const double d1 = mean_duration(run_rt(lo, 4));
-  const double d8 = mean_duration(run_rt(hi, 4));
+  hi.cfg.latency = 8;
+  lo.cfg.workers = hi.cfg.workers = 4;
+  const double d1 =
+      mean_duration(run_of<rt::Runtime>(lo.cfg, lo.steps).run->result());
+  const double d8 =
+      mean_duration(run_of<rt::Runtime>(hi.cfg, hi.steps).run->result());
   ASSERT_GT(d1, 0.0);
   EXPECT_GE(d8, 3.0 * d1) << "latency 8 phases should dominate latency 1";
 }
 
 // The delay-skew fault: one message delivered a superstep early must make
-// the lockstep cross-check diverge — ledger, counters, or phase log. This
-// is the conviction the fuzzer's delay-skew mutation relies on.
+// the lockstep cross-check diverge. This is the conviction the fuzzer's
+// delay-skew mutation relies on.
 TEST(RtLatencySkew, EarlyDeliveryDivergesFromDist) {
   Lockstep su(128);
-  su.seed = 1;
-  su.latency = 4;
-  const RunRecord dist_r = run_dist(su);
-  ASSERT_GT(total_transferred(dist_r), 0u);
-
+  su.cfg.latency = 4;
   // Sanity: with no skew the fabrics agree (same setup as the suite above).
-  expect_equal(dist_r, run_rt(su, 1), "skew baseline");
+  const Owned<Reference> ref = reference(su);
+  const rt::RunResult& want = ref.run->result();
+  expect_matches(want, su, {1});
 
   // Skewing an early message must produce an observable divergence. Any
   // single ordinal can happen to be immaterial (e.g. an accept that was not
   // on the phase's critical path), so probe the first few sends and require
   // that at least one convicts — the fuzzer's mutation path does the same.
+  rt::RtConfig cfg = su.cfg;
+  cfg.mutation = sim::MutationKind::kDelaySkew;
   bool diverged = false;
   for (std::uint64_t k = 1; k <= 8 && !diverged; ++k) {
-    const RunRecord skewed = run_rt(su, 1, /*skew_message=*/k);
-    diverged = skewed.ledger != dist_r.ledger ||
-               skewed.phases.size() != dist_r.phases.size();
-    if (!diverged) {
-      for (std::size_t i = 0; i < skewed.phases.size() && !diverged; ++i) {
-        diverged = skewed.phases[i].end_step != dist_r.phases[i].end_step ||
-                   skewed.phases[i].matched != dist_r.phases[i].matched;
-      }
-    }
+    cfg.mutation_ordinal = k;
+    const Owned<rt::Runtime> skewed = run_of<rt::Runtime>(cfg, su.steps);
+    diverged = !rt::diff(want, skewed.run->result()).empty();
   }
   EXPECT_TRUE(diverged)
       << "a fabric delivering early should not survive the cross-check";
@@ -483,39 +320,27 @@ TEST(RtLatencySkew, EarlyDeliveryDivergesFromDist) {
 // message — and it is exactly the k-th entry of the clean run's ledger.
 TEST(RtLatencyDrop, VictimIsWorkerCountInvariant) {
   Lockstep su(128);
-  su.seed = 2;
-  su.latency = 2;
-  const RunRecord clean = run_rt(su, 1);
-  ASSERT_GE(clean.ledger.size(), 3u);
-  const rt::LedgerEntry victim = clean.ledger[2];  // k = 3
+  su.cfg.seed = 2;
+  su.cfg.latency = 2;
+  const Owned<rt::Runtime> clean = run_of<rt::Runtime>(su.cfg, su.steps);
+  ASSERT_GE(clean.run->result().out.ledger.size(), 3u);
+  const rt::LedgerEntry victim = clean.run->result().out.ledger[2];  // k = 3
 
-  auto run_dropped = [&](unsigned workers) {
-    auto model = make_model();
-    rt::RtConfig cfg;
-    cfg.n = su.n;
-    cfg.seed = su.seed;
+  rt::RtConfig cfg = su.cfg;
+  cfg.mutation = sim::MutationKind::kMailboxDrop;
+  cfg.mutation_ordinal = 3;
+  for (const unsigned workers : {1u, 2u, 8u}) {
     cfg.workers = workers;
-    cfg.policy = rt::RtPolicy::kThreshold;
-    cfg.params = su.params;
-    cfg.latency = su.latency;
-    cfg.mutation = sim::MutationKind::kMailboxDrop;
-    cfg.mutation_ordinal = 3;
-    rt::Runtime run(cfg, model.get());
-    drive(run, su);
-    const rt::RunResult& res = run.result();
+    const Owned<rt::Runtime> run = run_of<rt::Runtime>(cfg, su.steps);
+    const rt::RunResult& res = run.run->result();
     EXPECT_EQ(res.out.mutation_applied, 1u) << "workers=" << workers;
     // Count-based conservation books the dropped tasks and stays green —
     // only the fuzzer's identity oracle convicts the drop (by design).
     EXPECT_TRUE(res.conservation_holds()) << "workers=" << workers;
     EXPECT_EQ(res.out.dropped_tasks, victim.count) << "workers=" << workers;
-    const std::vector<rt::LedgerEntry>& log = res.out.dropped;
-    ASSERT_EQ(log.size(), 1u) << "workers=" << workers;
-    EXPECT_EQ(log[0].step, victim.step) << "workers=" << workers;
-    EXPECT_EQ(log[0].from, victim.from) << "workers=" << workers;
-    EXPECT_EQ(log[0].to, victim.to) << "workers=" << workers;
-    EXPECT_EQ(log[0].count, victim.count) << "workers=" << workers;
-  };
-  for (unsigned workers : {1u, 2u, 8u}) run_dropped(workers);
+    ASSERT_EQ(res.out.dropped.size(), 1u) << "workers=" << workers;
+    EXPECT_EQ(res.out.dropped[0], victim) << "workers=" << workers;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for clb::sim — FIFO queue semantics, engine stepping,
-// transfers, counters, determinism across thread counts.
+// transfers, counters, determinism across runs.
 #include <gtest/gtest.h>
 
 #include "models/single.hpp"
@@ -166,19 +166,6 @@ TEST(Engine, ResetRestoresPristineState) {
   EXPECT_EQ(eng.running_max_load(), 0u);
 }
 
-TEST(Engine, DeterministicAcrossThreadCounts) {
-  models::SingleModel m1(0.4, 0.1), m2(0.4, 0.1);
-  Engine serial({.n = 256, .seed = 7, .threads = 1}, &m1, nullptr);
-  Engine threaded({.n = 256, .seed = 7, .threads = 4}, &m2, nullptr);
-  serial.run(200);
-  threaded.run(200);
-  EXPECT_EQ(serial.total_load(), threaded.total_load());
-  EXPECT_EQ(serial.running_max_load(), threaded.running_max_load());
-  for (std::uint64_t p = 0; p < 256; ++p) {
-    ASSERT_EQ(serial.load(p), threaded.load(p)) << "proc " << p;
-  }
-}
-
 TEST(Engine, DeterministicAcrossRuns) {
   models::SingleModel m1(0.3, 0.2), m2(0.3, 0.2);
   Engine a({.n = 128, .seed = 11}, &m1, nullptr);
@@ -198,13 +185,12 @@ TEST(Engine, DifferentSeedsDiverge) {
   EXPECT_NE(a.total_generated(), b.total_generated());
 }
 
-TEST(Engine, SojournTrackingForcesSerialButKeepsResults) {
-  // track_sojourn disables the thread pool; the trajectory must still match
-  // a plain serial run exactly.
+TEST(Engine, SojournTrackingKeepsResults) {
+  // track_sojourn only observes: the trajectory must match a run without
+  // it exactly.
   models::SingleModel m1(0.4, 0.1), m2(0.4, 0.1);
-  Engine plain({.n = 128, .seed = 21, .threads = 1}, &m1, nullptr);
-  Engine tracked({.n = 128, .seed = 21, .threads = 4, .track_sojourn = true},
-                 &m2, nullptr);
+  Engine plain({.n = 128, .seed = 21}, &m1, nullptr);
+  Engine tracked({.n = 128, .seed = 21, .track_sojourn = true}, &m2, nullptr);
   plain.run(300);
   tracked.run(300);
   EXPECT_EQ(plain.total_load(), tracked.total_load());

@@ -141,7 +141,7 @@ TEST(TelemetryMergeHammer, EightWorkersBarrierPublished) {
   threads.reserve(kWorkers);
   for (unsigned w = 0; w < kWorkers; ++w) {
     threads.emplace_back([&, w] {
-      util::ThreadPool::bind_worker_index(w);
+      util::bind_worker_index(w);
       obs::WorkerTelemetry& t = telems[w];
       for (int c = 0; c < kCycles; ++c) {
         for (int i = 0; i < kAddsPerCycle; ++i) {
@@ -171,7 +171,7 @@ TEST(TelemetryMergeHammer, EightWorkersBarrierPublished) {
     });
   }
   for (std::thread& t : threads) t.join();
-  util::ThreadPool::bind_worker_index(0);
+  util::bind_worker_index(0);
 
   obs::WorkerTelemetry total;
   for (const obs::WorkerTelemetry& t : telems) total.merge(t);
@@ -200,9 +200,9 @@ TEST(TelemetryBarrier, TimedWaitReportsBlockedTime) {
 
 TEST(TelemetryBarrier, BindWorkerIndexAdoptsThread) {
   std::thread t([] {
-    EXPECT_EQ(util::ThreadPool::worker_index(), 0u);  // default off-pool
-    util::ThreadPool::bind_worker_index(3);
-    EXPECT_EQ(util::ThreadPool::worker_index(), 3u);
+    EXPECT_EQ(util::worker_index(), 0u);  // never bound
+    util::bind_worker_index(3);
+    EXPECT_EQ(util::worker_index(), 3u);
   });
   t.join();
 }

@@ -1,11 +1,11 @@
-// Unit tests for clb::util — math helpers, tables, CLI, thread pool.
+// Unit tests for clb::util — math helpers, tables, CLI, block partition,
+// phase barrier.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <numeric>
-#include <set>
 #include <thread>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/math.hpp"
@@ -112,26 +112,6 @@ TEST(Cli, ParseU64List) {
   EXPECT_TRUE(Cli::parse_u64_list("").empty());
 }
 
-TEST(ThreadPool, CoversFullRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::uint64_t b, std::uint64_t e) {
-    for (std::uint64_t i = b; i < e; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, HandlesEmptyAndTinyRanges) {
-  ThreadPool pool(4);
-  std::atomic<std::uint64_t> sum{0};
-  pool.parallel_for(0, [&](std::uint64_t, std::uint64_t) { sum += 1; });
-  EXPECT_EQ(sum.load(), 0u);
-  pool.parallel_for(3, [&](std::uint64_t b, std::uint64_t e) {
-    sum += e - b;
-  });
-  EXPECT_EQ(sum.load(), 3u);
-}
-
 TEST(BlockRange, PartitionsInOrderWithBalancedSizes) {
   // Concatenating blocks 0..parts-1 must walk [0, count) in order, with
   // sizes differing by at most one and larger blocks first — the property
@@ -186,58 +166,6 @@ TEST(PhaseBarrier, SeparatesWritePhasesAcrossThreads) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(barrier.generation(), 2u * kCycles);
-}
-
-TEST(ThreadPool, WorkerIndexIsStableAndCoversAllWorkers) {
-  ThreadPool pool(4);
-  ASSERT_EQ(pool.worker_count(), 4u);
-  // The caller is worker 0, pool threads are 1..3, and a given thread must
-  // report the same index on every job (IDs pinned at spawn).
-  std::mutex mu;
-  std::map<std::thread::id, std::set<unsigned>> seen;
-  for (int round = 0; round < 20; ++round) {
-    // count >= 2 * workers, or the small-range fast path runs inline on the
-    // caller and no pool thread ever participates.
-    pool.parallel_for(64, [&](std::uint64_t, std::uint64_t) {
-      std::lock_guard lock(mu);
-      seen[std::this_thread::get_id()].insert(ThreadPool::worker_index());
-    });
-  }
-  std::set<unsigned> indices;
-  for (const auto& [tid, idx] : seen) {
-    EXPECT_EQ(idx.size(), 1u) << "a thread changed its worker index";
-    indices.insert(*idx.begin());
-  }
-  EXPECT_EQ(indices, (std::set<unsigned>{0, 1, 2, 3}));
-  EXPECT_EQ(ThreadPool::worker_index(), 0u);  // main thread = worker 0
-}
-
-TEST(ThreadPool, WorkerIndexMatchesBlockIndex) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<unsigned>> owner(300);
-  pool.parallel_for(300, [&](std::uint64_t b, std::uint64_t e) {
-    for (std::uint64_t i = b; i < e; ++i)
-      owner[i].store(ThreadPool::worker_index());
-  });
-  for (unsigned i = 0; i < 3; ++i) {
-    const auto [b, e] = block_range(300, 3, i);
-    for (std::uint64_t j = b; j < e; ++j) {
-      EXPECT_EQ(owner[j].load(), i) << "index " << j;
-    }
-  }
-}
-
-TEST(ThreadPool, ReusableAcrossManyJobs) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<std::uint64_t> total{0};
-    pool.parallel_for(128, [&](std::uint64_t b, std::uint64_t e) {
-      std::uint64_t local = 0;
-      for (std::uint64_t i = b; i < e; ++i) local += i;
-      total += local;
-    });
-    EXPECT_EQ(total.load(), 128u * 127u / 2);
-  }
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // RNG), crash/recovery conservation, and engine↔rt lockstep grids proving
 // the zoo models and both information baselines stay bit-identical on
 // rt::Runtime at 1/2/8 workers. Each worker count is validated against the
-// same serial sim::Engine, so the grid transitively proves cross-worker
-// bit-identity (ledger, message counters, per-queue task identity).
+// same serial specification (testing::Reference, through rt::diff), so the
+// grid transitively proves cross-worker bit-identity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -323,8 +323,9 @@ TEST(CrashRecovery, ScheduleRejectsUnservableEvents) {
 
 // ---------------------------------------------------------------------------
 // Engine↔rt lockstep grids (workers 1/2/8) — the oracle is the proof: it
-// compares ledger, message counters, clamp/re-home accounting, and per-queue
-// task identity against a serial sim::Engine shadow every 8th step.
+// checks total load against a testing::Reference shadow every step and ends
+// in rt::diff of the two results (ledger, every counter, clamp/re-home
+// accounting, per-queue task identity).
 // ---------------------------------------------------------------------------
 
 ct::Scenario zoo_scenario(ct::ModelKind model,
